@@ -287,7 +287,6 @@ fn main() {
         );
     }
     let anchor_ms = start.elapsed().as_secs_f64() * 1000.0 / iters as f64;
-    let (shards_evaluated, shards_pruned) = JsonRun::shard_counters(&result.stats);
     snap.runs.push(JsonRun {
         workload: "N=20k,I=24,d=0.4".to_string(),
         algorithm: "UApriori".to_string(),
@@ -297,8 +296,6 @@ fn main() {
         peak_memo_bytes: result.stats.peak_memo_bytes,
         intersections: result.stats.intersections,
         num_itemsets: result.len() as u64,
-        shards_evaluated,
-        shards_pruned,
         ..Default::default()
     });
 

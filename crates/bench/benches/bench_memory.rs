@@ -137,43 +137,6 @@ fn bench_memory_guard(c: &mut Criterion) {
         );
         b.iter(|| vertical + diffset)
     });
-    // Same guard under a forced multi-shard plan: the diffset backend's
-    // per-shard delta chains must keep the memory edge when sharding
-    // engages (it used to fall back to fragment tidsets there).
-    group.bench_function("memo_undercuts_sharded", |b| {
-        use ufim_miners::common::{mine_level_wise_with_plan, ExpectedSupport};
-        let db = dense_db(4_000, 16, 0.4, 11);
-        let threshold = 0.05 * db.num_transactions() as f64;
-        let plan = ShardPlan::with_width_chunks(16); // 1024-tid shards → 4
-        let runs: Vec<(EngineKind, u64, usize)> = [EngineKind::Vertical, EngineKind::Diffset]
-            .into_iter()
-            .map(|engine| {
-                let result =
-                    mine_level_wise_with_plan(&db, ExpectedSupport::new(threshold), engine, plan);
-                assert!(
-                    result.stats.shards_evaluated > 0,
-                    "{engine:?}: forced plan must engage sharded evaluation"
-                );
-                (engine, result.stats.peak_memo_bytes, result.len())
-            })
-            .collect();
-        assert_eq!(
-            runs[0].2, runs[1].2,
-            "sharded engines diverge on result size"
-        );
-        let (vertical, diffset) = (runs[0].1, runs[1].1);
-        assert!(
-            diffset < vertical,
-            "sharded diffset memo peak ({diffset} B) must undercut vertical ({vertical} B) \
-             via per-shard delta chains"
-        );
-        println!(
-            "memory_guard (sharded): diffset memo {diffset} B < vertical memo {vertical} B \
-             ({:.1}x smaller)",
-            vertical as f64 / diffset as f64
-        );
-        b.iter(|| vertical + diffset)
-    });
     // Streaming guard: with memo-preserving delta evaluation the engine
     // retains its memo across refreshes, so the per-refresh
     // `peak_memo_bytes` must be a *monotone non-decreasing* cross-refresh

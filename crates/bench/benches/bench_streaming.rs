@@ -4,8 +4,7 @@
 //!
 //! A fixed synthetic stream slides through a 4,096-slot window in eight
 //! expire/append rounds of 256 transactions each. For every support
-//! backend (and additionally a forced multi-shard plan on the columnar
-//! ones), one counted pass drives the [`IncrementalMiner`] and the batch
+//! backend, one counted pass drives the [`IncrementalMiner`] and the batch
 //! oracle side by side, asserting at *every* checkpoint that the
 //! incremental records are identical to the from-scratch mine — the
 //! incremental contract, enforced in-binary. The same pass accumulates the
@@ -15,7 +14,7 @@
 //! 90% of the batch count (measured ratios sit far below; the bound only
 //! catches a collapse of the border reuse).
 //!
-//! Like `bench_shards`, the vendored criterion shim cannot export
+//! Like `bench_kernels`, the vendored criterion shim cannot export
 //! measurements, so this is a hand-rolled `harness = false` binary that
 //! emits a `BENCH_streaming.json` snapshot (`--json-out DIR`) through
 //! `ufim_bench::json`. Strict fields (`intersections`, `num_itemsets`)
@@ -25,8 +24,7 @@
 //!
 //! With `--gate` the binary additionally asserts the **wall-clock
 //! contract** of memo-preserving delta evaluation: on the columnar
-//! backends (vertical and diffset, default plan and forced width-16
-//! shards), the incremental pass must finish in ≤ 1.0× the batch
+//! backends (vertical and diffset), the incremental pass must finish in ≤ 1.0× the batch
 //! re-mine's wall-clock on this cheap esup+var fixture at 6% churn —
 //! the memo patch walk plus warm-memo short-circuit has to *pay for
 //! itself*, not just shrink candidate counts. The gate times both
@@ -42,7 +40,7 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use ufim_bench::json::{JsonRun, JsonSnapshot};
 use ufim_core::prelude::*;
-use ufim_miners::common::{mine_level_wise_with_plan, ExpectedSupport, IncrementalMiner};
+use ufim_miners::common::{mine_level_wise, ExpectedSupport, IncrementalMiner};
 
 const SEED: u64 = 17;
 /// Window capacity (slots — the snapshot's constant transaction count).
@@ -103,19 +101,10 @@ impl Tally {
 /// One counted pass: incremental and batch side by side, record-equality
 /// asserted at every checkpoint. Returns `(incremental, batch, final
 /// result size)`.
-fn counted_pass(
-    txs: &[Transaction],
-    engine: EngineKind,
-    plan: ShardPlan,
-    threshold: f64,
-) -> (Tally, Tally, u64) {
+fn counted_pass(txs: &[Transaction], engine: EngineKind, threshold: f64) -> (Tally, Tally, u64) {
     let window = WindowedDatabase::new(CAPACITY, ITEMS);
-    let mut miner = IncrementalMiner::with_plan(
-        window,
-        ExpectedSupport::with_variance(threshold),
-        engine,
-        plan,
-    );
+    let mut miner =
+        IncrementalMiner::new(window, ExpectedSupport::with_variance(threshold), engine);
     let (mut inc, mut batch) = (Tally::default(), Tally::default());
     let mut stream = txs.iter().cloned();
     for t in stream.by_ref().take(CAPACITY) {
@@ -125,11 +114,10 @@ fn counted_pass(
         |miner: &mut IncrementalMiner<ExpectedSupport>, inc: &mut Tally, batch: &mut Tally| {
             let result = miner.refresh();
             inc.absorb(&result.stats);
-            let oracle = mine_level_wise_with_plan(
+            let oracle = mine_level_wise(
                 &miner.window().snapshot(),
                 ExpectedSupport::with_variance(threshold),
                 engine,
-                plan,
             );
             batch.absorb(&oracle.stats);
             assert_eq!(
@@ -160,7 +148,6 @@ fn counted_pass(
 fn timed_pass(
     txs: &[Transaction],
     engine: EngineKind,
-    plan: ShardPlan,
     threshold: f64,
     incremental: bool,
     iters: usize,
@@ -170,12 +157,8 @@ fn timed_pass(
     for _ in 0..iters {
         let start = Instant::now();
         let window = WindowedDatabase::new(CAPACITY, ITEMS);
-        let mut miner = IncrementalMiner::with_plan(
-            window,
-            ExpectedSupport::with_variance(threshold),
-            engine,
-            plan,
-        );
+        let mut miner =
+            IncrementalMiner::new(window, ExpectedSupport::with_variance(threshold), engine);
         let mut stream = txs.iter().cloned();
         for t in stream.by_ref().take(CAPACITY) {
             miner.append(t);
@@ -184,11 +167,10 @@ fn timed_pass(
             if incremental {
                 miner.refresh();
             } else {
-                std::hint::black_box(mine_level_wise_with_plan(
+                std::hint::black_box(mine_level_wise(
                     &miner.window().snapshot(),
                     ExpectedSupport::with_variance(threshold),
                     engine,
-                    plan,
                 ));
             }
         };
@@ -230,19 +212,9 @@ fn main() {
     let streamed = (ROUNDS * BATCH) as f64;
     let mut snap = JsonSnapshot::new("streaming", 1.0, SEED);
 
-    // Every backend on the default plan, plus the columnar backends under
-    // forced 1,024-tid shards (delta composition across shard boundaries).
-    let mut configs: Vec<(String, EngineKind, ShardPlan)> = EngineKind::ALL
-        .into_iter()
-        .map(|e| (String::new(), e, ShardPlan::for_transactions(CAPACITY)))
-        .collect();
-    for e in [EngineKind::Vertical, EngineKind::Diffset] {
-        configs.push((",width=16".into(), e, ShardPlan::with_width_chunks(16)));
-    }
-
-    for (suffix, engine, plan) in configs {
-        let workload = format!("N={CAPACITY},rounds={ROUNDS},batch={BATCH}{suffix}");
-        let (inc, batch, num_itemsets) = counted_pass(&txs, engine, plan, threshold);
+    for engine in EngineKind::ALL {
+        let workload = format!("N={CAPACITY},rounds={ROUNDS},batch={BATCH}");
+        let (inc, batch, num_itemsets) = counted_pass(&txs, engine, threshold);
         // The acceptance floor: border reuse must keep the incremental
         // path strictly under the batch oracle's candidate workload.
         let ratio = inc.candidates as f64 / batch.candidates as f64;
@@ -261,7 +233,7 @@ fn main() {
         .into_iter()
         .enumerate()
         {
-            let (wall_ms, best_ms) = timed_pass(&txs, engine, plan, threshold, incremental, iters);
+            let (wall_ms, best_ms) = timed_pass(&txs, engine, threshold, incremental, iters);
             best[side] = best_ms;
             println!(
                 "{workload:<34} {:<10} {algorithm:<14} {wall_ms:>9.2} ms  \
@@ -280,8 +252,6 @@ fn main() {
                 peak_memo_bytes: tally.peak_memo,
                 intersections: tally.intersections,
                 num_itemsets,
-                shards_evaluated: None,
-                shards_pruned: None,
                 border_rejudged: incremental.then_some(tally.rejudged),
                 border_skipped: incremental.then_some(tally.skipped),
                 memo_patched: incremental.then_some(tally.patched),

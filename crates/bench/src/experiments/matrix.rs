@@ -127,8 +127,6 @@ pub fn run(
                     m.stats.peak_memo_bytes,
                     m.num_itemsets
                 ));
-                let (shards_evaluated, shards_pruned) =
-                    crate::json::JsonRun::shard_counters(&m.stats);
                 snapshot.runs.push(crate::json::JsonRun {
                     workload: format!("{}@scale={}", b.name(), cfg.scale),
                     algorithm: format!("{}×{}", measure.name(), traversal.name()),
@@ -138,8 +136,6 @@ pub fn run(
                     peak_memo_bytes: m.stats.peak_memo_bytes,
                     intersections: m.stats.intersections,
                     num_itemsets: m.num_itemsets as u64,
-                    shards_evaluated,
-                    shards_pruned,
                     ..Default::default()
                 });
             }

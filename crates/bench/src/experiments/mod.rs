@@ -199,8 +199,6 @@ impl Sweep {
                 } else {
                     "n/a" // owns its structures; the selector is ignored
                 };
-                let (shards_evaluated, shards_pruned) =
-                    crate::json::JsonRun::shard_counters(&m.stats);
                 snapshot.runs.push(crate::json::JsonRun {
                     workload: format!("{}={x}", self.x_name),
                     algorithm: a.name().to_string(),
@@ -210,8 +208,6 @@ impl Sweep {
                     peak_memo_bytes: m.stats.peak_memo_bytes,
                     intersections: m.stats.intersections,
                     num_itemsets: m.num_itemsets as u64,
-                    shards_evaluated,
-                    shards_pruned,
                     ..Default::default()
                 });
             }

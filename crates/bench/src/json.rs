@@ -29,14 +29,15 @@
 //!   policy may legitimately change — both are surfaced, neither fails
 //!   the build.
 //! * **advisory by construction**: counter fields added after a baseline
-//!   was recorded (the `shards_evaluated` / `shards_pruned` pair from the
-//!   sharded support engines, the border/memo counters from incremental
-//!   runs, and the `memo_hits` / `memo_extends` pair plus the
+//!   was recorded (the border/memo counters from incremental runs, and
+//!   the `memo_hits` / `memo_extends` pair plus the
 //!   `latency_*_ms` / `qps` percentiles from the query server) parse as
 //!   optional and never fail strictly — a drift or a presence mismatch
 //!   against an older baseline only warns. The gate would otherwise force
 //!   a baseline refresh on every run the moment a new counter ships,
-//!   defeating the point of keeping old snapshots comparable.
+//!   defeating the point of keeping old snapshots comparable. Fields the
+//!   reader does not know (such as the retired `shards_*` pair) are
+//!   ignored, so older snapshots that carry them still parse.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -65,20 +66,10 @@ pub struct JsonRun {
     pub intersections: u64,
     /// Number of frequent itemsets found.
     pub num_itemsets: u64,
-    /// Shard evaluations performed by a sharded support engine
-    /// ([`ufim_core::MinerStats::shards_evaluated`]). `None` in snapshots
-    /// written before the field existed, and omitted from unsharded runs —
-    /// newly-added counters stay **advisory** in the gate so older
-    /// baselines keep passing (see the module docs).
-    pub shards_evaluated: Option<u64>,
-    /// Shard evaluations skipped by zone maps or emptiness
-    /// ([`ufim_core::MinerStats::shards_pruned`]); optional like
-    /// [`shards_evaluated`](Self::shards_evaluated).
-    pub shards_pruned: Option<u64>,
     /// Border-tracker entries invalidated and re-evaluated by an
     /// incremental run ([`ufim_core::MinerStats::border_rejudged`]);
     /// `None` outside incremental (streaming) runs. Advisory in the gate
-    /// like the shard counters.
+    /// (see the module docs).
     pub border_rejudged: Option<u64>,
     /// Border-tracker entries reused without re-evaluation
     /// ([`ufim_core::MinerStats::border_skipped`]); optional like
@@ -95,7 +86,7 @@ pub struct JsonRun {
     pub memo_rebuilt: Option<u64>,
     /// Queries the serve-layer resident memo answered warm (no mining);
     /// `None` outside `bench_serve` runs. Advisory in the gate like the
-    /// shard counters.
+    /// border counters.
     pub memo_hits: Option<u64>,
     /// Queries that extended a resident memo cell downward to a lower
     /// threshold (re-mined, replacing the basis); optional like
@@ -113,22 +104,6 @@ pub struct JsonRun {
     /// Sustained queries per second over the measured window; optional
     /// like [`latency_p50_ms`](Self::latency_p50_ms).
     pub qps: Option<f64>,
-}
-
-impl JsonRun {
-    /// Derives the optional shard counters from a run's [`MinerStats`]:
-    /// `Some` only when the sharded support path actually engaged (either
-    /// counter nonzero), so unsharded runs keep emitting the pre-shard
-    /// snapshot format byte for byte.
-    ///
-    /// [`MinerStats`]: ufim_core::MinerStats
-    pub fn shard_counters(stats: &ufim_core::MinerStats) -> (Option<u64>, Option<u64>) {
-        let engaged = stats.shards_evaluated + stats.shards_pruned > 0;
-        (
-            engaged.then_some(stats.shards_evaluated),
-            engaged.then_some(stats.shards_pruned),
-        )
-    }
 }
 
 /// One experiment's snapshot: configuration + measured runs.
@@ -188,8 +163,6 @@ impl JsonSnapshot {
                 r.num_itemsets
             );
             for (name, v) in [
-                ("shards_evaluated", r.shards_evaluated),
-                ("shards_pruned", r.shards_pruned),
                 ("border_rejudged", r.border_rejudged),
                 ("border_skipped", r.border_skipped),
                 ("memo_patched", r.memo_patched),
@@ -265,8 +238,6 @@ impl JsonSnapshot {
                 peak_memo_bytes: top_field(&r, "peak_memo_bytes")?.unsigned("peak_memo_bytes")?,
                 intersections: top_field(&r, "intersections")?.unsigned("intersections")?,
                 num_itemsets: top_field(&r, "num_itemsets")?.unsigned("num_itemsets")?,
-                shards_evaluated: opt_field(&r, "shards_evaluated")?,
-                shards_pruned: opt_field(&r, "shards_pruned")?,
                 border_rejudged: opt_field(&r, "border_rejudged")?,
                 border_skipped: opt_field(&r, "border_skipped")?,
                 memo_patched: opt_field(&r, "memo_patched")?,
@@ -444,11 +415,8 @@ fn compare_snapshots(
             ));
         }
         // Newly-added counters: advisory whatever happens, including one
-        // side missing the field entirely (older baseline or a run that
-        // left sharding off).
+        // side missing the field entirely (older baseline or a batch run).
         for (field, fv, bv) in [
-            ("shards_evaluated", f.shards_evaluated, b.shards_evaluated),
-            ("shards_pruned", f.shards_pruned, b.shards_pruned),
             ("border_rejudged", f.border_rejudged, b.border_rejudged),
             ("border_skipped", f.border_skipped, b.border_skipped),
             ("memo_patched", f.memo_patched, b.memo_patched),
@@ -853,8 +821,6 @@ mod tests {
                     peak_memo_bytes: 65_536,
                     intersections: 1234,
                     num_itemsets: 31,
-                    shards_evaluated: Some(96),
-                    shards_pruned: Some(32),
                     border_rejudged: Some(12),
                     border_skipped: Some(40),
                     memo_patched: Some(88),
@@ -1011,30 +977,16 @@ mod tests {
     }
 
     #[test]
-    fn pre_shard_snapshots_still_parse_and_compare_advisorily() {
-        // A snapshot written before the shard counters existed: strip the
-        // new fields from the emitted text and it must still parse, with
-        // the counters reported absent.
-        let mut old_text = sample().to_json();
-        old_text = old_text.replace(", \"shards_evaluated\": 96", "");
-        old_text = old_text.replace(", \"shards_pruned\": 32", "");
-        let old = JsonSnapshot::from_json(&old_text).unwrap();
-        assert_eq!(old.runs[0].shards_evaluated, None);
-        assert_eq!(old.runs[0].shards_pruned, None);
-        // Comparing a fresh sharded snapshot against that old baseline —
-        // presence mismatch on run 0 — warns twice but passes the gate.
-        let dir = std::env::temp_dir().join(format!("ufim-json-shard-{}", std::process::id()));
-        let (base_dir, fresh_dir) = (dir.join("base"), dir.join("fresh"));
-        old.write(&base_dir).unwrap();
-        sample().write(&fresh_dir).unwrap();
-        let report = compare_paths(&base_dir, &fresh_dir, 200.0).unwrap();
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        assert_eq!(report.warnings.len(), 2, "{:?}", report.warnings);
-        assert!(report
-            .warnings
-            .iter()
-            .any(|w| w.contains("shards_evaluated") && w.contains("advisory")));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn retired_shard_fields_are_ignored_on_parse() {
+        // Older snapshots carry a `shards_evaluated` / `shards_pruned`
+        // pair; they must parse to the same runs as without it.
+        let text = sample().to_json().replacen(
+            "\"num_itemsets\": 31",
+            "\"num_itemsets\": 31, \"shards_evaluated\": 96, \"shards_pruned\": 32",
+            1,
+        );
+        assert!(text.contains("shards_pruned"));
+        assert_eq!(JsonSnapshot::from_json(&text).unwrap(), sample());
     }
 
     #[test]
@@ -1082,21 +1034,6 @@ mod tests {
             .warnings
             .iter()
             .any(|w| w.contains("latency_p99_ms") && w.contains("tolerance")));
-    }
-
-    #[test]
-    fn shard_counter_drift_is_advisory_not_strict() {
-        let mut report = CompareReport::default();
-        let base = sample();
-        let mut fresh = sample();
-        fresh.runs[0].shards_evaluated = Some(64);
-        fresh.runs[0].shards_pruned = Some(64);
-        compare_snapshots("s", &base, &fresh, 200.0, &mut report);
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        assert_eq!(report.warnings.len(), 2, "{:?}", report.warnings);
-        // The roundtrip keeps the optional fields.
-        let parsed = JsonSnapshot::from_json(&fresh.to_json()).unwrap();
-        assert_eq!(parsed, fresh);
     }
 
     #[test]

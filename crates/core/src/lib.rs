@@ -63,9 +63,7 @@ pub use resident::{ResidentLru, ResidentStats};
 pub use result::{FrequentItemset, MinerStats, MiningResult};
 pub use traits::{ExpectedSupportMiner, MinerInfo, ProbabilisticMiner};
 pub use transaction::Transaction;
-pub use vertical::{
-    BlockMoments, DiffVector, ProbVector, ScratchSpace, ShardPlan, VerticalIndex, ZoneEntry,
-};
+pub use vertical::{BlockMoments, DiffVector, ProbVector, ScratchSpace, VerticalIndex};
 pub use vocab::Vocabulary;
 pub use window::{DirtySlot, StepProbe, WindowStep, WindowedDatabase};
 
@@ -81,9 +79,7 @@ pub mod prelude {
     pub use crate::result::{FrequentItemset, MinerStats, MiningResult};
     pub use crate::traits::{ExpectedSupportMiner, MinerInfo, ProbabilisticMiner};
     pub use crate::transaction::Transaction;
-    pub use crate::vertical::{
-        BlockMoments, DiffVector, ProbVector, ScratchSpace, ShardPlan, VerticalIndex, ZoneEntry,
-    };
+    pub use crate::vertical::{BlockMoments, DiffVector, ProbVector, ScratchSpace, VerticalIndex};
     pub use crate::vocab::Vocabulary;
     pub use crate::window::{DirtySlot, StepProbe, WindowStep, WindowedDatabase};
 }

@@ -72,12 +72,13 @@ pub struct MinerStats {
     /// directly comparable across backends — the vertical-vs-diffset
     /// memory axis.
     pub peak_memo_bytes: u64,
-    /// Per-shard kernel evaluations performed by a sharded support engine
-    /// (one per candidate × non-skipped shard; 0 on unsharded runs).
+    /// Always 0. Kept only for the `perfbench` benchmark, its only
+    /// reader.
+    #[doc(hidden)]
     pub shards_evaluated: u64,
-    /// Shard evaluations skipped by the zone maps: shards where an operand
-    /// is provably empty, plus every shard of a candidate the zone
-    /// precheck pruned whole (0 on unsharded runs).
+    /// Always 0. Kept only for the `perfbench` benchmark, its only
+    /// reader.
+    #[doc(hidden)]
     pub shards_pruned: u64,
     /// Border itemsets fully re-judged during an incremental window step:
     /// tracked itemsets a dirty transaction touched whose support bounds
@@ -109,8 +110,6 @@ impl MinerStats {
         self.intersections += other.intersections;
         self.peak_structure_nodes = self.peak_structure_nodes.max(other.peak_structure_nodes);
         self.peak_memo_bytes = self.peak_memo_bytes.max(other.peak_memo_bytes);
-        self.shards_evaluated += other.shards_evaluated;
-        self.shards_pruned += other.shards_pruned;
         self.border_rejudged += other.border_rejudged;
         self.border_skipped += other.border_skipped;
         self.memo_patched += other.memo_patched;

@@ -1392,11 +1392,10 @@ fn contiguous_span(v: &ProbVector) -> Option<u32> {
 }
 
 /// Absolute slack on the early-exit bound of
-/// [`ProbVector::intersect_stats_bounded`] and on the support engines'
-/// zone-map shard prechecks: the prefix mass handed in and the partial
-/// sums are rounded `f64` sums (error ≲ 1e-10 at this scale), so the bail
-/// comparison keeps a margin several orders above that — a bail must never
-/// fire for a candidate the exact sums would keep.
+/// [`ProbVector::intersect_stats_bounded`]: the prefix mass handed in and
+/// the partial sums are rounded `f64` sums (error ≲ 1e-10 at this scale),
+/// so the bail comparison keeps a margin several orders above that — a
+/// bail must never fire for a candidate the exact sums would keep.
 pub const BOUND_SLACK: f64 = 1e-6;
 
 /// Index-addressed output cursor for the materializing kernels.
@@ -2177,302 +2176,31 @@ impl ProbVector {
     }
 }
 
-/// Default shard width in chunks: 1024 chunks = 65,536 tids per shard.
-/// Databases at or under one shard width run entirely unsharded.
-pub const DEFAULT_SHARD_WIDTH_CHUNKS: usize = 1024;
-
-/// The fixed tid-range shard partition of a database: every shard covers
-/// `width_chunks` consecutive 64-tid chunks (so shard boundaries always
-/// fall on chunk boundaries, and — when the width is a multiple of 64
-/// chunks — on [`SUM_BLOCK_TIDS`] summation-block boundaries too).
-///
-/// The width is a **pure function of the database size**
-/// ([`ShardPlan::for_transactions`]), never of thread count or environment,
-/// so shard-spawn decisions and per-shard counters are deterministic.
-/// Tests and benches may force a width with
-/// [`ShardPlan::with_width_chunks`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardPlan {
-    width_chunks: usize,
-}
-
-impl Default for ShardPlan {
-    fn default() -> Self {
-        ShardPlan {
-            width_chunks: DEFAULT_SHARD_WIDTH_CHUNKS,
-        }
-    }
-}
-
-impl ShardPlan {
-    /// The plan for a database of `num_transactions` tids — currently the
-    /// fixed [`DEFAULT_SHARD_WIDTH_CHUNKS`] for every size (a pure function
-    /// of N by construction; the constant keeps small databases, at or
-    /// under 65,536 tids, on the single-shard unsharded path).
-    pub fn for_transactions(_num_transactions: usize) -> Self {
-        ShardPlan::default()
-    }
-
-    /// A plan with an explicit shard width (≥ 1 chunk) — for tests and
-    /// width-sweep benches.
-    pub fn with_width_chunks(width_chunks: usize) -> Self {
-        assert!(width_chunks >= 1, "shard width must be at least one chunk");
-        ShardPlan { width_chunks }
-    }
-
-    /// Shard width in 64-tid chunks.
-    pub fn width_chunks(&self) -> usize {
-        self.width_chunks
-    }
-
-    /// Shard width in tids.
-    pub fn width_tids(&self) -> usize {
-        self.width_chunks * CHUNK_LANES
-    }
-
-    /// Number of shards covering `num_transactions` tids (at least 1).
-    pub fn num_shards(&self, num_transactions: usize) -> usize {
-        num_transactions.div_ceil(self.width_tids()).max(1)
-    }
-
-    /// The shard containing chunk `key`.
-    pub fn shard_of_key(&self, key: u32) -> usize {
-        key as usize / self.width_chunks
-    }
-
-    /// Chunk-key range `[start, end)` of `shard`.
-    pub fn key_range(&self, shard: usize) -> (u32, u32) {
-        let start = shard * self.width_chunks;
-        (start as u32, (start + self.width_chunks) as u32)
-    }
-
-    /// This plan with its width rounded **up** to a whole number of
-    /// [`SUM_BLOCK_TIDS`] summation blocks (64 chunks). The horizontal
-    /// backend's striped per-block partials merge exactly only at the
-    /// block partition, so its shard seam normalizes widths through this.
-    pub fn normalized_to_blocks(&self) -> ShardPlan {
-        let block_chunks = SUM_BLOCK_TIDS / CHUNK_LANES;
-        ShardPlan {
-            width_chunks: self.width_chunks.div_ceil(block_chunks) * block_chunks,
-        }
-    }
-}
-
-/// One `(item, shard)` cell of a [`VerticalIndex`] zone map: summary
-/// statistics of the item's postings restricted to the shard's tid range,
-/// built once at index time. The support engines' shard precheck combines
-/// these into sound upper bounds on a candidate's per-shard contribution —
-/// `mass` and `max_prob · count` bound the expected support, `nonzero` the
-/// nonzero-transaction count — so a whole shard (or a whole candidate) can
-/// be skipped without touching a lane.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ZoneEntry {
-    /// Exact sum of the shard fragment's probabilities (its expected
-    /// support, zero-based — an upper bound on any intersection's mass in
-    /// this shard).
-    pub mass: f64,
-    /// Largest probability in the fragment (0.0 for an empty fragment).
-    pub max_prob: f64,
-    /// Nonzero entries in the fragment.
-    pub nonzero: u32,
-}
-
-impl ProbVector {
-    /// Splits the vector into `num_shards` per-shard fragments at the
-    /// plan's chunk-key boundaries. Fragments keep their **global** chunk
-    /// keys and per-chunk layouts (layout is a pure function of per-chunk
-    /// contents, and shard boundaries never split a chunk), so
-    /// [`ProbVector::concat_fragments`] reproduces `self` exactly and the
-    /// unmodified kernels run on fragment pairs of the same shard.
-    fn split_by_plan(&self, plan: &ShardPlan, num_shards: usize) -> Vec<ProbVector> {
-        let mut frags = vec![ProbVector::default(); num_shards];
-        let mut i = 0usize;
-        while i < self.keys.len() {
-            let shard = plan.shard_of_key(self.keys[i]);
-            let mut j = i;
-            while j < self.keys.len() && plan.shard_of_key(self.keys[j]) == shard {
-                j += 1;
-            }
-            let f = &mut frags[shard];
-            f.keys.extend_from_slice(&self.keys[i..j]);
-            f.masks.extend_from_slice(&self.masks[i..j]);
-            let base = self.start(i);
-            f.lanes
-                .extend_from_slice(&self.lanes[base..self.end(j - 1)]);
-            for c in i..j {
-                f.ends.push((self.end(c) - base) as u32);
-                f.nnz += self.masks[c].count_ones() as usize;
-            }
-            i = j;
-        }
-        frags
-    }
-
-    /// Concatenates shard fragments (ascending, non-overlapping global
-    /// chunk keys) back into one vector — exact, because fragment chunks
-    /// carry their global keys and per-chunk layouts unchanged.
-    pub fn concat_fragments<'a, I: IntoIterator<Item = &'a ProbVector>>(frags: I) -> ProbVector {
-        let mut out = ProbVector::default();
-        for v in frags {
-            debug_assert!(
-                out.keys
-                    .last()
-                    .is_none_or(|&k| v.keys.first().is_none_or(|&f| k < f)),
-                "fragments out of order"
-            );
-            let base = out.lanes.len() as u32;
-            out.keys.extend_from_slice(&v.keys);
-            out.masks.extend_from_slice(&v.masks);
-            let live = v.ends.last().map_or(0, |&e| e as usize);
-            out.lanes.extend_from_slice(&v.lanes[..live]);
-            out.ends.extend(v.ends.iter().map(|&e| e + base));
-            out.nnz += v.nnz;
-        }
-        out
-    }
-
-    /// `(esup, var, count)` of the concatenation of `frags` (ascending,
-    /// non-overlapping global chunk keys), streamed through **one**
-    /// fixed-shape accumulator in fragment order. Because the `(chunk,
-    /// lane)` visit sequence is identical to walking the concatenated
-    /// vector — global keys drive the summation-block folds — the result
-    /// is bit-identical to [`ProbVector::moments`] of the concatenation,
-    /// which is how the sharded support engines merge per-shard partials
-    /// without ever concatenating. Empty fragments contribute nothing
-    /// (skipping them is exact, not approximate).
-    pub fn fragments_moments<'a, I: IntoIterator<Item = &'a ProbVector>>(
-        frags: I,
-    ) -> (f64, f64, usize) {
-        let mut acc = MomentAcc::new();
-        for v in frags {
-            for i in 0..v.keys.len() {
-                acc.enter_chunk(v.keys[i]);
-                let lanes = &v.lanes[v.start(i)..v.end(i)];
-                if lanes.len() == CHUNK_LANES {
-                    for (t, &q) in lanes.iter().enumerate() {
-                        acc.add(t as u32, q);
-                    }
-                } else {
-                    let mut m = v.masks[i];
-                    let mut idx = 0usize;
-                    while m != 0 {
-                        let t = m.trailing_zeros();
-                        m &= m - 1;
-                        acc.add(t, lanes[idx]);
-                        idx += 1;
-                    }
-                }
-            }
-        }
-        acc.finish()
-    }
-}
-
 /// One-pass columnar index over an [`UncertainDatabase`]: for every item,
 /// the sorted postings of `(tid, prob)` pairs in which it occurs, each
 /// chunk stored packed or positionally by the per-chunk
 /// [`DENSE_CUTOFF_DIVISOR`] rule.
-///
-/// When the database spans more than one shard of its [`ShardPlan`]
-/// (> 65,536 tids at the default width), the index **additionally** holds
-/// each item's postings split into per-shard fragments (global chunk keys,
-/// so the unmodified kernels intersect fragment pairs directly) plus a
-/// [`ZoneEntry`] zone map per `(item, shard)` cell. Small databases skip
-/// both — [`VerticalIndex::is_sharded`] is false and the engines keep the
-/// single-vector path. The full postings are always retained (they serve
-/// cold lookups and the unsharded API); the ~2× index-memory cost of
-/// sharded mode is the price until the ROADMAP's out-of-core item moves
-/// the fragments to mmap-backed column chunks.
 #[derive(Clone, Debug, Default)]
 pub struct VerticalIndex {
     postings: Vec<ProbVector>,
     num_transactions: usize,
-    plan: ShardPlan,
-    /// `[item][shard]` posting fragments; empty in unsharded mode.
-    shard_frags: Vec<Vec<ProbVector>>,
-    /// Flat `[item · num_shards + shard]` zone map; empty in unsharded
-    /// mode.
-    zones: Vec<ZoneEntry>,
 }
 
 impl VerticalIndex {
     /// Builds the index in a single pass over the database. Chunk layouts
     /// adapt during the build (a chunk converts packed → positional the
-    /// moment it crosses the cutoff). Uses the default
-    /// [`ShardPlan::for_transactions`] plan, so sharding engages only past
-    /// one default shard width.
+    /// moment it crosses the cutoff).
     pub fn build(db: &UncertainDatabase) -> Self {
-        Self::build_with_plan(db, ShardPlan::for_transactions(db.num_transactions()))
-    }
-
-    /// [`VerticalIndex::build`] under an explicit shard plan. When `plan`
-    /// yields more than one shard, per-item fragments and the zone map are
-    /// built from the finished postings (fragment layouts equal the full
-    /// postings' — splitting never crosses a chunk).
-    pub fn build_with_plan(db: &UncertainDatabase, plan: ShardPlan) -> Self {
-        let n = db.num_transactions();
         let mut postings = vec![ProbVector::new(); db.num_items() as usize];
         for (tid, t) in db.transactions().iter().enumerate() {
             for (item, p) in t.units() {
                 postings[item as usize].push(tid as u32, p);
             }
         }
-        let num_shards = plan.num_shards(n);
-        let (mut shard_frags, mut zones) = (Vec::new(), Vec::new());
-        if num_shards > 1 {
-            shard_frags.reserve(postings.len());
-            zones.reserve(postings.len() * num_shards);
-            for p in &postings {
-                let frags = p.split_by_plan(&plan, num_shards);
-                for f in &frags {
-                    let mut max_prob = 0.0f64;
-                    f.for_each_nonzero(|_, q| max_prob = max_prob.max(q));
-                    zones.push(ZoneEntry {
-                        mass: f.esup(),
-                        max_prob,
-                        nonzero: f.len() as u32,
-                    });
-                }
-                shard_frags.push(frags);
-            }
-        }
         VerticalIndex {
             postings,
-            num_transactions: n,
-            plan,
-            shard_frags,
-            zones,
+            num_transactions: db.num_transactions(),
         }
-    }
-
-    /// The shard plan the index was built under.
-    pub fn shard_plan(&self) -> ShardPlan {
-        self.plan
-    }
-
-    /// Number of shards the plan yields for this database.
-    pub fn num_shards(&self) -> usize {
-        self.plan.num_shards(self.num_transactions)
-    }
-
-    /// Whether per-shard fragments and zone maps were built (more than one
-    /// shard).
-    pub fn is_sharded(&self) -> bool {
-        !self.shard_frags.is_empty()
-    }
-
-    /// One item's postings restricted to `shard` (global chunk keys).
-    /// Panics unless [`VerticalIndex::is_sharded`].
-    #[inline]
-    pub fn shard_postings(&self, item: ItemId, shard: usize) -> &ProbVector {
-        &self.shard_frags[item as usize][shard]
-    }
-
-    /// The zone-map cell of `(item, shard)`. Panics unless
-    /// [`VerticalIndex::is_sharded`].
-    #[inline]
-    pub fn zone(&self, item: ItemId, shard: usize) -> ZoneEntry {
-        self.zones[item as usize * self.num_shards() + shard]
     }
 
     /// Number of transactions in the indexed database.
@@ -2515,25 +2243,18 @@ impl VerticalIndex {
     /// touched posting absorbs its whole list in a single
     /// [`ProbVector::apply_tid_delta`] merge — one pass per item instead
     /// of a point update per dirty unit, the difference on bursty steps
-    /// (hundreds of slots) and the initial whole-window fill. In sharded
-    /// mode the same lists split at shard boundaries into the per-shard
-    /// fragments, and every dirty `(item, shard)` zone-map cell is rebuilt
-    /// from its fragment with the same code the from-scratch build runs.
+    /// (hundreds of slots) and the initial whole-window fill.
     ///
     /// Because [`ProbVector::apply_tid_delta`] commits the canonical chunk
     /// layout, the maintained index is **byte-identical** to
-    /// [`VerticalIndex::build_with_plan`] over the stepped window's
-    /// snapshot — postings, fragments and zones alike — so everything
-    /// downstream (kernels, bounded pushdown, zone prechecks) behaves as
-    /// if the index had been rebuilt. Cost is proportional to the delta:
-    /// one touched-chunk merge per dirty item plus a zone refresh per
-    /// dirty cell, never `O(window)`.
+    /// [`VerticalIndex::build`] over the stepped window's snapshot, so
+    /// everything downstream (kernels, bounded pushdown) behaves as if the
+    /// index had been rebuilt. Cost is proportional to the delta: one
+    /// touched-chunk merge per dirty item, never `O(window)`.
     ///
     /// Every dirty tid must lie within the indexed transaction range (the
     /// window's ring-buffer tids guarantee this; checked in debug builds).
     pub fn apply_step(&mut self, step: &crate::window::WindowStep) {
-        let num_shards = self.num_shards();
-        let sharded = self.is_sharded();
         // Transpose the step: per-item update lists, ascending by tid
         // (`step.dirty` is tid-sorted). A lockstep walk of each slot's
         // sorted unit lists emits only probabilities that actually moved —
@@ -2575,42 +2296,10 @@ impl VerticalIndex {
                 }
             }
         }
-        // (item, shard) cells whose zone entries must be rebuilt.
-        let mut dirty_cells: Vec<(ItemId, usize)> = Vec::new();
         for (item, updates) in per_item.iter().enumerate() {
-            if updates.is_empty() {
-                continue;
+            if !updates.is_empty() {
+                self.postings[item].apply_tid_delta(updates);
             }
-            self.postings[item].apply_tid_delta(updates);
-            if sharded {
-                // Shards cover contiguous tid ranges, so the ascending
-                // list splits into contiguous per-shard runs.
-                let mut i = 0usize;
-                while i < updates.len() {
-                    let shard = self.plan.shard_of_key(updates[i].0 >> CHUNK_BITS);
-                    let mut j = i + 1;
-                    while j < updates.len()
-                        && self.plan.shard_of_key(updates[j].0 >> CHUNK_BITS) == shard
-                    {
-                        j += 1;
-                    }
-                    self.shard_frags[item][shard].apply_tid_delta(&updates[i..j]);
-                    dirty_cells.push((item as ItemId, shard));
-                    i = j;
-                }
-            }
-        }
-        dirty_cells.sort_unstable();
-        dirty_cells.dedup();
-        for (item, shard) in dirty_cells {
-            let f = &self.shard_frags[item as usize][shard];
-            let mut max_prob = 0.0f64;
-            f.for_each_nonzero(|_, q| max_prob = max_prob.max(q));
-            self.zones[item as usize * num_shards + shard] = ZoneEntry {
-                mass: f.esup(),
-                max_prob,
-                nonzero: f.len() as u32,
-            };
         }
     }
 
@@ -3220,143 +2909,6 @@ mod tests {
         check_kernels(&pairs, &ones);
     }
 
-    #[test]
-    fn shard_plan_geometry() {
-        let plan = ShardPlan::for_transactions(100_000);
-        assert_eq!(plan.width_chunks(), DEFAULT_SHARD_WIDTH_CHUNKS);
-        assert_eq!(plan.width_tids(), 65_536);
-        assert_eq!(plan.num_shards(0), 1);
-        assert_eq!(plan.num_shards(65_536), 1);
-        assert_eq!(plan.num_shards(65_537), 2);
-        let w = ShardPlan::with_width_chunks(16);
-        assert_eq!(w.width_tids(), 1024);
-        assert_eq!(w.shard_of_key(15), 0);
-        assert_eq!(w.shard_of_key(16), 1);
-        assert_eq!(w.key_range(2), (32, 48));
-        // Horizontal normalization rounds up to whole 4096-tid blocks.
-        let blk = SUM_BLOCK_TIDS / CHUNK_LANES;
-        assert_eq!(w.normalized_to_blocks().width_chunks(), blk);
-        assert_eq!(
-            ShardPlan::with_width_chunks(blk + 1)
-                .normalized_to_blocks()
-                .width_chunks(),
-            2 * blk
-        );
-    }
-
-    /// A mid-size synthetic database whose items concentrate in different
-    /// tid regions — some shards of an item are empty, which is what the
-    /// zone map exists to exploit.
-    fn regional_db(n: usize) -> UncertainDatabase {
-        let transactions: Vec<Transaction> = (0..n)
-            .map(|t| {
-                let mut units: Vec<(u32, f64)> = Vec::new();
-                // Item 0: everywhere; items 1..4: only in their quarter.
-                units.push((0, 0.3 + 0.5 * ((t % 7) as f64 / 6.0)));
-                let quarter = (4 * t / n) as u32;
-                if t % 3 != 0 {
-                    units.push((1 + quarter, 0.2 + 0.6 * ((t % 5) as f64 / 4.0)));
-                }
-                Transaction::new(units).unwrap()
-            })
-            .collect();
-        UncertainDatabase::with_num_items(transactions, 5)
-    }
-
-    #[test]
-    fn sharded_index_fragments_and_zones_are_consistent() {
-        let db = regional_db(3_000);
-        // Small databases under the default plan stay unsharded…
-        let unsharded = VerticalIndex::build(&db);
-        assert!(!unsharded.is_sharded());
-        assert_eq!(unsharded.num_shards(), 1);
-        // …but an explicit narrow plan shards them.
-        let plan = ShardPlan::with_width_chunks(16); // 1024 tids per shard
-        let idx = VerticalIndex::build_with_plan(&db, plan);
-        assert!(idx.is_sharded());
-        let shards = idx.num_shards();
-        assert_eq!(shards, 3_000usize.div_ceil(1024));
-        for item in 0..5u32 {
-            let whole = idx.postings(item);
-            let frags: Vec<&ProbVector> =
-                (0..shards).map(|s| idx.shard_postings(item, s)).collect();
-            // Fragments partition the postings exactly, layout included.
-            let cat = ProbVector::concat_fragments(frags.iter().copied());
-            assert_eq!(cat.nonzero(), whole.nonzero());
-            assert_eq!(cat.mem_bytes(), whole.mem_bytes());
-            // Streamed fragment moments are bit-identical to the whole.
-            let (fe, fv, fc) = ProbVector::fragments_moments(frags.iter().copied());
-            let (we, wv) = whole.moments();
-            assert_eq!(fe.to_bits(), we.to_bits());
-            assert_eq!(fv.to_bits(), wv.to_bits());
-            assert_eq!(fc, whole.len());
-            // Zone cells describe their fragments exactly.
-            for (s, f) in frags.iter().enumerate() {
-                let z = idx.zone(item, s);
-                assert_eq!(z.mass.to_bits(), f.esup().to_bits());
-                assert_eq!(z.nonzero as usize, f.len());
-                let max = f.nonzero().iter().fold(0.0f64, |m, &(_, q)| m.max(q));
-                assert_eq!(z.max_prob.to_bits(), max.to_bits());
-                // Key ranges bound the fragment's chunks.
-                let (lo, hi) = plan.key_range(s);
-                assert!(f.nonzero().iter().all(|&(tid, _)| {
-                    let key = tid >> 6;
-                    lo <= key && key < hi
-                }));
-            }
-        }
-        // Regional items are absent from most shards — the zone map must
-        // say so (this is the skip the engines rely on).
-        for item in 1..5u32 {
-            let empty = (0..shards)
-                .filter(|&s| idx.zone(item, s).nonzero == 0)
-                .count();
-            assert!(empty >= shards / 2, "item {item}: {empty}/{shards} empty");
-        }
-    }
-
-    /// Zone-map soundness: a shard's zone bounds dominate the true
-    /// per-shard contribution of any intersection, and a zone-empty shard
-    /// contributes exactly nothing — so skipping it can never flip a
-    /// keep/prune verdict.
-    #[test]
-    fn zone_bounds_dominate_true_shard_contributions() {
-        let db = regional_db(3_000);
-        let plan = ShardPlan::with_width_chunks(16);
-        let idx = VerticalIndex::build_with_plan(&db, plan);
-        let shards = idx.num_shards();
-        for a in 0..5u32 {
-            for b in 0..5u32 {
-                if a == b {
-                    continue;
-                }
-                let mut total = 0.0f64;
-                for s in 0..shards {
-                    let (za, zb) = (idx.zone(a, s), idx.zone(b, s));
-                    let fa = idx.shard_postings(a, s);
-                    let fb = idx.shard_postings(b, s);
-                    let (esup, _, count) = fa.intersect_stats(fb);
-                    if za.nonzero == 0 || zb.nonzero == 0 {
-                        // Exact skip: an empty operand contributes nothing.
-                        assert_eq!(esup, 0.0);
-                        assert_eq!(count, 0);
-                        continue;
-                    }
-                    let mass_bound = za.mass.min(zb.mass);
-                    let pair_bound = za.max_prob * zb.max_prob * za.nonzero.min(zb.nonzero) as f64;
-                    assert!(esup <= mass_bound.min(pair_bound) + BOUND_SLACK);
-                    assert!(count <= za.nonzero.min(zb.nonzero) as usize);
-                    total += esup;
-                }
-                // The per-shard contributions sum (up to rounding) to the
-                // unsharded esup, so a precheck over zone bounds that
-                // proves `Σ bounds < thr` proves the candidate infrequent.
-                let (full, _, _) = idx.postings(a).intersect_stats(idx.postings(b));
-                assert!((total - full).abs() < 1e-9);
-            }
-        }
-    }
-
     /// Byte-level layout equality: the canonical-layout invariant says two
     /// vectors with the same contents have identical directories and lanes
     /// however they were built.
@@ -3417,20 +2969,17 @@ mod tests {
     }
 
     /// `apply_step` maintains the index byte-identically to a rebuild:
-    /// postings, per-shard fragments and zone-map cells all match a
-    /// from-scratch `build_with_plan` over the stepped window's snapshot —
-    /// including steps that cross shard boundaries and steps that empty a
-    /// slot entirely.
+    /// every posting matches a from-scratch `build` over the stepped
+    /// window's snapshot — including steps that wrap the ring and steps
+    /// that empty a slot entirely.
     #[test]
     fn apply_step_matches_fresh_build() {
         use crate::window::WindowedDatabase;
-        let capacity = 200; // 4 shards at width 1 chunk
-        let plan = ShardPlan::with_width_chunks(1);
+        let capacity = 200;
         let mut w = WindowedDatabase::new(capacity, 6);
-        let mut idx = VerticalIndex::build_with_plan(&w.snapshot(), plan);
-        assert!(idx.is_sharded());
+        let mut idx = VerticalIndex::build(&w.snapshot());
         // A deterministic ingest mixing appends (wrapping past capacity,
-        // so slots are reused across shard boundaries) with expiries.
+        // so slots are reused) with expiries.
         let mut x = 12345u64;
         let mut rng = move || {
             x = x
@@ -3453,25 +3002,13 @@ mod tests {
             }
             let step = w.take_step();
             idx.apply_step(&step);
-            let fresh = VerticalIndex::build_with_plan(&w.snapshot(), plan);
-            assert_eq!(idx.num_shards(), fresh.num_shards());
+            let fresh = VerticalIndex::build(&w.snapshot());
             for item in 0..6u32 {
                 assert_same_layout(
                     idx.postings(item),
                     fresh.postings(item),
                     &format!("postings[{item}] round {round}"),
                 );
-                for s in 0..idx.num_shards() {
-                    assert_same_layout(
-                        idx.shard_postings(item, s),
-                        fresh.shard_postings(item, s),
-                        &format!("frag[{item}][{s}] round {round}"),
-                    );
-                    let (a, b) = (idx.zone(item, s), fresh.zone(item, s));
-                    assert_eq!(a.mass.to_bits(), b.mass.to_bits(), "zone mass");
-                    assert_eq!(a.max_prob.to_bits(), b.max_prob.to_bits(), "zone max");
-                    assert_eq!(a.nonzero, b.nonzero, "zone nonzero");
-                }
             }
         }
     }
@@ -3670,58 +3207,8 @@ mod tests {
             })
         }
 
-        /// Asserts the shard seam is exact for one operand pair at one
-        /// width: fragments partition each vector (layout included),
-        /// streamed fragment moments match the whole bitwise, and
-        /// per-shard intersections merge — by concatenation *and* by
-        /// streaming — bit-identical to the unsharded kernels.
-        fn check_partition(a_pairs: &[(u32, f64)], b_pairs: &[(u32, f64)], width_chunks: usize) {
-            let (a, b) = (build(a_pairs), build(b_pairs));
-            let plan = ShardPlan::with_width_chunks(width_chunks);
-            let max_tid = a_pairs
-                .iter()
-                .chain(b_pairs)
-                .map(|e| e.0)
-                .max()
-                .unwrap_or(0);
-            let shards = plan.num_shards(max_tid as usize + 1);
-            let af = a.split_by_plan(&plan, shards);
-            let bf = b.split_by_plan(&plan, shards);
-            let cat = ProbVector::concat_fragments(af.iter());
-            assert_eq!(cat.nonzero(), a.nonzero());
-            assert_eq!(cat.mem_bytes(), a.mem_bytes());
-            let (fe, fv, fc) = ProbVector::fragments_moments(af.iter());
-            let (we, wv) = a.moments();
-            assert_eq!(fe.to_bits(), we.to_bits());
-            assert_eq!(fv.to_bits(), wv.to_bits());
-            assert_eq!(fc, a.len());
-            let full = a.intersect(&b);
-            let parts: Vec<ProbVector> = (0..shards).map(|s| af[s].intersect(&bf[s])).collect();
-            let merged = ProbVector::concat_fragments(parts.iter());
-            assert_eq!(merged.nonzero(), full.nonzero());
-            assert_eq!(merged.mem_bytes(), full.mem_bytes());
-            let (me, mv, mc) = ProbVector::fragments_moments(parts.iter());
-            let (se, sv, sc) = a.intersect_stats(&b);
-            assert_eq!(me.to_bits(), se.to_bits());
-            assert_eq!(mv.to_bits(), sv.to_bits());
-            assert_eq!(mc, sc);
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
-
-            // Any shard partition — 1-chunk shards, 16-chunk shards, or
-            // one full-width shard — merges bit-identical to unsharded
-            // evaluation (the tentpole's seam invariant).
-            #[test]
-            fn shard_partition_merges_bit_identical(
-                a in arb_pairs(20_000, 300),
-                b in arb_pairs(20_000, 300),
-            ) {
-                for width in [1usize, 16, 1024] {
-                    check_partition(&a, &b, width);
-                }
-            }
 
             // Dense-leaning single-block regime: chunks cross the
             // positional cutoff, sums stay within one block.

@@ -249,20 +249,15 @@ pub fn deep_skew(transactions: usize, items: u32, seed: u64) -> UncertainDatabas
     UncertainDatabase::with_num_items(t, items)
 }
 
-/// **Regional** synthetic fixture for the sharded support engines: huge-N,
-/// small-I, with hard spatial locality in the tid dimension.
+/// **Regional** synthetic fixture: huge-N, small-I, with hard spatial
+/// locality in the tid dimension.
 ///
 /// Item `0` is global (present in ~90% of transactions); each *regional*
 /// item `r ∈ 1..=regions` appears only inside its contiguous tid band
 /// (band `r-1` of `regions` equal slices), in ~80% of that band's
 /// transactions. Every posting list therefore has long all-zero tid
-/// ranges, which is exactly what per-shard zone maps exist to exploit:
-/// any candidate touching a regional item is evaluable in at most the
-/// shards its band overlaps, and the zone maps prune the rest without
-/// reading a single probability.
-///
-/// Shared by `bench_shards` and its baseline so the pruning-rate gate and
-/// the benchmark can never drift onto different data.
+/// ranges, so any candidate touching a regional item is nonzero only
+/// inside its band.
 pub fn regional(transactions: usize, regions: u32, seed: u64) -> UncertainDatabase {
     assert!(regions >= 1, "need at least one region");
     let mut rng = StdRng::seed_from_u64(seed);

@@ -43,37 +43,14 @@
 //! this bit for bit.
 //!
 //! Select a backend through [`EngineKind`] (on `MiningParams` or the miner
-//! builders) and instantiate per run with [`build_engine`] (or
-//! [`build_engine_with_plan`] to pick a shard width). Future backends
+//! builders) and instantiate per run with [`build_engine`]. Future backends
 //! (async, out-of-core, approximate-sketch) implement the same trait.
 //!
-//! ## The shard-merge seam
-//!
-//! Every statistic above is a sum over transaction ids, so any tid-range
-//! partition's partial statistics merge associatively and exactly. Each
-//! backend therefore also exposes the level evaluation in two halves —
-//! [`SupportEngine::evaluate_shard`] producing an opaque [`ShardPartial`]
-//! per fixed-width tid-range shard ([`ShardPlan`]), and
-//! [`SupportEngine::merge_shards`] folding a full set of partials in
-//! ascending shard order into the same [`LevelSupport`] that `evaluate`
-//! returns. On databases wide enough for the default plan to yield more
-//! than one shard, the columnar backends route `evaluate` itself through
-//! the seam: the vertical engine runs `par_map` across candidates ×
-//! nested [`Scope::spawn`] tasks across a heavy candidate's shards,
-//! fragment partials merged through an [`OrderedSink`] in shard order;
-//! the diffset engine runs `par_map` across prefix groups, its delta
-//! chains split per (itemset, shard) cell so the memo keeps its memory
-//! edge under sharding. Determinism is structural, not
-//! incidental: the shard width is a pure function of the database size,
-//! every fragment keeps its global chunk keys so the streamed moment
-//! accumulator ([`ProbVector::fragments_moments`]) folds the identical
-//! blocks in the identical order as the unsharded kernels, and zone-map
-//! prune decisions ([`VerticalIndex::zone`]) read only the index — so
-//! records *and* counters are bit-identical for every `UFIM_THREADS` and
-//! every shard width.
-//!
-//! [`Scope::spawn`]: ufim_core::parallel::Scope::spawn
-//! [`OrderedSink`]: ufim_core::parallel::OrderedSink
+//! Each columnar backend keeps **one** memo over whole tid-lists: there is
+//! no tid-range partitioning. Parallelism runs across candidates (vertical)
+//! or prefix groups (diffset) on the shared pool, and the fixed summation
+//! shape above keeps records *and* counters bit-identical for every
+//! `UFIM_THREADS`.
 //!
 //! ## Scratch spaces
 //!
@@ -89,12 +66,11 @@
 //! Scratch never affects results — the kernels are bit-identical to their
 //! allocating twins, which the core test suite pins.
 
-use super::scan::{LevelScan, ScanAccumulators, StripedPartial};
-use ufim_core::parallel::{par_map_min_len, par_map_min_len_with, scope, OrderedSink};
-use ufim_core::vertical::{BOUND_SLACK, SUM_BLOCK_TIDS};
+use super::scan::LevelScan;
+use ufim_core::parallel::par_map_min_len_with;
 use ufim_core::{
     BlockMoments, DiffVector, EngineKind, FrequentItemset, FxHashMap, ItemId, Itemset, MinerStats,
-    ProbVector, ScratchSpace, ShardPlan, StepProbe, UncertainDatabase, VerticalIndex, WindowStep,
+    ProbVector, ScratchSpace, StepProbe, UncertainDatabase, VerticalIndex, WindowStep,
 };
 
 /// Which optional statistics [`SupportEngine::evaluate`] must produce, plus
@@ -164,51 +140,6 @@ pub struct LevelSupport {
     pub count: Option<Vec<u64>>,
 }
 
-/// One backend's partial evaluation of a candidate level over a single
-/// tid-range shard — the unit the shard-merge seam moves between
-/// [`SupportEngine::evaluate_shard`] and [`SupportEngine::merge_shards`].
-///
-/// The payload is backend-specific and opaque: the columnar backends carry
-/// per-candidate prob-vector fragments, the horizontal backend striped
-/// per-summation-block partial sums, and unsharded backends the degenerate
-/// single-shard partial (a whole-level result). Partials from different
-/// backends or different runs must not be mixed.
-pub struct ShardPartial {
-    /// Index of the tid-range shard this partial covers.
-    pub shard: usize,
-    pub(crate) payload: ShardPayload,
-}
-
-/// Backend-specific shard-partial payloads (see [`ShardPartial`]).
-pub(crate) enum ShardPayload {
-    /// Per-candidate prob-vector fragments of this shard's tid range, in
-    /// candidate order (`None` = skipped: a zone map proved the fragment
-    /// empty, which contributes exactly nothing to the merged moments).
-    Fragments(Vec<Option<ProbVector>>),
-    /// Striped partial sums of this shard's summation blocks, in ascending
-    /// block order (the horizontal backend).
-    Blocks(Vec<StripedPartial>),
-    /// The degenerate single-shard partial of an unsharded backend: the
-    /// whole level, already evaluated.
-    Level(LevelSupport),
-}
-
-/// Unwraps the degenerate partial set of an unsharded backend: exactly one
-/// whole-level payload.
-fn merge_single_level(partials: Vec<ShardPartial>) -> LevelSupport {
-    let mut it = partials.into_iter();
-    match (it.next(), it.next()) {
-        (
-            Some(ShardPartial {
-                payload: ShardPayload::Level(level),
-                ..
-            }),
-            None,
-        ) => level,
-        _ => panic!("unsharded backend expects exactly one whole-level partial"),
-    }
-}
-
 /// A support-computation backend, instantiated once per mining run.
 ///
 /// The level-wise protocol is: `evaluate` once per level with all the
@@ -247,59 +178,8 @@ pub trait SupportEngine {
         0
     }
 
-    /// The tid-range shard partition this backend evaluates under — a pure
-    /// function of the database, never of thread count. Unsharded backends
-    /// report the default plan (one shard spans everything they hold).
-    fn shard_plan(&self) -> ShardPlan {
-        ShardPlan::default()
-    }
-
-    /// How many shards [`SupportEngine::evaluate_shard`] accepts (1 for
-    /// unsharded backends).
-    fn num_shards(&self) -> usize {
-        1
-    }
-
-    /// Evaluates the candidates over one shard's tid range, returning an
-    /// opaque partial. Evaluating every shard `0..num_shards` and folding
-    /// the partials through [`SupportEngine::merge_shards`] is
-    /// bit-identical to one [`SupportEngine::evaluate`] call. The default
-    /// (unsharded) implementation evaluates the whole level as shard 0's
-    /// partial.
-    fn evaluate_shard(
-        &mut self,
-        candidates: &[Itemset],
-        shard: usize,
-        want: StatRequest,
-        stats: &mut MinerStats,
-    ) -> ShardPartial {
-        debug_assert_eq!(shard, 0, "unsharded backend has exactly one shard");
-        let level = self.evaluate(candidates, want, stats);
-        ShardPartial {
-            shard,
-            payload: ShardPayload::Level(level),
-        }
-    }
-
-    /// Merges a complete set of this backend's shard partials (one per
-    /// shard; any order — partials are folded in ascending shard index)
-    /// into the level's statistics: the associative, exact merge of
-    /// `(esup, var, count, prob-vector)` partials. Memoizing backends also
-    /// adopt merged survivors as next-level prefixes, exactly like
-    /// `evaluate` would.
-    fn merge_shards(
-        &mut self,
-        candidates: &[Itemset],
-        partials: Vec<ShardPartial>,
-        want: StatRequest,
-        stats: &mut MinerStats,
-    ) -> LevelSupport {
-        let _ = (candidates, want, stats);
-        merge_single_level(partials)
-    }
-
     /// Applies one sliding-window step to the backend's own copy of the
-    /// data (postings point updates + zone-map refresh) and brings any
+    /// data (postings point updates) and brings any
     /// retained memo state along: the columnar backends switch into
     /// *streaming* mode on the first step and thereafter keep their
     /// prefix memos across refreshes, point-patching each retained node
@@ -333,55 +213,27 @@ pub trait SupportEngine {
     }
 }
 
-/// Builds the backend selected by `kind` over `db`, under the default
-/// shard plan (a pure function of the database size: sharding engages only
-/// when the database spans more than one default-width shard).
+/// Builds the backend selected by `kind` over `db`.
 pub fn build_engine(kind: EngineKind, db: &UncertainDatabase) -> Box<dyn SupportEngine + '_> {
-    build_engine_with_plan(kind, db, ShardPlan::for_transactions(db.num_transactions()))
-}
-
-/// Builds the backend selected by `kind` over `db` with an explicit
-/// tid-range shard plan. A plan yielding one shard reproduces the
-/// unsharded engines exactly; any plan yields bit-identical results.
-pub fn build_engine_with_plan(
-    kind: EngineKind,
-    db: &UncertainDatabase,
-    plan: ShardPlan,
-) -> Box<dyn SupportEngine + '_> {
     match kind {
-        EngineKind::Horizontal => Box::new(HorizontalScan::with_plan(db, plan)),
-        EngineKind::Vertical => Box::new(VerticalEngine::with_plan(db, plan)),
-        EngineKind::Diffset => Box::new(DiffsetEngine::with_plan(db, plan)),
+        EngineKind::Horizontal => Box::new(HorizontalScan::new(db)),
+        EngineKind::Vertical => Box::new(VerticalEngine::new(db)),
+        EngineKind::Diffset => Box::new(DiffsetEngine::new(db)),
     }
 }
 
 /// The reference backend: trie-guided horizontal scans (see [`LevelScan`]).
 pub struct HorizontalScan<'a> {
     db: &'a UncertainDatabase,
-    /// Shard partition for the seam, normalized to whole summation blocks
-    /// (striped partials are exact only at the fixed 4096-tid block
-    /// boundaries). `evaluate` itself is block-parallel already and does
-    /// not route through the seam.
-    plan: ShardPlan,
     /// The current level's scan state, so `prob_vectors` on the same
     /// candidate list reuses the already-built trie.
     current: Option<(Vec<Itemset>, LevelScan<'a>)>,
 }
 
 impl<'a> HorizontalScan<'a> {
-    /// New backend over `db` (default shard plan).
+    /// New backend over `db`.
     pub fn new(db: &'a UncertainDatabase) -> Self {
-        Self::with_plan(db, ShardPlan::for_transactions(db.num_transactions()))
-    }
-
-    /// New backend over `db` with an explicit shard plan (rounded up to
-    /// whole summation blocks — see the `plan` field).
-    pub fn with_plan(db: &'a UncertainDatabase, plan: ShardPlan) -> Self {
-        HorizontalScan {
-            db,
-            plan: plan.normalized_to_blocks(),
-            current: None,
-        }
+        HorizontalScan { db, current: None }
     }
 
     fn scan_for(&mut self, candidates: &[Itemset]) -> &LevelScan<'a> {
@@ -427,78 +279,11 @@ impl SupportEngine for HorizontalScan<'_> {
     fn finish_level(&mut self, _frequent: &[FrequentItemset]) {
         self.current = None;
     }
-
-    fn shard_plan(&self) -> ShardPlan {
-        self.plan
-    }
-
-    fn num_shards(&self) -> usize {
-        self.plan.num_shards(self.db.num_transactions())
-    }
-
-    fn evaluate_shard(
-        &mut self,
-        candidates: &[Itemset],
-        shard: usize,
-        want: StatRequest,
-        stats: &mut MinerStats,
-    ) -> ShardPartial {
-        let _ = stats; // the single logical pass is charged at merge time
-        let blocks_per_shard = self.plan.width_tids() / SUM_BLOCK_TIDS;
-        let scan = self.scan_for(candidates);
-        let num_blocks = scan.num_blocks();
-        let lo = (shard * blocks_per_shard).min(num_blocks);
-        let hi = ((shard + 1) * blocks_per_shard).min(num_blocks);
-        let blocks = scan.block_partials(lo..hi, want.variance, want.count);
-        ShardPartial {
-            shard,
-            payload: ShardPayload::Blocks(blocks),
-        }
-    }
-
-    fn merge_shards(
-        &mut self,
-        candidates: &[Itemset],
-        partials: Vec<ShardPartial>,
-        want: StatRequest,
-        stats: &mut MinerStats,
-    ) -> LevelSupport {
-        // All shards together visit each transaction once: one scan.
-        stats.scans += 1;
-        let mut sorted = partials;
-        sorted.sort_by_key(|p| p.shard);
-        let mut total = ScanAccumulators::new(candidates.len(), want.variance, want.count);
-        for partial in &sorted {
-            match &partial.payload {
-                ShardPayload::Blocks(blocks) => {
-                    // Blocks are ascending within a shard and shards are
-                    // folded in ascending order, so the fold sequence is
-                    // identical to the unsharded accumulate pass.
-                    for block in blocks {
-                        total.fold_in(block);
-                    }
-                }
-                _ => panic!("horizontal seam expects block partials"),
-            }
-        }
-        LevelSupport {
-            esup: total.esup,
-            variance: total.var,
-            count: total.count,
-        }
-    }
 }
 
 /// Work-size threshold (candidates × mean tid-list length) below which the
 /// vertical backend stays sequential (shared with the horizontal scans).
 const PAR_MIN_WORK: usize = ufim_core::parallel::DEFAULT_MIN_WORK;
-
-/// Candidate work (summed fragment + postings units over its non-skipped
-/// shards) above which a sharded candidate's per-shard kernels fan out as
-/// nested scope tasks — the shards × candidates dual parallel axis. A pure
-/// function of operand sizes, so spawn structure (and with it every merged
-/// bit and counter) never depends on the thread count.
-const SHARD_SPAWN_MIN_WORK: usize = ufim_core::parallel::DEFAULT_MIN_WORK;
 
 /// The point updates one window step implies for a retained node of
 /// `items`: `(tid, new containment probability)` for every dirty slot
@@ -532,1185 +317,6 @@ fn patch_beats_rebuild(changed: usize, nnz: usize) -> bool {
     changed * 2 <= nnz.max(1)
 }
 
-/// One frequent prefix retained by a sharded columnar engine: its
-/// prob-vector split at shard boundaries (global chunk keys; empty where
-/// the prefix has no tids) plus each fragment's exact probability mass —
-/// the prefix-side operand of the zone precheck.
-struct ShardedNode {
-    frags: Vec<ProbVector>,
-    masses: Vec<f64>,
-    /// Streaming mode: stamp of the last refresh that kept this prefix
-    /// frequent (drives cross-refresh GC); 0 in batch mode.
-    stamp: u64,
-}
-
-/// The fragment memo the vertical engine runs in sharded mode (the
-/// diffset backend keeps per-shard *delta* chains instead — see
-/// [`DiffShardedState`]).
-#[derive(Default)]
-struct ShardedState {
-    /// Previous level's frequent itemsets, keyed by item array.
-    prev: FxHashMap<Vec<ItemId>, ShardedNode>,
-    /// Fragments of every candidate the current level memoized.
-    current: FxHashMap<Vec<ItemId>, Vec<ProbVector>>,
-}
-
-/// Peak `(units, bytes)` of a sharded fragment memo (fragment payloads
-/// only, like the unsharded accounting).
-fn sharded_memo_peak(state: &ShardedState) -> (u64, u64) {
-    let (mut units, mut bytes) = (0usize, 0usize);
-    for v in state
-        .prev
-        .values()
-        .flat_map(|n| n.frags.iter())
-        .chain(state.current.values().flatten())
-    {
-        units += v.mem_units();
-        bytes += v.mem_bytes();
-    }
-    (units as u64, bytes as u64)
-}
-
-/// A candidate's prefix operand in sharded mode: the index itself for
-/// singleton prefixes, the memo for extensions of a frequent itemset, or a
-/// from-scratch per-shard fold for cold prefixes (direct trait users).
-enum ShardedPrefix<'a> {
-    Item(ItemId),
-    Node(&'a ShardedNode),
-    Cold(ShardedNode),
-}
-
-impl ShardedPrefix<'_> {
-    fn resolve<'a>(
-        index: &VerticalIndex,
-        prev: &'a FxHashMap<Vec<ItemId>, ShardedNode>,
-        prefix_items: &[ItemId],
-    ) -> ShardedPrefix<'a> {
-        if let [item] = prefix_items {
-            ShardedPrefix::Item(*item)
-        } else if let Some(node) = prev.get(prefix_items) {
-            ShardedPrefix::Node(node)
-        } else {
-            ShardedPrefix::Cold(cold_sharded_node(index, prefix_items))
-        }
-    }
-
-    fn frag<'b>(&'b self, index: &'b VerticalIndex, shard: usize) -> &'b ProbVector {
-        match self {
-            ShardedPrefix::Item(item) => index.shard_postings(*item, shard),
-            ShardedPrefix::Node(node) => &node.frags[shard],
-            ShardedPrefix::Cold(node) => &node.frags[shard],
-        }
-    }
-
-    fn mass(&self, index: &VerticalIndex, shard: usize) -> f64 {
-        match self {
-            ShardedPrefix::Item(item) => index.zone(*item, shard).mass,
-            ShardedPrefix::Node(node) => node.masses[shard],
-            ShardedPrefix::Cold(node) => node.masses[shard],
-        }
-    }
-}
-
-/// From-scratch per-shard postings fold for a cold prefix. Per-shard folds
-/// of global-key fragments produce exactly the shard split of the full
-/// fold (intersection distributes over the tid-range partition and every
-/// chunk's layout is a pure function of its contents).
-fn cold_sharded_node(index: &VerticalIndex, items: &[ItemId]) -> ShardedNode {
-    let shards = index.num_shards();
-    let mut frags = Vec::with_capacity(shards);
-    let mut masses = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        let mut acc = index.shard_postings(items[0], shard).clone();
-        for &item in &items[1..] {
-            if acc.is_empty() {
-                break;
-            }
-            acc = acc.intersect(index.shard_postings(item, shard));
-        }
-        masses.push(acc.esup());
-        frags.push(acc);
-    }
-    ShardedNode {
-        frags,
-        masses,
-        stamp: 0,
-    }
-}
-
-/// Worker result for one candidate of a sharded level evaluation.
-struct ShardedEval {
-    esup: f64,
-    var: f64,
-    count: usize,
-    /// Fragments to memoize — `None` when a threshold (or the zone
-    /// precheck) ruled the candidate out, or for singletons (which resolve
-    /// from the index).
-    frags: Option<Vec<ProbVector>>,
-    /// Per-shard kernel invocations this candidate paid.
-    evaluated: u32,
-    /// Shard evaluations the zone maps skipped (every shard, when the
-    /// whole-candidate precheck fired).
-    pruned: u32,
-}
-
-/// Upper-bounds one shard's contribution to a candidate's esup from the
-/// zone maps alone: `Σ_t q_prefix · q_last` over the shard is at most the
-/// last item's mass, and at most its max probability times the prefix
-/// mass; for pairs both items' zones sharpen it further. Sound because
-/// every factor is an upper bound on the true per-tid product sum.
-fn zone_esup_bound(
-    index: &VerticalIndex,
-    prefix_mass: f64,
-    prefix_items: &[ItemId],
-    last: ItemId,
-    shard: usize,
-) -> f64 {
-    let z = index.zone(last, shard);
-    let mut bound = z.mass.min(z.max_prob * prefix_mass);
-    if let [first] = prefix_items {
-        let zp = index.zone(*first, shard);
-        bound = bound.min(zp.max_prob * z.max_prob * f64::from(zp.nonzero.min(z.nonzero)));
-    }
-    bound
-}
-
-/// Evaluates one candidate across every shard: zone precheck, per-shard
-/// intersection kernels (nested scope spawns when heavy), and the
-/// shard-order streamed moment merge. Pure function of the index, memo and
-/// candidate — never of thread count.
-fn sharded_candidate(
-    index: &VerticalIndex,
-    prev: &FxHashMap<Vec<ItemId>, ShardedNode>,
-    candidate: &Itemset,
-    want: StatRequest,
-) -> ShardedEval {
-    let items = candidate.items();
-    let shards = index.num_shards();
-    let k = items.len();
-    if k == 0 {
-        return ShardedEval {
-            esup: 0.0,
-            var: 0.0,
-            count: 0,
-            frags: None,
-            evaluated: 0,
-            pruned: 0,
-        };
-    }
-    if k == 1 {
-        // Singletons read their postings in place, like the unsharded
-        // path; pair prefixes resolve straight from the index.
-        let postings = index.postings(items[0]);
-        let (esup, var) = postings.moments();
-        return ShardedEval {
-            esup,
-            var,
-            count: postings.len(),
-            frags: None,
-            evaluated: 0,
-            pruned: 0,
-        };
-    }
-    let (prefix_items, last) = (&items[..k - 1], items[k - 1]);
-    let prefix = ShardedPrefix::resolve(index, prev, prefix_items);
-
-    // Whole-candidate zone precheck: when the per-shard upper bounds
-    // already prove the candidate below a pushdown threshold, skip every
-    // kernel and report the (decision-equivalent) bounds — exactly the
-    // contract of the unsharded bounded kernel's early bail, which also
-    // reports partial statistics for candidates it rules out. The esup
-    // bound is guarded by `BOUND_SLACK` against rounding; the count bound
-    // is integer and exact.
-    if want.min_esup.is_some() || want.min_count.is_some() {
-        let (mut esup_ub, mut count_ub) = (0.0f64, 0u64);
-        for shard in 0..shards {
-            let frag = prefix.frag(index, shard);
-            let z = index.zone(last, shard);
-            if z.nonzero == 0 || frag.is_empty() {
-                continue;
-            }
-            esup_ub += zone_esup_bound(index, prefix.mass(index, shard), prefix_items, last, shard);
-            count_ub += u64::from(z.nonzero).min(frag.len() as u64);
-        }
-        let hopeless = want.min_esup.is_some_and(|t| esup_ub + BOUND_SLACK < t)
-            || want.min_count.is_some_and(|t| count_ub < t);
-        if hopeless {
-            return ShardedEval {
-                esup: esup_ub,
-                var: 0.0,
-                count: count_ub as usize,
-                frags: None,
-                evaluated: 0,
-                pruned: shards as u32,
-            };
-        }
-    }
-
-    // Exact per-shard skip: an empty operand fragment makes the result
-    // fragment empty, which contributes exactly nothing to the streamed
-    // moments — integer emptiness only, never a float test.
-    let evaluable: Vec<usize> = (0..shards)
-        .filter(|&shard| {
-            index.zone(last, shard).nonzero != 0 && !prefix.frag(index, shard).is_empty()
-        })
-        .collect();
-    let pruned = (shards - evaluable.len()) as u32;
-    let mut frags = vec![ProbVector::new(); shards];
-    let units: usize = evaluable
-        .iter()
-        .map(|&shard| prefix.frag(index, shard).len() + index.shard_postings(last, shard).len())
-        .sum();
-    if evaluable.len() > 1 && units >= SHARD_SPAWN_MIN_WORK {
-        // Heavy candidate: nested fan-out across its shards. The sink
-        // orders results by shard index, and each kernel is the allocating
-        // `intersect` either way, so the spawned and sequential paths
-        // produce identical fragments.
-        let sink = OrderedSink::new();
-        scope(|sc| {
-            for &shard in &evaluable {
-                let frag = prefix.frag(index, shard);
-                let last_frag = index.shard_postings(last, shard);
-                let sink = &sink;
-                sc.spawn(move |_| {
-                    sink.push(vec![shard as u32], (shard, frag.intersect(last_frag)))
-                });
-            }
-        });
-        for (shard, frag) in sink.into_sorted_values() {
-            frags[shard] = frag;
-        }
-    } else {
-        for &shard in &evaluable {
-            frags[shard] = prefix
-                .frag(index, shard)
-                .intersect(index.shard_postings(last, shard));
-        }
-    }
-    let (esup, var, count) = ProbVector::fragments_moments(frags.iter());
-    let survives = !(want.min_esup.is_some_and(|t| esup < t)
-        || want.min_count.is_some_and(|t| (count as u64) < t));
-    ShardedEval {
-        esup,
-        var,
-        count,
-        frags: survives.then_some(frags),
-        evaluated: evaluable.len() as u32,
-        pruned,
-    }
-}
-
-/// Sharded level evaluation: `par_map` across candidates × nested spawns
-/// across each heavy candidate's shards (see [`sharded_candidate`]),
-/// counters summed in candidate order.
-fn sharded_evaluate(
-    index: &VerticalIndex,
-    state: &mut ShardedState,
-    candidates: &[Itemset],
-    want: StatRequest,
-    stats: &mut MinerStats,
-) -> LevelSupport {
-    let mut out = LevelSupport {
-        esup: Vec::with_capacity(candidates.len()),
-        variance: want.variance.then(|| Vec::with_capacity(candidates.len())),
-        count: want.count.then(|| Vec::with_capacity(candidates.len())),
-    };
-    let mean_units = index.mean_posting_units();
-    let prev = &state.prev;
-    let results = par_map_min_len(candidates, mean_units.max(1), PAR_MIN_WORK, |c| {
-        sharded_candidate(index, prev, c, want)
-    });
-    for (candidate, r) in candidates.iter().zip(results) {
-        // In sharded mode the intersections counter means per-shard kernel
-        // invocations (mode-specific, still thread-deterministic).
-        stats.intersections += u64::from(r.evaluated);
-        stats.shards_evaluated += u64::from(r.evaluated);
-        stats.shards_pruned += u64::from(r.pruned);
-        out.esup.push(r.esup);
-        if let Some(vs) = out.variance.as_mut() {
-            vs.push(r.var);
-        }
-        if let Some(cs) = out.count.as_mut() {
-            cs.push(r.count as u64);
-        }
-        if let Some(frags) = r.frags {
-            state.current.insert(candidate.items().to_vec(), frags);
-        }
-    }
-    out
-}
-
-/// Sharded `prob_vectors`: fragment probs concatenate in shard order
-/// (fragments keep transaction order globally).
-fn sharded_prob_vectors(
-    index: &VerticalIndex,
-    state: &ShardedState,
-    candidates: &[Itemset],
-    stats: &mut MinerStats,
-) -> Vec<Vec<f64>> {
-    candidates
-        .iter()
-        .map(|c| match state.current.get(c.items()) {
-            Some(frags) => frags.iter().flat_map(|f| f.nonzero_probs()).collect(),
-            None => {
-                // Cold path (direct trait users): a from-scratch fold
-                // costs `len − 1` intersections; charge them.
-                stats.intersections += c.len().saturating_sub(1) as u64;
-                index.prob_vector(c.items()).nonzero_probs()
-            }
-        })
-        .collect()
-}
-
-/// Sharded `finish_level`: survivors keep their fragments, each annotated
-/// with its exact mass for the next level's zone prechecks. In batch mode
-/// the previous level is replaced wholesale; in streaming mode survivors
-/// *accumulate* into the retained cross-refresh memo and re-stamp it
-/// (reused frequent itemsets — untouched border entries the engine never
-/// re-evaluated — keep their patched fragments and just renew the stamp).
-fn sharded_finish_level(
-    state: &mut ShardedState,
-    frequent: &[FrequentItemset],
-    streaming: bool,
-    stamp: u64,
-) {
-    if streaming {
-        for f in frequent {
-            if let Some(frags) = state.current.remove(f.itemset.items()) {
-                let masses = frags.iter().map(|v| v.esup()).collect();
-                state.prev.insert(
-                    f.itemset.items().to_vec(),
-                    ShardedNode {
-                        frags,
-                        masses,
-                        stamp,
-                    },
-                );
-            } else if let Some(node) = state.prev.get_mut(f.itemset.items()) {
-                node.stamp = stamp;
-            }
-        }
-        state.current = FxHashMap::default();
-        return;
-    }
-    let mut next = FxHashMap::default();
-    for f in frequent {
-        if let Some(frags) = state.current.remove(f.itemset.items()) {
-            let masses = frags.iter().map(|v| v.esup()).collect();
-            next.insert(
-                f.itemset.items().to_vec(),
-                ShardedNode {
-                    frags,
-                    masses,
-                    stamp: 0,
-                },
-            );
-        }
-    }
-    state.prev = next;
-    state.current = FxHashMap::default();
-}
-
-/// The vertical backend's sharded patch walk: drops nodes that fell out
-/// of the last refresh's frequent stream, then point-patches each
-/// survivor's touched fragments (a dirty tid lands in exactly one shard)
-/// and re-folds only those shards' masses. Patched fragments are
-/// byte-identical to a rebuilt engine's ([`ProbVector::apply_tid_delta`]
-/// commits canonical chunk layouts), and `mass = fragment.esup()` is the
-/// exact expression `sharded_finish_level` records — so zone prechecks
-/// and kernels downstream see rebuilt-identical operands.
-fn patch_sharded_nodes(
-    index: &VerticalIndex,
-    state: &mut ShardedState,
-    probe: &StepProbe,
-    keep: u64,
-    stats: &mut MinerStats,
-) {
-    let width = index.shard_plan().width_tids();
-    state.prev.retain(|items, node| {
-        if node.stamp != keep {
-            return false;
-        }
-        let updates = itemset_updates(probe, items);
-        if updates.is_empty() {
-            return true;
-        }
-        let nnz: usize = node.frags.iter().map(ProbVector::len).sum();
-        if !patch_beats_rebuild(updates.len(), nnz) {
-            stats.memo_rebuilt += 1;
-            return false;
-        }
-        let mut i = 0usize;
-        while i < updates.len() {
-            let shard = updates[i].0 as usize / width;
-            let mut j = i + 1;
-            while j < updates.len() && updates[j].0 as usize / width == shard {
-                j += 1;
-            }
-            node.frags[shard].apply_tid_delta(&updates[i..j]);
-            node.masses[shard] = node.frags[shard].esup();
-            i = j;
-        }
-        stats.memo_patched += 1;
-        true
-    });
-}
-
-/// One candidate × one shard of the trait seam: the candidate's fragment
-/// over the shard's tid range, or `None` when a zone map proves it empty.
-/// The whole-candidate precheck does not apply here — it spans shards,
-/// which a single-shard call cannot see.
-fn sharded_candidate_shard(
-    index: &VerticalIndex,
-    prev: &FxHashMap<Vec<ItemId>, ShardedNode>,
-    candidate: &Itemset,
-    shard: usize,
-    stats: &mut MinerStats,
-) -> Option<ProbVector> {
-    let items = candidate.items();
-    let k = items.len();
-    if k == 0 {
-        return None;
-    }
-    if k == 1 {
-        let frag = index.shard_postings(items[0], shard);
-        if frag.is_empty() {
-            stats.shards_pruned += 1;
-            return None;
-        }
-        stats.shards_evaluated += 1;
-        return Some(frag.clone());
-    }
-    let (prefix_items, last) = (&items[..k - 1], items[k - 1]);
-    if index.zone(last, shard).nonzero == 0 {
-        stats.shards_pruned += 1;
-        return None;
-    }
-    let prefix = ShardedPrefix::resolve(index, prev, prefix_items);
-    let frag = prefix.frag(index, shard);
-    if frag.is_empty() {
-        stats.shards_pruned += 1;
-        return None;
-    }
-    stats.shards_evaluated += 1;
-    stats.intersections += 1;
-    Some(frag.intersect(index.shard_postings(last, shard)))
-}
-
-/// Reassembles the columnar seam's per-candidate fragment rows in
-/// ascending shard order (skipped fragments become empty vectors, which
-/// contribute exactly nothing to the streamed moments).
-fn assemble_fragment_rows(
-    num_candidates: usize,
-    partials: Vec<ShardPartial>,
-) -> Vec<Vec<ProbVector>> {
-    let mut sorted = partials;
-    sorted.sort_by_key(|p| p.shard);
-    let mut rows: Vec<Vec<ProbVector>> = (0..num_candidates)
-        .map(|_| Vec::with_capacity(sorted.len()))
-        .collect();
-    for partial in sorted {
-        match partial.payload {
-            ShardPayload::Fragments(frags) => {
-                assert_eq!(
-                    frags.len(),
-                    num_candidates,
-                    "every partial covers every candidate"
-                );
-                for (row, frag) in rows.iter_mut().zip(frags) {
-                    row.push(frag.unwrap_or_default());
-                }
-            }
-            _ => panic!("columnar seam expects fragment partials"),
-        }
-    }
-    rows
-}
-
-/// The vertical backend's `merge_shards`: reassembles each candidate's
-/// fragment row in ascending shard order, streams the moments, and
-/// memoizes survivors.
-fn fragment_merge_shards(
-    state: &mut ShardedState,
-    candidates: &[Itemset],
-    partials: Vec<ShardPartial>,
-    want: StatRequest,
-) -> LevelSupport {
-    let rows = assemble_fragment_rows(candidates.len(), partials);
-    let mut out = LevelSupport {
-        esup: Vec::with_capacity(candidates.len()),
-        variance: want.variance.then(|| Vec::with_capacity(candidates.len())),
-        count: want.count.then(|| Vec::with_capacity(candidates.len())),
-    };
-    for (candidate, row) in candidates.iter().zip(rows) {
-        let (esup, var, count) = ProbVector::fragments_moments(row.iter());
-        out.esup.push(esup);
-        if let Some(vs) = out.variance.as_mut() {
-            vs.push(var);
-        }
-        if let Some(cs) = out.count.as_mut() {
-            cs.push(count as u64);
-        }
-        let survives = !(want.min_esup.is_some_and(|t| esup < t)
-            || want.min_count.is_some_and(|t| (count as u64) < t));
-        if survives && candidate.len() > 1 {
-            state.current.insert(candidate.items().to_vec(), row);
-        }
-    }
-    out
-}
-
-/// One shard's cell of a [`DiffShardedNode`]: dEclat's per-node
-/// representation choice applied per (itemset, shard) — whichever of the
-/// materialized fragment or the delta against the prefix's fragment is
-/// smaller, decided from **exact** byte counts (both representations are
-/// in hand when the cell is built, unlike the unsharded path's estimate).
-enum ShardRepr {
-    /// Materialized fragment (the chain terminator for per-shard
-    /// resolution — chosen in the sparse-child regime).
-    Tidset(ProbVector),
-    /// Delta against the prefix's fragment over the same shard's tid
-    /// range (a [`DiffVector`] only ever drops tids of one shard, so the
-    /// per-shard chains compose exactly like the global one).
-    Diff(DiffVector),
-}
-
-impl ShardRepr {
-    fn mem_bytes(&self) -> usize {
-        match self {
-            ShardRepr::Tidset(v) => v.mem_bytes(),
-            ShardRepr::Diff(d) => d.mem_bytes(),
-        }
-    }
-
-    fn mem_units(&self) -> usize {
-        match self {
-            ShardRepr::Tidset(v) => v.mem_units(),
-            ShardRepr::Diff(d) => d.len(),
-        }
-    }
-}
-
-/// One frequent itemset retained by the diffset backend's sharded mode:
-/// per-shard delta chains (or fragments, where smaller) plus each shard's
-/// exact probability mass and nonzero count — the prefix-side operands of
-/// the zone precheck, recorded so prechecks never walk a chain.
-struct DiffShardedNode {
-    reprs: Vec<ShardRepr>,
-    masses: Vec<f64>,
-    lens: Vec<u32>,
-    /// Cross-refresh GC stamp (streaming mode; 0 in batch mode).
-    stamp: u64,
-}
-
-/// Sharded-mode state of the diffset backend. Unlike the vertical
-/// engine's [`ShardedState`] (whole fragment tidsets, one level deep),
-/// the memo is persistent across levels and delta-chained per shard, so
-/// the diffset memory edge survives sharding (`bench_memory` asserts the
-/// win under a forced multi-shard plan).
-#[derive(Default)]
-struct DiffShardedState {
-    /// Every retained frequent itemset, keyed by its item array. Ancestors
-    /// of any retained delta are themselves retained (Apriori closure:
-    /// every prefix of a frequent itemset is frequent).
-    memo: FxHashMap<Vec<ItemId>, DiffShardedNode>,
-    /// Nodes for the current level's survivors, pending `finish_level`.
-    current: FxHashMap<Vec<ItemId>, DiffShardedNode>,
-}
-
-/// Peak `(units, bytes)` of the diff-sharded memo (repr payloads only,
-/// like the unsharded accounting).
-fn diff_sharded_memo_peak(state: &DiffShardedState) -> (u64, u64) {
-    let (mut units, mut bytes) = (0usize, 0usize);
-    for repr in state
-        .memo
-        .values()
-        .chain(state.current.values())
-        .flat_map(|n| n.reprs.iter())
-    {
-        units += repr.mem_units();
-        bytes += repr.mem_bytes();
-    }
-    (units as u64, bytes as u64)
-}
-
-/// Reconstructs one shard's fragment of `items` from the per-shard
-/// delta-chain memo, counting each `apply_diff` step into `applies`.
-/// Falls back to a from-scratch per-shard postings fold for itemsets the
-/// memo never saw (direct trait users) — the single-shard slice of
-/// [`cold_sharded_node`].
-fn resolve_shard_frag<'a>(
-    index: &'a VerticalIndex,
-    memo: &'a FxHashMap<Vec<ItemId>, DiffShardedNode>,
-    items: &[ItemId],
-    shard: usize,
-    applies: &mut u64,
-) -> Resolved<'a> {
-    match items.len() {
-        0 => Resolved::Owned(ProbVector::new()),
-        1 => Resolved::Borrowed(index.shard_postings(items[0], shard)),
-        k => match memo.get(items) {
-            Some(node) => match &node.reprs[shard] {
-                ShardRepr::Tidset(v) => Resolved::Borrowed(v),
-                ShardRepr::Diff(d) => {
-                    let parent = resolve_shard_frag(index, memo, &items[..k - 1], shard, applies);
-                    *applies += 1;
-                    Resolved::Owned(
-                        parent
-                            .get()
-                            .apply_diff(d, index.shard_postings(items[k - 1], shard)),
-                    )
-                }
-            },
-            None => {
-                *applies += items.len().saturating_sub(1) as u64;
-                let mut acc = index.shard_postings(items[0], shard).clone();
-                for &item in &items[1..] {
-                    if acc.is_empty() {
-                        break;
-                    }
-                    acc = acc.intersect(index.shard_postings(item, shard));
-                }
-                Resolved::Owned(acc)
-            }
-        },
-    }
-}
-
-/// A candidate's prefix in diff-sharded mode, exposing the per-shard
-/// masses and nonzero counts the zone precheck consumes without walking
-/// any chain; fragments themselves resolve lazily per shard.
-enum DiffShardedPrefix<'a> {
-    Item(ItemId),
-    Node(&'a DiffShardedNode),
-    Cold(ShardedNode),
-}
-
-impl DiffShardedPrefix<'_> {
-    fn resolve<'a>(
-        index: &VerticalIndex,
-        memo: &'a FxHashMap<Vec<ItemId>, DiffShardedNode>,
-        prefix_items: &[ItemId],
-    ) -> DiffShardedPrefix<'a> {
-        if let [item] = prefix_items {
-            DiffShardedPrefix::Item(*item)
-        } else if let Some(node) = memo.get(prefix_items) {
-            DiffShardedPrefix::Node(node)
-        } else {
-            DiffShardedPrefix::Cold(cold_sharded_node(index, prefix_items))
-        }
-    }
-
-    /// The prefix's exact probability mass over one shard — the same
-    /// value the vertical engine's [`ShardedPrefix::mass`] reads, so the
-    /// zone prechecks of the two backends agree bit for bit.
-    fn mass(&self, index: &VerticalIndex, shard: usize) -> f64 {
-        match self {
-            DiffShardedPrefix::Item(item) => index.zone(*item, shard).mass,
-            DiffShardedPrefix::Node(node) => node.masses[shard],
-            DiffShardedPrefix::Cold(node) => node.masses[shard],
-        }
-    }
-
-    /// The prefix's nonzero count over one shard (`fragment.len()`
-    /// without materializing the fragment).
-    fn len(&self, index: &VerticalIndex, shard: usize) -> usize {
-        match self {
-            DiffShardedPrefix::Item(item) => index.zone(*item, shard).nonzero as usize,
-            DiffShardedPrefix::Node(node) => node.lens[shard] as usize,
-            DiffShardedPrefix::Cold(node) => node.frags[shard].len(),
-        }
-    }
-
-    /// The prefix's fragment over one shard — borrowed where the index
-    /// (or a cold fold) holds it materialized, reconstructed through the
-    /// per-shard chain otherwise.
-    fn frag<'b>(
-        &'b self,
-        index: &'b VerticalIndex,
-        memo: &'b FxHashMap<Vec<ItemId>, DiffShardedNode>,
-        prefix_items: &[ItemId],
-        shard: usize,
-        applies: &mut u64,
-    ) -> Resolved<'b> {
-        match self {
-            DiffShardedPrefix::Item(item) => Resolved::Borrowed(index.shard_postings(*item, shard)),
-            DiffShardedPrefix::Node(_) => {
-                resolve_shard_frag(index, memo, prefix_items, shard, applies)
-            }
-            DiffShardedPrefix::Cold(node) => Resolved::Borrowed(&node.frags[shard]),
-        }
-    }
-}
-
-/// Worker result for one candidate of a diff-sharded level evaluation.
-struct DiffShardedEval {
-    esup: f64,
-    var: f64,
-    count: usize,
-    /// Node to memoize — `None` when a threshold (or the zone precheck)
-    /// ruled the candidate out, or for singletons (which resolve from the
-    /// index).
-    node: Option<DiffShardedNode>,
-    /// Per-shard kernel invocations this candidate paid.
-    evaluated: u32,
-    /// Shard evaluations the zone maps skipped.
-    pruned: u32,
-}
-
-/// Evaluates one prefix group in diff-sharded mode: the shared prefix's
-/// fragment resolves (at most) once per shard for the whole group — the
-/// per-shard analog of the unsharded path's per-group chain walk — then
-/// each candidate runs the whole-candidate zone precheck (identical
-/// bounds, from identical per-shard masses and counts, as the vertical
-/// engine's [`sharded_candidate`], so prune decisions agree bit for bit)
-/// and, per evaluable shard, one `diff_extend` + `apply_dropped` pair:
-/// the delta for the memo and the materialized fragment for the streamed
-/// moments. Moments must fold the global summation-block sequence
-/// ([`ProbVector::fragments_moments`]); per-shard moments are never
-/// summed. Pure function of index, memo and candidates — never of thread
-/// count.
-fn diff_sharded_group(
-    index: &VerticalIndex,
-    memo: &FxHashMap<Vec<ItemId>, DiffShardedNode>,
-    candidates: &[Itemset],
-    want: StatRequest,
-    scratch: &mut ScratchSpace,
-) -> (Vec<DiffShardedEval>, u64) {
-    let mut work = 0u64;
-    let mut out = Vec::with_capacity(candidates.len());
-    let shards = index.num_shards();
-    // All group members share a length and (for k > 1) a prefix.
-    let k = candidates[0].len();
-    if k <= 1 {
-        // Singletons read their postings in place, like the unsharded
-        // path; no memo entry.
-        for c in candidates {
-            let (esup, var, count) = match c.items().first() {
-                Some(&item) => {
-                    let postings = index.postings(item);
-                    let (esup, var) = postings.moments();
-                    (esup, var, postings.len())
-                }
-                None => (0.0, 0.0, 0),
-            };
-            out.push(DiffShardedEval {
-                esup,
-                var,
-                count,
-                node: None,
-                evaluated: 0,
-                pruned: 0,
-            });
-        }
-        return (out, work);
-    }
-    let prefix_items = &candidates[0].items()[..k - 1];
-    let prefix = DiffShardedPrefix::resolve(index, memo, prefix_items);
-    // The shared prefix's fragments, resolved lazily (only shards some
-    // candidate actually evaluates — zone prechecks cost no chain walk)
-    // and at most once per group.
-    let mut frag_cache: Vec<Option<Resolved<'_>>> = (0..shards).map(|_| None).collect();
-    for c in candidates {
-        let last = c.items()[k - 1];
-        // Whole-candidate zone precheck — see `sharded_candidate` for the
-        // contract (decision-equivalent bounds reported for candidates it
-        // rules out).
-        if want.min_esup.is_some() || want.min_count.is_some() {
-            let (mut esup_ub, mut count_ub) = (0.0f64, 0u64);
-            for shard in 0..shards {
-                let z = index.zone(last, shard);
-                let plen = prefix.len(index, shard);
-                if z.nonzero == 0 || plen == 0 {
-                    continue;
-                }
-                esup_ub +=
-                    zone_esup_bound(index, prefix.mass(index, shard), prefix_items, last, shard);
-                count_ub += u64::from(z.nonzero).min(plen as u64);
-            }
-            let hopeless = want.min_esup.is_some_and(|t| esup_ub + BOUND_SLACK < t)
-                || want.min_count.is_some_and(|t| count_ub < t);
-            if hopeless {
-                out.push(DiffShardedEval {
-                    esup: esup_ub,
-                    var: 0.0,
-                    count: count_ub as usize,
-                    node: None,
-                    evaluated: 0,
-                    pruned: shards as u32,
-                });
-                continue;
-            }
-        }
-        // Exact per-shard skip, like the vertical path: an empty operand
-        // makes the result fragment empty, which contributes exactly
-        // nothing to the streamed moments — integer emptiness only.
-        let mut child_frags = vec![ProbVector::new(); shards];
-        let mut diffs: Vec<Option<DiffVector>> = (0..shards).map(|_| None).collect();
-        let mut evaluated = 0u32;
-        for shard in 0..shards {
-            if index.zone(last, shard).nonzero == 0 || prefix.len(index, shard) == 0 {
-                continue;
-            }
-            evaluated += 1;
-            let pfrag = frag_cache[shard]
-                .get_or_insert_with(|| prefix.frag(index, memo, prefix_items, shard, &mut work));
-            let postings = index.shard_postings(last, shard);
-            // One diff_extend (the delta + per-shard stats, discarded in
-            // favor of the global streamed moments) plus one apply_dropped
-            // (the fragment the moments and a possible tidset repr need):
-            // two intersection-equivalent walks, charged as such.
-            work += 2;
-            let _ = pfrag.get().diff_extend_into(postings, scratch);
-            let frag = pfrag.get().apply_dropped(scratch.dropped(), postings);
-            // dEclat's per-node choice, per shard, from exact sizes.
-            if std::mem::size_of_val(scratch.dropped()) <= frag.mem_bytes() {
-                diffs[shard] = Some(scratch.export_diff());
-            }
-            child_frags[shard] = frag;
-        }
-        let pruned = shards as u32 - evaluated;
-        let (esup, var, count) = ProbVector::fragments_moments(child_frags.iter());
-        let survives = !(want.min_esup.is_some_and(|t| esup < t)
-            || want.min_count.is_some_and(|t| (count as u64) < t));
-        let node = survives.then(|| {
-            let masses = child_frags.iter().map(|f| f.esup()).collect();
-            let lens = child_frags.iter().map(|f| f.len() as u32).collect();
-            let reprs = child_frags
-                .into_iter()
-                .zip(std::mem::take(&mut diffs))
-                .map(|(f, d)| match d {
-                    Some(d) => ShardRepr::Diff(d),
-                    None => ShardRepr::Tidset(f),
-                })
-                .collect();
-            DiffShardedNode {
-                reprs,
-                masses,
-                lens,
-                stamp: 0,
-            }
-        });
-        out.push(DiffShardedEval {
-            esup,
-            var,
-            count,
-            node,
-            evaluated,
-            pruned,
-        });
-    }
-    (out, work)
-}
-
-/// Diff-sharded level evaluation: `par_map` across prefix groups (the
-/// shared prefix chain resolves once per group and shard), counters
-/// summed in group order — pure functions of the data, so results and
-/// counters never depend on thread count.
-fn diff_sharded_evaluate(
-    index: &VerticalIndex,
-    state: &mut DiffShardedState,
-    candidates: &[Itemset],
-    want: StatRequest,
-    stats: &mut MinerStats,
-) -> LevelSupport {
-    let n = candidates.len();
-    let mut out = LevelSupport {
-        esup: vec![0.0; n],
-        variance: want.variance.then(|| vec![0.0; n]),
-        count: want.count.then(|| vec![0u64; n]),
-    };
-    let groups = DiffsetEngine::prefix_groups(candidates);
-    let mean_units = index.mean_posting_units();
-    let mean_group = candidates.len().div_ceil(groups.len().max(1));
-    let weight = mean_units.max(1).saturating_mul(mean_group.max(1));
-    let memo = &state.memo;
-    let results = par_map_min_len_with(
-        &groups,
-        weight,
-        PAR_MIN_WORK,
-        ScratchSpace::new,
-        |scratch, &(s, e)| diff_sharded_group(index, memo, &candidates[s..e], want, scratch),
-    );
-    for (&(s, _), (evals, work)) in groups.iter().zip(results) {
-        stats.intersections += work;
-        for (offset, r) in evals.into_iter().enumerate() {
-            let i = s + offset;
-            stats.shards_evaluated += u64::from(r.evaluated);
-            stats.shards_pruned += u64::from(r.pruned);
-            out.esup[i] = r.esup;
-            if let Some(vs) = out.variance.as_mut() {
-                vs[i] = r.var;
-            }
-            if let Some(cs) = out.count.as_mut() {
-                cs[i] = r.count as u64;
-            }
-            if let Some(node) = r.node {
-                state.current.insert(candidates[i].items().to_vec(), node);
-            }
-        }
-    }
-    out
-}
-
-/// Diff-sharded `prob_vectors`: fragment probs concatenate in shard order
-/// (fragments keep transaction order globally); delta cells re-materialize
-/// through their chain — the same memory-for-time trade the unsharded
-/// diffset path makes.
-fn diff_sharded_prob_vectors(
-    index: &VerticalIndex,
-    state: &DiffShardedState,
-    candidates: &[Itemset],
-    stats: &mut MinerStats,
-) -> Vec<Vec<f64>> {
-    let mut extra = 0u64;
-    let out = candidates
-        .iter()
-        .map(|c| match state.current.get(c.items()) {
-            Some(node) => {
-                let k = c.len();
-                let mut probs = Vec::new();
-                for (shard, repr) in node.reprs.iter().enumerate() {
-                    match repr {
-                        ShardRepr::Tidset(v) => probs.extend(v.nonzero_probs()),
-                        ShardRepr::Diff(d) => {
-                            let prefix = resolve_shard_frag(
-                                index,
-                                &state.memo,
-                                &c.items()[..k - 1],
-                                shard,
-                                &mut extra,
-                            );
-                            extra += 1;
-                            let v = prefix
-                                .get()
-                                .apply_diff(d, index.shard_postings(c.items()[k - 1], shard));
-                            probs.extend(v.nonzero_probs());
-                        }
-                    }
-                }
-                probs
-            }
-            None => {
-                // Cold path (direct trait users): a from-scratch fold
-                // costs `len − 1` intersections; charge them.
-                extra += c.len().saturating_sub(1) as u64;
-                index.prob_vector(c.items()).nonzero_probs()
-            }
-        })
-        .collect();
-    stats.intersections += extra;
-    out
-}
-
-/// Diff-sharded `finish_level`: survivors join the persistent per-shard
-/// delta-chain memo (masses and lens were recorded at evaluation time).
-/// In streaming mode every frequent itemset of the refresh — freshly
-/// evaluated or reused — renews the GC stamp.
-fn diff_sharded_finish_level(
-    state: &mut DiffShardedState,
-    frequent: &[FrequentItemset],
-    streaming: bool,
-    stamp: u64,
-) {
-    for f in frequent {
-        if let Some(mut node) = state.current.remove(f.itemset.items()) {
-            node.stamp = stamp;
-            state.memo.insert(f.itemset.items().to_vec(), node);
-        } else if streaming {
-            if let Some(node) = state.memo.get_mut(f.itemset.items()) {
-                node.stamp = stamp;
-            }
-        }
-    }
-    state.current = FxHashMap::default();
-}
-
-/// The diffset backend's sharded patch walk. Keys are visited parents
-/// before children (ascending length, then lexicographic — a
-/// deterministic order), each node temporarily removed so its delta cells
-/// can re-resolve their *already-patched* prefix fragment through the
-/// memo, then reinserted. Per touched shard a `Tidset` cell rewrites only
-/// the dirty chunks in place; a `Diff` cell first re-decides membership
-/// for every dirty tid where a *member item's* probability moved (`t` is
-/// dropped iff the new prefix keeps it while the new child zeroes it —
-/// membership can flip even when the child value does not move, but only
-/// a member-item change can flip it: untouched member lists leave both
-/// products, and so the decision, bit-identical) and then, only when some
-/// child value actually changed, re-materializes the fragment to re-fold
-/// `masses`/`lens`. Everything lands byte-identical to a rebuilt engine:
-/// patched vectors commit canonical layouts and the folded expressions
-/// are exactly the ones evaluation records.
-fn patch_diff_sharded_nodes(
-    index: &VerticalIndex,
-    state: &mut DiffShardedState,
-    probe: &StepProbe,
-    keep: u64,
-    stats: &mut MinerStats,
-) {
-    let width = index.shard_plan().width_tids();
-    let mut keys: Vec<Vec<ItemId>> = state.memo.keys().cloned().collect();
-    keys.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-    for items in keys {
-        let Some(mut node) = state.memo.remove(&items) else {
-            continue;
-        };
-        if node.stamp != keep {
-            // Fell out of the last refresh's frequent stream.
-            continue;
-        }
-        let updates = itemset_updates(probe, &items);
-        let has_diff_cell = node.reprs.iter().any(|r| matches!(r, ShardRepr::Diff(_)));
-        if updates.is_empty() && !has_diff_cell {
-            state.memo.insert(items, node);
-            continue;
-        }
-        let nnz: usize = node.lens.iter().map(|&l| l as usize).sum();
-        if !updates.is_empty() && !patch_beats_rebuild(updates.len(), nnz) {
-            stats.memo_rebuilt += 1;
-            continue;
-        }
-        let k = items.len();
-        let (prefix_items, last) = (&items[..k - 1], items[k - 1]);
-        let slots = probe.candidate_slots(&items);
-        let mut patched = false;
-        for shard in 0..node.reprs.len() {
-            let changed: Vec<(u32, f64)> = updates
-                .iter()
-                .copied()
-                .filter(|&(t, _)| t as usize / width == shard)
-                .collect();
-            match &mut node.reprs[shard] {
-                ShardRepr::Tidset(v) => {
-                    if changed.is_empty() {
-                        continue;
-                    }
-                    v.apply_tid_delta(&changed);
-                    node.masses[shard] = v.esup();
-                    node.lens[shard] = v.len() as u32;
-                    patched = true;
-                }
-                ShardRepr::Diff(d) => {
-                    let membership: Vec<(u32, bool)> = slots
-                        .iter()
-                        .filter(|&&s| probe.tid(s) as usize / width == shard)
-                        .map(|&s| {
-                            let drop = probe.new_prob(s, prefix_items) > 0.0
-                                && probe.new_prob(s, &items) == 0.0;
-                            (probe.tid(s), drop)
-                        })
-                        .collect();
-                    if membership.is_empty() && changed.is_empty() {
-                        continue;
-                    }
-                    d.apply_tid_delta(&membership);
-                    if changed.is_empty() {
-                        continue;
-                    }
-                    let mut applies = 0u64;
-                    let parent =
-                        resolve_shard_frag(index, &state.memo, prefix_items, shard, &mut applies);
-                    let frag = parent
-                        .get()
-                        .apply_diff(d, index.shard_postings(last, shard));
-                    node.masses[shard] = frag.esup();
-                    node.lens[shard] = frag.len() as u32;
-                    patched = true;
-                }
-            }
-        }
-        if patched {
-            stats.memo_patched += 1;
-        }
-        state.memo.insert(items, node);
-    }
-}
-
-/// One candidate × one shard of the diffset backend's trait seam: like
-/// [`sharded_candidate_shard`], with the prefix fragment reconstructed
-/// through the per-shard delta chain.
-fn diff_sharded_candidate_shard(
-    index: &VerticalIndex,
-    memo: &FxHashMap<Vec<ItemId>, DiffShardedNode>,
-    candidate: &Itemset,
-    shard: usize,
-    stats: &mut MinerStats,
-) -> Option<ProbVector> {
-    let items = candidate.items();
-    let k = items.len();
-    if k == 0 {
-        return None;
-    }
-    if k == 1 {
-        let frag = index.shard_postings(items[0], shard);
-        if frag.is_empty() {
-            stats.shards_pruned += 1;
-            return None;
-        }
-        stats.shards_evaluated += 1;
-        return Some(frag.clone());
-    }
-    let (prefix_items, last) = (&items[..k - 1], items[k - 1]);
-    if index.zone(last, shard).nonzero == 0 {
-        stats.shards_pruned += 1;
-        return None;
-    }
-    let prefix = resolve_shard_frag(index, memo, prefix_items, shard, &mut stats.intersections);
-    let frag = prefix.get();
-    if frag.is_empty() {
-        stats.shards_pruned += 1;
-        return None;
-    }
-    stats.shards_evaluated += 1;
-    stats.intersections += 1;
-    Some(frag.intersect(index.shard_postings(last, shard)))
-}
-
-/// The diffset backend's `merge_shards`: reassembles fragment rows like
-/// [`fragment_merge_shards`] and memoizes survivors as materialized
-/// per-shard tidsets — the seam moves fragments, not deltas; the main
-/// `evaluate` path is where the per-shard delta choice happens.
-fn diff_fragment_merge_shards(
-    state: &mut DiffShardedState,
-    candidates: &[Itemset],
-    partials: Vec<ShardPartial>,
-    want: StatRequest,
-) -> LevelSupport {
-    let rows = assemble_fragment_rows(candidates.len(), partials);
-    let mut out = LevelSupport {
-        esup: Vec::with_capacity(candidates.len()),
-        variance: want.variance.then(|| Vec::with_capacity(candidates.len())),
-        count: want.count.then(|| Vec::with_capacity(candidates.len())),
-    };
-    for (candidate, row) in candidates.iter().zip(rows) {
-        let (esup, var, count) = ProbVector::fragments_moments(row.iter());
-        out.esup.push(esup);
-        if let Some(vs) = out.variance.as_mut() {
-            vs.push(var);
-        }
-        if let Some(cs) = out.count.as_mut() {
-            cs.push(count as u64);
-        }
-        let survives = !(want.min_esup.is_some_and(|t| esup < t)
-            || want.min_count.is_some_and(|t| (count as u64) < t));
-        if survives && candidate.len() > 1 {
-            let masses = row.iter().map(|v| v.esup()).collect();
-            let lens = row.iter().map(|v| v.len() as u32).collect();
-            let reprs = row.into_iter().map(ShardRepr::Tidset).collect();
-            state.current.insert(
-                candidate.items().to_vec(),
-                DiffShardedNode {
-                    reprs,
-                    masses,
-                    lens,
-                    stamp: 0,
-                },
-            );
-        }
-    }
-    out
-}
-
 /// One retained prefix of the vertical memo: its prob-vector and its
 /// probability mass (the expected support recorded at `finish_level`,
 /// which seeds the bounded stats pass's early-exit bound). In streaming
@@ -1739,9 +345,6 @@ pub struct VerticalEngine {
     prev: FxHashMap<Vec<ItemId>, PrevNode>,
     /// Prob-vectors of every candidate evaluated in the current level.
     current: FxHashMap<Vec<ItemId>, ProbVector>,
-    /// Fragment memo, present iff the index is sharded (more than one
-    /// shard under its plan); `prev`/`current` stay empty then.
-    sharded: Option<ShardedState>,
     /// Whether the one-time index build has been charged to `stats.scans`.
     scan_charged: bool,
     /// Peak `(tid, prob)` units held in memo state (diagnostic).
@@ -1758,39 +361,18 @@ pub struct VerticalEngine {
 }
 
 impl VerticalEngine {
-    /// Builds the index (the run's single database pass) and an empty memo,
-    /// under the default shard plan.
+    /// Builds the index (the run's single database pass) and an empty memo.
     pub fn new(db: &UncertainDatabase) -> Self {
-        Self::with_plan(db, ShardPlan::for_transactions(db.num_transactions()))
-    }
-
-    /// Like [`VerticalEngine::new`] with an explicit shard plan. Sharded
-    /// evaluation engages iff the plan yields more than one shard; results
-    /// are bit-identical either way.
-    pub fn with_plan(db: &UncertainDatabase, plan: ShardPlan) -> Self {
-        let index = VerticalIndex::build_with_plan(db, plan);
-        let sharded = index.is_sharded().then(ShardedState::default);
         VerticalEngine {
-            index,
+            index: VerticalIndex::build(db),
             prev: FxHashMap::default(),
             current: FxHashMap::default(),
-            sharded,
             scan_charged: false,
             peak_memo_units: 0,
             peak_memo_bytes: 0,
             streaming: false,
             stamp: 0,
         }
-    }
-
-    fn note_sharded_peak(&mut self, stats: &mut MinerStats) {
-        if let Some(state) = self.sharded.as_ref() {
-            let (units, bytes) = sharded_memo_peak(state);
-            self.peak_memo_units = self.peak_memo_units.max(units);
-            self.peak_memo_bytes = self.peak_memo_bytes.max(bytes);
-        }
-        stats.peak_structure_nodes = stats.peak_structure_nodes.max(self.peak_memo_units);
-        stats.peak_memo_bytes = stats.peak_memo_bytes.max(self.peak_memo_bytes);
     }
 
     /// The candidate's prob-vector via the U-Eclat recurrence: prefix memo
@@ -1832,12 +414,6 @@ impl SupportEngine for VerticalEngine {
             // The whole run costs one database pass: the index build.
             stats.scans += 1;
             self.scan_charged = true;
-        }
-        if self.sharded.is_some() {
-            let state = self.sharded.as_mut().expect("checked above");
-            let out = sharded_evaluate(&self.index, state, candidates, want, stats);
-            self.note_sharded_peak(stats);
-            return out;
         }
         let mut out = LevelSupport {
             esup: Vec::with_capacity(candidates.len()),
@@ -2039,9 +615,6 @@ impl SupportEngine for VerticalEngine {
     }
 
     fn prob_vectors(&mut self, candidates: &[Itemset], stats: &mut MinerStats) -> Vec<Vec<f64>> {
-        if let Some(state) = self.sharded.as_ref() {
-            return sharded_prob_vectors(&self.index, state, candidates, stats);
-        }
         candidates
             .iter()
             .map(|c| match self.current.get(c.items()) {
@@ -2057,10 +630,6 @@ impl SupportEngine for VerticalEngine {
     }
 
     fn finish_level(&mut self, frequent: &[FrequentItemset]) {
-        if let Some(state) = self.sharded.as_mut() {
-            sharded_finish_level(state, frequent, self.streaming, self.stamp);
-            return;
-        }
         if self.streaming {
             // Streaming mode: survivors accumulate into the retained
             // cross-refresh memo with fresh block partials; reused
@@ -2108,60 +677,6 @@ impl SupportEngine for VerticalEngine {
         self.peak_memo_bytes
     }
 
-    fn shard_plan(&self) -> ShardPlan {
-        self.index.shard_plan()
-    }
-
-    fn num_shards(&self) -> usize {
-        self.index.num_shards()
-    }
-
-    fn evaluate_shard(
-        &mut self,
-        candidates: &[Itemset],
-        shard: usize,
-        want: StatRequest,
-        stats: &mut MinerStats,
-    ) -> ShardPartial {
-        if self.sharded.is_none() {
-            debug_assert_eq!(shard, 0, "unsharded backend has exactly one shard");
-            let level = self.evaluate(candidates, want, stats);
-            return ShardPartial {
-                shard,
-                payload: ShardPayload::Level(level),
-            };
-        }
-        if !self.scan_charged {
-            stats.scans += 1;
-            self.scan_charged = true;
-        }
-        let state = self.sharded.as_ref().expect("checked above");
-        let frags = candidates
-            .iter()
-            .map(|c| sharded_candidate_shard(&self.index, &state.prev, c, shard, stats))
-            .collect();
-        ShardPartial {
-            shard,
-            payload: ShardPayload::Fragments(frags),
-        }
-    }
-
-    fn merge_shards(
-        &mut self,
-        candidates: &[Itemset],
-        partials: Vec<ShardPartial>,
-        want: StatRequest,
-        stats: &mut MinerStats,
-    ) -> LevelSupport {
-        if self.sharded.is_none() {
-            return merge_single_level(partials);
-        }
-        let state = self.sharded.as_mut().expect("checked above");
-        let out = fragment_merge_shards(state, candidates, partials, want);
-        self.note_sharded_peak(stats);
-        out
-    }
-
     fn apply_window_step(
         &mut self,
         step: &WindowStep,
@@ -2180,16 +695,9 @@ impl SupportEngine for VerticalEngine {
         self.stamp += 1;
         let first = !self.streaming;
         self.streaming = true;
-        if let Some(state) = self.sharded.as_mut() {
-            if first {
-                // Batch-era fragment memo: nodes carry stamp 0 and were
-                // never part of a stamped frequent stream — drop them
-                // without charging the patch counters.
-                *state = ShardedState::default();
-            } else {
-                patch_sharded_nodes(&self.index, state, probe, keep, stats);
-            }
-        } else if first {
+        if first {
+            // Batch-era memo: nodes carry no block partials (and stamp 0)
+            // — drop them without charging the patch counters.
             self.prev = FxHashMap::default();
             self.current = FxHashMap::default();
         } else {
@@ -2276,9 +784,6 @@ pub struct DiffsetEngine {
     memo: FxHashMap<Vec<ItemId>, MemoNode>,
     /// Nodes for the current level's candidates, pending `finish_level`.
     current: FxHashMap<Vec<ItemId>, MemoNode>,
-    /// Per-shard delta-chain memo, present iff the index is sharded (see
-    /// [`DiffShardedState`]); `memo`/`current` stay empty then.
-    sharded: Option<DiffShardedState>,
     /// Whether the one-time index build has been charged to `stats.scans`.
     scan_charged: bool,
     /// Peak memo bytes ([`SupportEngine::peak_memo_bytes`]).
@@ -2352,40 +857,18 @@ struct DiffEval {
 }
 
 impl DiffsetEngine {
-    /// Builds the index (the run's single database pass) and empty memos,
-    /// under the default shard plan.
+    /// Builds the index (the run's single database pass) and empty memos.
     pub fn new(db: &UncertainDatabase) -> Self {
-        Self::with_plan(db, ShardPlan::for_transactions(db.num_transactions()))
-    }
-
-    /// Like [`DiffsetEngine::new`] with an explicit shard plan. Sharded
-    /// evaluation engages iff the plan yields more than one shard; results
-    /// are bit-identical either way, and the memo keeps its delta-chain
-    /// memory edge (the chains split per shard — see `DiffShardedState`).
-    pub fn with_plan(db: &UncertainDatabase, plan: ShardPlan) -> Self {
-        let index = VerticalIndex::build_with_plan(db, plan);
-        let sharded = index.is_sharded().then(DiffShardedState::default);
         DiffsetEngine {
-            index,
+            index: VerticalIndex::build(db),
             memo: FxHashMap::default(),
             current: FxHashMap::default(),
-            sharded,
             scan_charged: false,
             peak_memo_bytes: 0,
             peak_memo_units: 0,
             streaming: false,
             stamp: 0,
         }
-    }
-
-    fn note_sharded_peak(&mut self, stats: &mut MinerStats) {
-        if let Some(state) = self.sharded.as_ref() {
-            let (units, bytes) = diff_sharded_memo_peak(state);
-            self.peak_memo_units = self.peak_memo_units.max(units);
-            self.peak_memo_bytes = self.peak_memo_bytes.max(bytes);
-        }
-        stats.peak_structure_nodes = stats.peak_structure_nodes.max(self.peak_memo_units);
-        stats.peak_memo_bytes = stats.peak_memo_bytes.max(self.peak_memo_bytes);
     }
 
     /// Longest run a single group may span. Longer same-prefix runs are
@@ -2570,12 +1053,6 @@ impl SupportEngine for DiffsetEngine {
             stats.scans += 1;
             self.scan_charged = true;
         }
-        if self.sharded.is_some() {
-            let state = self.sharded.as_mut().expect("checked above");
-            let out = diff_sharded_evaluate(&self.index, state, candidates, want, stats);
-            self.note_sharded_peak(stats);
-            return out;
-        }
         // Intersection-equivalent work (one diff_extend per non-singleton
         // candidate — stats + delta in a single pass, so pushdown never
         // pays a second intersection — plus apply_diff chain resolution
@@ -2627,9 +1104,6 @@ impl SupportEngine for DiffsetEngine {
     }
 
     fn prob_vectors(&mut self, candidates: &[Itemset], stats: &mut MinerStats) -> Vec<Vec<f64>> {
-        if let Some(state) = self.sharded.as_ref() {
-            return diff_sharded_prob_vectors(&self.index, state, candidates, stats);
-        }
         let mut extra = 0u64;
         // Candidates arrive sorted, so same-prefix runs are contiguous: a
         // one-entry cache amortizes the chain walk per prefix group like
@@ -2676,10 +1150,6 @@ impl SupportEngine for DiffsetEngine {
     }
 
     fn finish_level(&mut self, frequent: &[FrequentItemset]) {
-        if let Some(state) = self.sharded.as_mut() {
-            diff_sharded_finish_level(state, frequent, self.streaming, self.stamp);
-            return;
-        }
         // Frequent nodes join the persistent delta-chain memo; the rest of
         // the level is dropped. Every ancestor a retained delta needs is
         // already in the memo (each prefix of a frequent itemset was itself
@@ -2706,60 +1176,6 @@ impl SupportEngine for DiffsetEngine {
         self.peak_memo_bytes
     }
 
-    fn shard_plan(&self) -> ShardPlan {
-        self.index.shard_plan()
-    }
-
-    fn num_shards(&self) -> usize {
-        self.index.num_shards()
-    }
-
-    fn evaluate_shard(
-        &mut self,
-        candidates: &[Itemset],
-        shard: usize,
-        want: StatRequest,
-        stats: &mut MinerStats,
-    ) -> ShardPartial {
-        if self.sharded.is_none() {
-            debug_assert_eq!(shard, 0, "unsharded backend has exactly one shard");
-            let level = self.evaluate(candidates, want, stats);
-            return ShardPartial {
-                shard,
-                payload: ShardPayload::Level(level),
-            };
-        }
-        if !self.scan_charged {
-            stats.scans += 1;
-            self.scan_charged = true;
-        }
-        let state = self.sharded.as_ref().expect("checked above");
-        let frags = candidates
-            .iter()
-            .map(|c| diff_sharded_candidate_shard(&self.index, &state.memo, c, shard, stats))
-            .collect();
-        ShardPartial {
-            shard,
-            payload: ShardPayload::Fragments(frags),
-        }
-    }
-
-    fn merge_shards(
-        &mut self,
-        candidates: &[Itemset],
-        partials: Vec<ShardPartial>,
-        want: StatRequest,
-        stats: &mut MinerStats,
-    ) -> LevelSupport {
-        if self.sharded.is_none() {
-            return merge_single_level(partials);
-        }
-        let state = self.sharded.as_mut().expect("checked above");
-        let out = diff_fragment_merge_shards(state, candidates, partials, want);
-        self.note_sharded_peak(stats);
-        out
-    }
-
     fn apply_window_step(
         &mut self,
         step: &WindowStep,
@@ -2778,13 +1194,7 @@ impl SupportEngine for DiffsetEngine {
         self.stamp += 1;
         let first = !self.streaming;
         self.streaming = true;
-        if let Some(state) = self.sharded.as_mut() {
-            if first {
-                *state = DiffShardedState::default();
-            } else {
-                patch_diff_sharded_nodes(&self.index, state, probe, keep, stats);
-            }
-        } else if first {
+        if first {
             // Batch-era memo: nodes carry no block partials (and stamp 0)
             // — drop them without charging the patch counters.
             self.memo = FxHashMap::default();
@@ -2842,7 +1252,7 @@ fn resolve_restricted(
     }
 }
 
-/// The diffset backend's unsharded patch walk. Keys are visited parents
+/// The diffset backend's patch walk. Keys are visited parents
 /// before children (ascending length, then lexicographic), each node
 /// temporarily removed so its delta can re-resolve through its
 /// *already-patched* ancestors, then reinserted. A `Diff` node first
@@ -3336,193 +1746,6 @@ mod tests {
             db_ < vb,
             "diffset memo ({db_} B) must undercut tidset memo ({vb} B) on dense data"
         );
-    }
-
-    /// ~5k-transaction fixture wide enough to span several forced shards:
-    /// item 0 is everywhere, the rest appear with varying gaps and
-    /// probabilities.
-    fn sharded_fixture() -> UncertainDatabase {
-        use ufim_core::Transaction;
-        let transactions: Vec<ufim_core::Transaction> = (0..5_000)
-            .map(|t: usize| {
-                let mut units: Vec<(u32, f64)> = vec![(0, 0.05 + 0.9 * ((t % 89) as f64 / 88.0))];
-                for i in 1..6u32 {
-                    if !(t * 7 + i as usize * 13).is_multiple_of(5) {
-                        let p = 0.05 + 0.9 * (((t * 31 + i as usize * 17) % 97) as f64 / 96.0);
-                        units.push((i, p));
-                    }
-                }
-                Transaction::new(units).unwrap()
-            })
-            .collect();
-        UncertainDatabase::with_num_items(transactions, 6)
-    }
-
-    #[test]
-    fn sharded_columnar_engines_match_unsharded_bitwise() {
-        let db = sharded_fixture();
-        let want = StatRequest {
-            variance: true,
-            count: true,
-            ..StatRequest::ESUP
-        };
-        let plan = ShardPlan::with_width_chunks(16); // 1024-tid shards → 5
-        let singletons: Vec<Itemset> = (0..6).map(Itemset::singleton).collect();
-        let triples = vec![
-            Itemset::from_items([0, 2, 4]),
-            Itemset::from_items([1, 3, 5]),
-        ];
-        for kind in [EngineKind::Vertical, EngineKind::Diffset] {
-            let mut a = build_engine(kind, &db);
-            let mut b = build_engine_with_plan(kind, &db, plan);
-            assert_eq!(a.num_shards(), 1, "{kind:?} default plan stays unsharded");
-            assert_eq!(b.num_shards(), 5);
-            let mut sa = MinerStats::default();
-            let mut sb = MinerStats::default();
-            for level in [singletons.clone(), pairs(), triples.clone()] {
-                let la = a.evaluate(&level, want, &mut sa);
-                let lb = b.evaluate(&level, want, &mut sb);
-                for (i, c) in level.iter().enumerate() {
-                    assert_eq!(la.esup[i].to_bits(), lb.esup[i].to_bits(), "{kind:?} {c}");
-                    assert_eq!(
-                        la.variance.as_ref().unwrap()[i].to_bits(),
-                        lb.variance.as_ref().unwrap()[i].to_bits()
-                    );
-                    assert_eq!(la.count.as_ref().unwrap()[i], lb.count.as_ref().unwrap()[i]);
-                }
-                assert_eq!(
-                    a.prob_vectors(&level, &mut sa),
-                    b.prob_vectors(&level, &mut sb)
-                );
-                a.finish_level(&as_frequent(&level));
-                b.finish_level(&as_frequent(&level));
-            }
-            assert!(sb.shards_evaluated > 0, "{kind:?} counted shard kernels");
-            assert_eq!(sa.shards_evaluated, 0, "{kind:?} unsharded counts none");
-        }
-    }
-
-    #[test]
-    fn sharded_pushdown_is_decision_equivalent() {
-        let db = sharded_fixture();
-        let singletons: Vec<Itemset> = (0..6).map(Itemset::singleton).collect();
-        // Exact reference esups, no thresholds anywhere.
-        let mut reference = build_engine(EngineKind::Vertical, &db);
-        let mut s0 = MinerStats::default();
-        reference.evaluate(&singletons, StatRequest::ESUP, &mut s0);
-        reference.finish_level(&as_frequent(&singletons));
-        let exact = reference.evaluate(&pairs(), StatRequest::ESUP, &mut s0);
-        // A mid-range threshold keeps some pairs and rules out others.
-        let mut sorted = exact.esup.clone();
-        sorted.sort_by(f64::total_cmp);
-        let t = sorted[sorted.len() / 2];
-        for kind in [EngineKind::Vertical, EngineKind::Diffset] {
-            let mut sharded = build_engine_with_plan(kind, &db, ShardPlan::with_width_chunks(4));
-            let mut ss = MinerStats::default();
-            sharded.evaluate(&singletons, StatRequest::ESUP, &mut ss);
-            sharded.finish_level(&as_frequent(&singletons));
-            let got = sharded.evaluate(&pairs(), StatRequest::ESUP.with_min_esup(t), &mut ss);
-            for (i, c) in pairs().iter().enumerate() {
-                // Zone-precheck-pruned candidates report a sound upper
-                // bound (below the threshold); kept candidates report the
-                // exact value — either way the verdict never flips.
-                assert_eq!(got.esup[i] >= t, exact.esup[i] >= t, "{kind:?} {c}");
-                if got.esup[i] >= t {
-                    assert_eq!(
-                        got.esup[i].to_bits(),
-                        exact.esup[i].to_bits(),
-                        "{kind:?} {c}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn seam_matches_evaluate_for_every_backend_and_width() {
-        let db = sharded_fixture();
-        let want = StatRequest {
-            variance: true,
-            count: true,
-            ..StatRequest::ESUP
-        };
-        let singletons: Vec<Itemset> = (0..6).map(Itemset::singleton).collect();
-        for kind in EngineKind::ALL {
-            // Width 1024 chunks exceeds the fixture: the degenerate
-            // single-shard seam must also reproduce `evaluate`.
-            for width in [1usize, 16, 1024] {
-                let plan = ShardPlan::with_width_chunks(width);
-                let mut a = build_engine_with_plan(kind, &db, plan);
-                let mut b = build_engine_with_plan(kind, &db, plan);
-                let mut sa = MinerStats::default();
-                let mut sb = MinerStats::default();
-                for level in [singletons.clone(), pairs()] {
-                    let la = a.evaluate(&level, want, &mut sa);
-                    let partials: Vec<ShardPartial> = (0..b.num_shards())
-                        .map(|s| b.evaluate_shard(&level, s, want, &mut sb))
-                        .collect();
-                    let lb = b.merge_shards(&level, partials, want, &mut sb);
-                    for (i, c) in level.iter().enumerate() {
-                        assert_eq!(
-                            la.esup[i].to_bits(),
-                            lb.esup[i].to_bits(),
-                            "{kind:?} w={width} {c}"
-                        );
-                        assert_eq!(
-                            la.variance.as_ref().unwrap()[i].to_bits(),
-                            lb.variance.as_ref().unwrap()[i].to_bits()
-                        );
-                        assert_eq!(la.count.as_ref().unwrap()[i], lb.count.as_ref().unwrap()[i]);
-                    }
-                    a.finish_level(&as_frequent(&level));
-                    b.finish_level(&as_frequent(&level));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn zone_maps_skip_and_prune_shards() {
-        use ufim_core::Transaction;
-        // Regional fixture: item 0 everywhere, items 1..=4 confined to one
-        // 1024-tid quarter each.
-        let transactions: Vec<Transaction> = (0..4096usize)
-            .map(|t| {
-                let region = 1 + (t / 1024) as u32;
-                let p = 0.3 + 0.4 * ((t % 7) as f64 / 6.0);
-                Transaction::new([(0u32, 0.8), (region, p)]).unwrap()
-            })
-            .collect();
-        let db = UncertainDatabase::with_num_items(transactions, 5);
-        let plan = ShardPlan::with_width_chunks(16); // 1024-tid shards → 4
-        let singletons: Vec<Itemset> = (0..5).map(Itemset::singleton).collect();
-        let level: Vec<Itemset> = (1..5).map(|i| Itemset::from_items([0, i])).collect();
-
-        // Exact skips: candidate {0, r} only evaluates r's own shard; the
-        // other three are provably empty from the zone maps alone.
-        let mut engine = build_engine_with_plan(EngineKind::Vertical, &db, plan);
-        let mut stats = MinerStats::default();
-        engine.evaluate(&singletons, StatRequest::ESUP, &mut stats);
-        engine.finish_level(&as_frequent(&singletons));
-        let sup = engine.evaluate(&level, StatRequest::ESUP, &mut stats);
-        assert_eq!(stats.shards_evaluated, 4);
-        assert_eq!(stats.shards_pruned, 12);
-        for (i, c) in level.iter().enumerate() {
-            assert!(
-                (sup.esup[i] - db.expected_support(c.items())).abs() < 1e-9,
-                "{c}"
-            );
-        }
-
-        // Whole-candidate precheck: an unreachable threshold prunes every
-        // shard without running a single kernel.
-        let mut engine = build_engine_with_plan(EngineKind::Vertical, &db, plan);
-        let mut stats = MinerStats::default();
-        engine.evaluate(&singletons, StatRequest::ESUP, &mut stats);
-        engine.finish_level(&as_frequent(&singletons));
-        engine.evaluate(&level, StatRequest::ESUP.with_min_esup(1e9), &mut stats);
-        assert_eq!(stats.shards_evaluated, 0);
-        assert_eq!(stats.shards_pruned, 16);
     }
 
     #[test]

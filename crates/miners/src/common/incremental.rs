@@ -53,10 +53,10 @@
 
 use super::apriori::generate_candidates;
 use super::engine::{DiffsetEngine, HorizontalScan, StatRequest, SupportEngine, VerticalEngine};
-use super::measure::{CandidateStats, FrequentnessMeasure, Screen};
+use super::measure::{CandidateStats, FrequentnessMeasure, Screen, ShardPlan};
 use ufim_core::{
-    EngineKind, FrequentItemset, FxHashMap, ItemId, Itemset, MinerStats, MiningResult, ShardPlan,
-    StepProbe, Transaction, UncertainDatabase, WindowStep, WindowedDatabase,
+    EngineKind, FrequentItemset, FxHashMap, ItemId, Itemset, MinerStats, MiningResult, StepProbe,
+    Transaction, UncertainDatabase, WindowStep, WindowedDatabase,
 };
 
 /// Cached verdict of one tracked itemset (see [`BorderTracker`]).
@@ -351,15 +351,11 @@ fn refresh_levels<M: FrequentnessMeasure>(
 
 /// A delta-maintainable engine for `kind`, or `None` for backends that
 /// borrow the database and must be rebuilt per refresh (horizontal).
-fn owned_engine(
-    kind: EngineKind,
-    db: &UncertainDatabase,
-    plan: ShardPlan,
-) -> Option<Box<dyn SupportEngine>> {
+fn owned_engine(kind: EngineKind, db: &UncertainDatabase) -> Option<Box<dyn SupportEngine>> {
     match kind {
         EngineKind::Horizontal => None,
-        EngineKind::Vertical => Some(Box::new(VerticalEngine::with_plan(db, plan))),
-        EngineKind::Diffset => Some(Box::new(DiffsetEngine::with_plan(db, plan))),
+        EngineKind::Vertical => Some(Box::new(VerticalEngine::new(db))),
+        EngineKind::Diffset => Some(Box::new(DiffsetEngine::new(db))),
     }
 }
 
@@ -367,11 +363,11 @@ fn owned_engine(
 /// by re-judging only the border traffic (see the [module docs](self)).
 ///
 /// Results are **bit-identical** to batch-mining the window snapshot with
-/// the same measure, engine and shard plan:
+/// the same measure and engine:
 ///
 /// ```
 /// use ufim_core::prelude::*;
-/// use ufim_miners::common::{mine_level_wise_with_plan, ExpectedSupport, IncrementalMiner};
+/// use ufim_miners::common::{mine_level_wise, ExpectedSupport, IncrementalMiner};
 ///
 /// let window = WindowedDatabase::new(8, 4);
 /// let mut miner =
@@ -380,11 +376,10 @@ fn owned_engine(
 ///     miner.append(Transaction::new([(i % 4, 0.9), ((i + 1) % 4, 0.6)]).unwrap());
 /// }
 /// miner.refresh();
-/// let batch = mine_level_wise_with_plan(
+/// let batch = mine_level_wise(
 ///     &miner.window().snapshot(),
 ///     ExpectedSupport::new(1.0),
 ///     EngineKind::Vertical,
-///     miner.shard_plan(),
 /// );
 /// assert_eq!(miner.result().itemsets, batch.itemsets);
 /// ```
@@ -392,7 +387,6 @@ pub struct IncrementalMiner<M: FrequentnessMeasure> {
     window: WindowedDatabase,
     measure: M,
     kind: EngineKind,
-    plan: ShardPlan,
     /// Delta-maintainable backend, kept across refreshes; `None` for the
     /// horizontal fall-back, rebuilt over the snapshot inside `refresh`.
     engine: Option<Box<dyn SupportEngine>>,
@@ -404,32 +398,20 @@ pub struct IncrementalMiner<M: FrequentnessMeasure> {
 }
 
 impl<M: FrequentnessMeasure> IncrementalMiner<M> {
-    /// Takes ownership of `window` and prepares incremental mining under
-    /// the default shard plan for the window's (constant) snapshot size.
-    pub fn new(window: WindowedDatabase, measure: M, kind: EngineKind) -> Self {
-        let plan = ShardPlan::for_transactions(window.capacity());
-        Self::with_plan(window, measure, kind, plan)
-    }
-
-    /// [`IncrementalMiner::new`] with an explicit shard plan. Mutations
-    /// already pending in `window` are folded into the engine's baseline
-    /// (the first refresh starts from the window's current contents).
-    pub fn with_plan(
-        mut window: WindowedDatabase,
-        measure: M,
-        kind: EngineKind,
-        plan: ShardPlan,
-    ) -> Self {
+    /// Takes ownership of `window` and prepares incremental mining.
+    /// Mutations already pending in `window` are folded into the engine's
+    /// baseline (the first refresh starts from the window's current
+    /// contents).
+    pub fn new(mut window: WindowedDatabase, measure: M, kind: EngineKind) -> Self {
         // Drain pending mutations first: the engine is built from the
         // current snapshot, so replaying them on the first refresh would
         // double-apply.
         let _ = window.take_step();
-        let engine = owned_engine(kind, &window.snapshot(), plan);
+        let engine = owned_engine(kind, &window.snapshot());
         IncrementalMiner {
             window,
             measure,
             kind,
-            plan,
             engine,
             tracker: BorderTracker::default(),
             result: MiningResult::default(),
@@ -459,10 +441,11 @@ impl<M: FrequentnessMeasure> IncrementalMiner<M> {
         self.window.expire_oldest(n)
     }
 
-    /// The shard plan both the incremental engine and the batch oracle
-    /// must share for bit-identical comparison.
+    /// A [`ShardPlan`] that selects nothing. Kept only for the
+    /// `perfbench` benchmark, its only caller.
+    #[doc(hidden)]
     pub fn shard_plan(&self) -> ShardPlan {
-        self.plan
+        ShardPlan
     }
 
     /// The support backend in use.
@@ -517,7 +500,7 @@ impl<M: FrequentnessMeasure> IncrementalMiner<M> {
                 // The backend declined delta maintenance: rebuild it over
                 // the stepped snapshot (still cheaper than re-mining — the
                 // tracker's reuse survives a rebuild).
-                *engine = owned_engine(self.kind, &self.window.snapshot(), self.plan)
+                *engine = owned_engine(self.kind, &self.window.snapshot())
                     .expect("owned backends accept window steps");
             }
         }
@@ -534,7 +517,7 @@ impl<M: FrequentnessMeasure> IncrementalMiner<M> {
                 // the snapshot — the honest re-scan fall-back. Border reuse
                 // still applies; only the fresh subset pays the scans.
                 let snapshot = self.window.snapshot();
-                let mut engine = HorizontalScan::with_plan(&snapshot, self.plan);
+                let mut engine = HorizontalScan::new(&snapshot);
                 refresh_levels(
                     &mut engine,
                     &self.measure,
@@ -556,7 +539,7 @@ impl<M: FrequentnessMeasure> IncrementalMiner<M> {
 mod tests {
     use super::*;
     use crate::common::measure::{
-        mine_level_wise_with_plan, ExactKernel, ExactMeasure, ExpectedSupport, NormalApprox,
+        mine_level_wise, ExactKernel, ExactMeasure, ExpectedSupport, NormalApprox,
     };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -581,12 +564,11 @@ mod tests {
     fn assert_tracks_batch<M: FrequentnessMeasure + Copy>(
         measure: M,
         kind: EngineKind,
-        plan: ShardPlan,
         seed: u64,
     ) -> MinerStats {
         let mut rng = StdRng::seed_from_u64(seed);
         let window = WindowedDatabase::new(16, 6);
-        let mut miner = IncrementalMiner::with_plan(window, measure, kind, plan);
+        let mut miner = IncrementalMiner::new(window, measure, kind);
         let mut last = MinerStats::default();
         for round in 0..12 {
             match round % 4 {
@@ -604,7 +586,7 @@ mod tests {
                 }
             }
             miner.refresh();
-            let batch = mine_level_wise_with_plan(&miner.window().snapshot(), measure, kind, plan);
+            let batch = mine_level_wise(&miner.window().snapshot(), measure, kind);
             assert_eq!(
                 miner.result().itemsets,
                 batch.itemsets,
@@ -618,28 +600,18 @@ mod tests {
     #[test]
     fn incremental_matches_batch_for_every_engine() {
         for kind in EngineKind::ALL {
-            let stats = assert_tracks_batch(
-                ExpectedSupport::with_variance(2.0),
-                kind,
-                ShardPlan::default(),
-                7,
-            );
+            let stats = assert_tracks_batch(ExpectedSupport::with_variance(2.0), kind, 7);
             // Warm refreshes reuse most of the border.
             assert!(stats.border_skipped > 0, "{kind}: no border reuse");
         }
     }
 
     #[test]
-    fn incremental_matches_batch_under_sharding() {
-        // 4-tid shards over a 16-slot window: the delta chains and zone
-        // maps engage, and the fragment merges must stay bit-identical.
+    fn incremental_matches_batch_with_deep_delta_chains() {
+        // A low threshold over a 16-slot window keeps deep lattices
+        // frequent, so the columnar memos patch long prefix chains.
         for kind in [EngineKind::Vertical, EngineKind::Diffset] {
-            assert_tracks_batch(
-                ExpectedSupport::new(1.5),
-                kind,
-                ShardPlan::with_width_chunks(1),
-                11,
-            );
+            assert_tracks_batch(ExpectedSupport::new(1.5), kind, 11);
         }
     }
 
@@ -649,8 +621,8 @@ mod tests {
         let params = MiningParams::new(0.2, 0.6).unwrap();
         let exact = ExactMeasure::new(ExactKernel::DynamicProgramming, true, 16, &params);
         for kind in EngineKind::ALL {
-            assert_tracks_batch(normal, kind, ShardPlan::default(), 13);
-            assert_tracks_batch(exact, kind, ShardPlan::default(), 17);
+            assert_tracks_batch(normal, kind, 13);
+            assert_tracks_batch(exact, kind, 17);
         }
     }
 
@@ -673,11 +645,10 @@ mod tests {
         );
         // {5} was never re-judged after its first evaluation: the singleton
         // stays tracked as infrequent with a growing-but-tiny bound.
-        let batch = mine_level_wise_with_plan(
+        let batch = mine_level_wise(
             &miner.window().snapshot(),
             ExpectedSupport::new(4.0),
             EngineKind::Vertical,
-            miner.shard_plan(),
         );
         assert_eq!(miner.result().itemsets, batch.itemsets);
     }
@@ -706,11 +677,10 @@ mod tests {
         let mut miner =
             IncrementalMiner::new(window, ExpectedSupport::new(0.5), EngineKind::Vertical);
         miner.refresh();
-        let batch = mine_level_wise_with_plan(
+        let batch = mine_level_wise(
             &miner.window().snapshot(),
             ExpectedSupport::new(0.5),
             EngineKind::Vertical,
-            miner.shard_plan(),
         );
         assert_eq!(miner.result().itemsets, batch.itemsets);
     }
@@ -729,11 +699,10 @@ mod tests {
         miner.refresh();
         assert!(miner.result().is_empty());
         assert!(miner.window().is_empty());
-        let batch = mine_level_wise_with_plan(
+        let batch = mine_level_wise(
             &miner.window().snapshot(),
             ExpectedSupport::new(0.5),
             EngineKind::Vertical,
-            miner.shard_plan(),
         );
         assert_eq!(miner.result().itemsets, batch.itemsets);
     }

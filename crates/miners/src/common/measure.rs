@@ -594,30 +594,30 @@ pub fn mine_level_wise<M: FrequentnessMeasure>(
     measure: M,
     engine: EngineKind,
 ) -> MiningResult {
-    mine_level_wise_with_plan(
-        db,
+    let mut evaluator = MeasureEvaluator {
         measure,
-        engine,
-        ShardPlan::for_transactions(db.num_transactions()),
-    )
+        engine: super::engine::build_engine(engine, db),
+        capture: None,
+    };
+    super::apriori::run_apriori(db, &mut evaluator)
 }
 
-/// [`mine_level_wise`] with an explicit tid-range shard plan for the
-/// support backend. Records are bit-identical for every plan (the sharded
-/// engines' merge is exact); the default plan — a pure function of the
-/// database size — only engages sharding past one default-width shard.
+/// A tid-range shard plan that selects nothing. Kept only for the
+/// `perfbench` benchmark, its only caller.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardPlan;
+
+/// [`mine_level_wise`] under a [`ShardPlan`] that selects nothing. Kept
+/// only for the `perfbench` benchmark, its only caller.
+#[doc(hidden)]
 pub fn mine_level_wise_with_plan<M: FrequentnessMeasure>(
     db: &UncertainDatabase,
     measure: M,
     engine: EngineKind,
-    plan: ShardPlan,
+    _plan: ShardPlan,
 ) -> MiningResult {
-    let mut evaluator = MeasureEvaluator {
-        measure,
-        engine: super::engine::build_engine_with_plan(engine, db, plan),
-        capture: None,
-    };
-    super::apriori::run_apriori(db, &mut evaluator)
+    mine_level_wise(db, measure, engine)
 }
 
 /// [`mine_level_wise`], additionally retaining every kept candidate's raw
@@ -635,11 +635,7 @@ pub fn mine_level_wise_captured<M: FrequentnessMeasure>(
 ) -> (MiningResult, Vec<RetainedRecord>) {
     let mut evaluator = MeasureEvaluator {
         measure,
-        engine: super::engine::build_engine_with_plan(
-            engine,
-            db,
-            ShardPlan::for_transactions(db.num_transactions()),
-        ),
+        engine: super::engine::build_engine(engine, db),
         capture: Some(Vec::new()),
     };
     let result = super::apriori::run_apriori(db, &mut evaluator);

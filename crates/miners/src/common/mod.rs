@@ -11,8 +11,7 @@ pub mod trie;
 
 pub use apriori::{run_apriori, LevelEvaluator};
 pub use engine::{
-    build_engine, build_engine_with_plan, HorizontalScan, LevelSupport, ShardPartial, StatRequest,
-    SupportEngine, VerticalEngine,
+    build_engine, HorizontalScan, LevelSupport, StatRequest, SupportEngine, VerticalEngine,
 };
 pub use incremental::{BorderTracker, IncrementalMiner};
 pub use measure::{

@@ -69,7 +69,7 @@ pub struct ScanAccumulators {
 }
 
 impl ScanAccumulators {
-    pub(crate) fn new(n: usize, want_var: bool, want_count: bool) -> Self {
+    fn new(n: usize, want_var: bool, want_count: bool) -> Self {
         ScanAccumulators {
             esup: vec![0.0; n],
             var: want_var.then(|| vec![0.0; n]),
@@ -79,10 +79,8 @@ impl ScanAccumulators {
 
     /// Folds one summation chunk's striped partial into the totals: per
     /// candidate, stripes added in ascending stripe order — the exact fold
-    /// the columnar kernels' accumulator performs on block exit. The
-    /// horizontal shard seam calls this directly, folding shard partials in
-    /// ascending block order.
-    pub(crate) fn fold_in(&mut self, part: &StripedPartial) {
+    /// the columnar kernels' accumulator performs on block exit.
+    fn fold_in(&mut self, part: &StripedPartial) {
         for (i, a) in self.esup.iter_mut().enumerate() {
             for s in 0..SUM_STRIPES {
                 *a += part.esup[i * SUM_STRIPES + s];
@@ -106,9 +104,8 @@ impl ScanAccumulators {
 /// One summation chunk's striped partial sums: [`SUM_STRIPES`] lanes per
 /// candidate (`esup`/`var` are `candidates × 8`, indexed `i · 8 + (t mod
 /// 8)`), mirroring the columnar kernels' in-block accumulator. Counts are
-/// integer and need no striping. Also the horizontal backend's shard-seam
-/// payload: one partial per summation block, opaque outside this module.
-pub(crate) struct StripedPartial {
+/// integer and need no striping.
+struct StripedPartial {
     esup: Vec<f64>,
     var: Option<Vec<f64>>,
     count: Option<Vec<u64>>,
@@ -193,38 +190,6 @@ impl<'a> LevelScan<'a> {
             total.fold_in(p);
         }
         total
-    }
-
-    /// Number of [`CHUNK`]-transaction summation blocks in the database
-    /// (at least one, so an empty database still has a well-formed block
-    /// partition).
-    pub(crate) fn num_blocks(&self) -> usize {
-        self.db.num_transactions().div_ceil(CHUNK).max(1)
-    }
-
-    /// The striped partials of the summation blocks with indices in
-    /// `blocks` (one [`StripedPartial`] per [`CHUNK`]-transaction block,
-    /// ascending) — the horizontal backend's shard-seam unit. Folding the
-    /// partials of *all* blocks `0..num_blocks` in ascending order through
-    /// [`ScanAccumulators::fold_in`] reproduces [`LevelScan::accumulate`]
-    /// bit for bit: both paths build the identical per-block stripes and
-    /// fold them in the identical order.
-    pub(crate) fn block_partials(
-        &self,
-        blocks: std::ops::Range<usize>,
-        want_var: bool,
-        want_count: bool,
-    ) -> Vec<StripedPartial> {
-        let transactions = self.db.transactions();
-        blocks
-            .map(|b| {
-                let lo = (b * CHUNK).min(transactions.len());
-                let hi = transactions.len().min(lo + CHUNK);
-                let mut part = StripedPartial::new(self.num_candidates, want_var, want_count);
-                self.accumulate_into(&transactions[lo..hi], &mut part);
-                part
-            })
-            .collect()
     }
 
     /// Accumulates one summation chunk's transactions into striped

@@ -85,7 +85,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at byte {pos}"));
@@ -117,8 +117,17 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. Requests nest
+/// two levels deep; the cap keeps a hostile line from overflowing the
+/// parser's stack.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses one value; `depth` is how many more arrays/objects may open.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == 0 {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -133,7 +142,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 skip_ws(b, pos);
                 let key = parse_string(b, pos)?;
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth - 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -155,7 +164,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth - 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -543,6 +552,18 @@ mod tests {
         assert_eq!(v.get("pft").unwrap().as_f64(), Some(0.7));
         let reparsed = Json::parse(&v.to_line()).unwrap();
         assert_eq!(v, reparsed);
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_to_the_end() {
+        let within = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&within).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Json::parse(&past).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far too deep to recurse through: must fail, not overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&r#"{"a":"#.repeat(200_000)).is_err());
     }
 
     #[test]

@@ -609,16 +609,23 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    // Raw bytes, cleared only once a whole line is handled: a read timeout
+    // can fire mid-line, and the bytes read before it stay here until the
+    // rest of the line arrives.
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => break,
             Ok(_) => {
-                if line.trim().is_empty() {
+                let response = match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => None,
+                    Ok(text) => Some(core.handle_line(text)),
+                    Err(_) => Some(err_json("request is not valid UTF-8").to_line()),
+                };
+                line.clear();
+                let Some(response) = response else {
                     continue;
-                }
-                let response = core.handle_line(&line);
+                };
                 if writer
                     .write_all(format!("{response}\n").as_bytes())
                     .and_then(|()| writer.flush())
@@ -787,6 +794,40 @@ mod tests {
         let warm = core.handle_line(line);
         assert_eq!(got.trim_end(), warm);
         assert_ne!(expected, ""); // first answer existed
+        drop(writer);
+        drop(reader);
+        server.stop();
+    }
+
+    #[test]
+    fn deep_nesting_is_answered_not_a_stack_overflow() {
+        let core = core_with_table1();
+        for line in ["[".repeat(200_000), r#"{"op":"#.repeat(200_000)] {
+            let v = Json::parse(&core.handle_line(&line)).unwrap();
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
+        }
+    }
+
+    #[test]
+    fn tcp_request_split_across_a_read_timeout_is_reassembled() {
+        let core = core_with_table1();
+        let Ok(server) = TcpServer::start(Arc::clone(&core), "127.0.0.1:0") else {
+            return; // binding forbidden; see tcp_roundtrip_matches_in_process
+        };
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        // Two writes, paused past the server's 200 ms read timeout.
+        writer.write_all(br#"{"op":"#).unwrap();
+        writer.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(450));
+        writer.write_all(b"\"stats\"}\n").unwrap();
+        writer.flush().unwrap();
+        let mut got = String::new();
+        reader.read_line(&mut got).unwrap();
+        let v = Json::parse(got.trim_end()).unwrap();
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{got}");
+        assert_eq!(v.get("op").unwrap().as_str(), Some("stats"));
         drop(writer);
         drop(reader);
         server.stop();

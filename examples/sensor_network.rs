@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use uncertain_fim::miners::common::{
-    mine_level_wise_with_plan, ExactKernel, ExactMeasure, ExpectedSupport, IncrementalMiner,
+    mine_level_wise, ExactKernel, ExactMeasure, ExpectedSupport, IncrementalMiner,
 };
 use uncertain_fim::prelude::*;
 
@@ -119,12 +119,7 @@ fn main() {
 
     // The incremental contract: the live result is bit-identical to mining
     // the current window from scratch.
-    let batch = mine_level_wise_with_plan(
-        &miner.window().snapshot(),
-        measure,
-        miner.engine_kind(),
-        miner.shard_plan(),
-    );
+    let batch = mine_level_wise(&miner.window().snapshot(), measure, miner.engine_kind());
     assert_eq!(
         miner.result().itemsets,
         batch.itemsets,
@@ -188,12 +183,7 @@ fn main() {
          (memo nodes patched {patched}, rebuilt {rebuilt})",
         STREAM as f64 / cheap_elapsed.as_secs_f64()
     );
-    let cheap_batch = mine_level_wise_with_plan(
-        &monitor.window().snapshot(),
-        cheap,
-        monitor.engine_kind(),
-        monitor.shard_plan(),
-    );
+    let cheap_batch = mine_level_wise(&monitor.window().snapshot(), cheap, monitor.engine_kind());
     assert_eq!(
         monitor.result().itemsets,
         cheap_batch.itemsets,

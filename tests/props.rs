@@ -5,7 +5,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use uncertain_fim::miners::common::{
-    mine_level_wise_with_plan, ExactKernel, ExactMeasure, ExpectedSupport, FrequentnessMeasure,
+    mine_level_wise, ExactKernel, ExactMeasure, ExpectedSupport, FrequentnessMeasure,
     IncrementalMiner, NormalApprox, PoissonApprox,
 };
 use uncertain_fim::miners::Algorithm;
@@ -185,85 +185,6 @@ proptest! {
     }
 }
 
-/// Strategy: a database wide enough to shard (65..200 transactions over 6
-/// items), so a one-chunk (64-tid) shard plan splits it into 2–4 shards
-/// while the default plan leaves it unsharded.
-fn shardable_db() -> impl Strategy<Value = UncertainDatabase> {
-    vec(vec((0u32..6, prob()), 0..6), 65..200).prop_map(|raw| {
-        let transactions = raw
-            .into_iter()
-            .map(|units| {
-                let mut seen = std::collections::BTreeMap::new();
-                for (i, p) in units {
-                    seen.entry(i).or_insert(p);
-                }
-                Transaction::new(seen.into_iter().collect::<Vec<_>>()).unwrap()
-            })
-            .collect();
-        UncertainDatabase::with_num_items(transactions, 6)
-    })
-}
-
-/// Runs the level-wise miner under every measure kind with the given shard
-/// plan: plain and variance-recording expected support, both approximate
-/// frequent-probability measures, and both exact kernels (with their
-/// Chernoff screens, so the threshold pushdown — and therefore the zone-map
-/// precheck — fires on the sharded path).
-fn mine_all_measures(
-    db: &UncertainDatabase,
-    ratio: f64,
-    engine: EngineKind,
-    plan: ShardPlan,
-) -> Vec<(&'static str, MiningResult)> {
-    let n = db.num_transactions();
-    let params = MiningParams::new(ratio, 0.4).unwrap();
-    let esup_threshold = params.min_sup.threshold_real(n);
-    let mut runs = vec![
-        (
-            "esup",
-            mine_level_wise_with_plan(db, ExpectedSupport::new(esup_threshold), engine, plan),
-        ),
-        (
-            "esup+var",
-            mine_level_wise_with_plan(
-                db,
-                ExpectedSupport::with_variance(esup_threshold),
-                engine,
-                plan,
-            ),
-        ),
-        (
-            "normal",
-            mine_level_wise_with_plan(db, NormalApprox::new(params.msup(n), 0.4), engine, plan),
-        ),
-        (
-            "exact-dp",
-            mine_level_wise_with_plan(
-                db,
-                ExactMeasure::new(ExactKernel::DynamicProgramming, true, n, &params),
-                engine,
-                plan,
-            ),
-        ),
-        (
-            "exact-dc",
-            mine_level_wise_with_plan(
-                db,
-                ExactMeasure::new(ExactKernel::DivideConquer, true, n, &params),
-                engine,
-                plan,
-            ),
-        ),
-    ];
-    if let Some(poisson) = PoissonApprox::from_params(n, &params).unwrap() {
-        runs.push((
-            "poisson",
-            mine_level_wise_with_plan(db, poisson, engine, plan),
-        ));
-    }
-    runs
-}
-
 /// Bitwise record equality across mining modes (stats are mode-specific).
 fn records_bits(result: &MiningResult) -> Vec<(Itemset, u64, Option<u64>, Option<u64>)> {
     result
@@ -317,13 +238,11 @@ fn stream_op() -> impl Strategy<Value = StreamOp> {
 /// bit-for-bit with the batch oracle: an unprimed refresh takes the same
 /// evaluation path as a from-scratch mine, so any drift here means the
 /// streaming machinery leaked into the cold path.
-fn cold_work_bits(stats: &MinerStats) -> (u64, u64, u64, u64, u64) {
+fn cold_work_bits(stats: &MinerStats) -> (u64, u64, u64) {
     (
         stats.candidates_evaluated,
         stats.intersections,
         stats.exact_evaluations,
-        stats.shards_evaluated,
-        stats.shards_pruned,
     )
 }
 
@@ -340,16 +259,15 @@ fn cold_work_bits(stats: &MinerStats) -> (u64, u64, u64, u64, u64) {
 fn drive_incremental<M: FrequentnessMeasure + Copy>(
     measure: M,
     kind: EngineKind,
-    plan: ShardPlan,
     capacity: usize,
     ops: &[StreamOp],
     refresh_every: usize,
 ) -> Result<(), TestCaseError> {
     let window = WindowedDatabase::new(capacity, 6);
-    let mut miner = IncrementalMiner::with_plan(window, measure, kind, plan);
+    let mut miner = IncrementalMiner::new(window, measure, kind);
     // Edge case first: refreshing a fully vacant window.
     miner.refresh();
-    let batch = mine_level_wise_with_plan(&miner.window().snapshot(), measure, kind, plan);
+    let batch = mine_level_wise(&miner.window().snapshot(), measure, kind);
     prop_assert_eq!(
         records_bits(miner.result()),
         records_bits(&batch),
@@ -369,7 +287,7 @@ fn drive_incremental<M: FrequentnessMeasure + Copy>(
         if (i + 1) % refresh_every == 0 || i + 1 == ops.len() {
             let warm = miner.refresh().stats.clone();
             let snapshot = miner.window().snapshot();
-            let batch = mine_level_wise_with_plan(&snapshot, measure, kind, plan);
+            let batch = mine_level_wise(&snapshot, measure, kind);
             prop_assert_eq!(
                 records_bits(miner.result()),
                 records_bits(&batch),
@@ -386,12 +304,7 @@ fn drive_incremental<M: FrequentnessMeasure + Copy>(
                 "horizontal keeps no engine memo to patch"
             );
             // Cold re-mine: same window contents through a fresh miner.
-            let mut cold = IncrementalMiner::with_plan(
-                WindowedDatabase::new(capacity, 6),
-                measure,
-                kind,
-                plan,
-            );
+            let mut cold = IncrementalMiner::new(WindowedDatabase::new(capacity, 6), measure, kind);
             for t in snapshot.transactions() {
                 cold.append(t.clone());
             }
@@ -420,63 +333,16 @@ fn drive_incremental<M: FrequentnessMeasure + Copy>(
 }
 
 proptest! {
-    // Mining runs per case: 3 engines × 3 plans × ~6 measures. Fewer cases
-    // keep the suite quick; the inner sweep is the point.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    // Any shard partition — one-chunk shards, 16-chunk shards, or the
-    // (unsharded) default — merges bit-identically to the unsharded path
-    // for every engine and measure kind. Because the measures' threshold
-    // pushdown reaches the sharded engines' zone-map precheck, bitwise
-    // record equality here is also the zone-map soundness property at the
-    // mining level: a pruned shard's true contribution never flips a
-    // keep/prune verdict on any randomized database.
-    #[test]
-    fn any_shard_partition_merges_bit_identical_to_unsharded(
-        db in shardable_db(),
-        min_sup in 1u32..=5,
-    ) {
-        let ratio = min_sup as f64 / 10.0;
-        for engine in EngineKind::ALL {
-            let reference = mine_all_measures(
-                &db,
-                ratio,
-                engine,
-                ShardPlan::for_transactions(db.num_transactions()),
-            );
-            for width_chunks in [1usize, 16] {
-                let plan = ShardPlan::with_width_chunks(width_chunks);
-                let sharded = mine_all_measures(&db, ratio, engine, plan);
-                prop_assert_eq!(reference.len(), sharded.len());
-                for ((name, a), (_, b)) in reference.iter().zip(&sharded) {
-                    prop_assert_eq!(
-                        records_bits(a),
-                        records_bits(b),
-                        "{}×{} diverged at width {}",
-                        engine,
-                        name,
-                        width_chunks
-                    );
-                }
-            }
-        }
-    }
-}
-
-proptest! {
-    // Per case: 3 engines × 2 plans × ~6 measures, each driven through the
+    // Per case: 3 engines × ~6 measures, each driven through the
     // whole script with a batch re-mine at every refresh — the sweep is
     // heavy, so few cases.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     // The incremental miner, driven by a random append/expire script, must
     // stay record-bit-identical to batch-mining each window snapshot from
-    // scratch — for every engine, measure, and shard width {1, 16, full}.
-    // Capacity 130 with one-chunk (64-tid) shards puts three shards under
-    // the window, so the random scripts routinely produce steps whose
-    // dirty slots straddle shard boundaries (delta composition across
-    // shards); the 16-chunk plan forces the sharded machinery into its
-    // single-shard degenerate case, and the default plan stays unsharded.
+    // scratch — for every engine and measure. Capacity 130 spans three
+    // 64-tid chunks, so the random scripts routinely produce steps whose
+    // dirty slots straddle chunk boundaries.
     #[test]
     fn incremental_random_step_sequences_match_batch(
         ops in vec(stream_op(), 10..28),
@@ -488,42 +354,35 @@ proptest! {
         let params = MiningParams::new(ratio, 0.4).unwrap();
         let esup_threshold = params.min_sup.threshold_real(capacity);
         for kind in EngineKind::ALL {
-            for plan in [
-                ShardPlan::for_transactions(capacity),
-                ShardPlan::with_width_chunks(1),
-                ShardPlan::with_width_chunks(16),
-            ] {
-                drive_incremental(
-                    ExpectedSupport::new(esup_threshold),
-                    kind, plan, capacity, &ops, refresh_every,
-                )?;
-                drive_incremental(
-                    ExpectedSupport::with_variance(esup_threshold),
-                    kind, plan, capacity, &ops, refresh_every,
-                )?;
-                drive_incremental(
-                    NormalApprox::new(params.msup(capacity), 0.4),
-                    kind, plan, capacity, &ops, refresh_every,
-                )?;
-                drive_incremental(
-                    ExactMeasure::new(ExactKernel::DynamicProgramming, true, capacity, &params),
-                    kind, plan, capacity, &ops, refresh_every,
-                )?;
-                drive_incremental(
-                    ExactMeasure::new(ExactKernel::DivideConquer, true, capacity, &params),
-                    kind, plan, capacity, &ops, refresh_every,
-                )?;
-                if let Some(poisson) = PoissonApprox::from_params(capacity, &params).unwrap() {
-                    drive_incremental(poisson, kind, plan, capacity, &ops, refresh_every)?;
-                }
+            drive_incremental(
+                ExpectedSupport::new(esup_threshold),
+                kind, capacity, &ops, refresh_every,
+            )?;
+            drive_incremental(
+                ExpectedSupport::with_variance(esup_threshold),
+                kind, capacity, &ops, refresh_every,
+            )?;
+            drive_incremental(
+                NormalApprox::new(params.msup(capacity), 0.4),
+                kind, capacity, &ops, refresh_every,
+            )?;
+            drive_incremental(
+                ExactMeasure::new(ExactKernel::DynamicProgramming, true, capacity, &params),
+                kind, capacity, &ops, refresh_every,
+            )?;
+            drive_incremental(
+                ExactMeasure::new(ExactKernel::DivideConquer, true, capacity, &params),
+                kind, capacity, &ops, refresh_every,
+            )?;
+            if let Some(poisson) = PoissonApprox::from_params(capacity, &params).unwrap() {
+                drive_incremental(poisson, kind, capacity, &ops, refresh_every)?;
             }
         }
     }
 }
 
-/// The window-delta edge cases, deterministic, across shard widths
-/// {1, 16, full}: an untouched (all-vacant) window, a fill that crosses a
-/// shard boundary, a warm churn step patching a *retained* memo (the memo
+/// The window-delta edge cases, deterministic: an untouched (all-vacant)
+/// window, a fill that crosses a chunk boundary, a warm churn step patching a *retained* memo (the memo
 /// counters must engage on the columnar backends), a transaction that
 /// arrives and expires within one step (its slot nets back to vacant)
 /// landing on that retained memo, full-window expiry, and a refill after
@@ -531,71 +390,64 @@ proptest! {
 /// oracle on every engine.
 #[test]
 fn window_delta_edge_cases_match_batch() {
-    let capacity = 130usize; // three 64-tid shards under the one-chunk plan
+    let capacity = 130usize; // three 64-tid chunks
     let measure = ExpectedSupport::with_variance(3.0);
-    for plan in [
-        ShardPlan::for_transactions(capacity),
-        ShardPlan::with_width_chunks(1),
-        ShardPlan::with_width_chunks(16),
-    ] {
-        for kind in EngineKind::ALL {
-            let window = WindowedDatabase::new(capacity, 6);
-            let mut miner = IncrementalMiner::with_plan(window, measure, kind, plan);
-            let check = |miner: &mut IncrementalMiner<ExpectedSupport>, label: &str| {
-                let stats = miner.refresh().stats.clone();
-                let batch =
-                    mine_level_wise_with_plan(&miner.window().snapshot(), measure, kind, plan);
-                assert_eq!(
-                    records_bits(miner.result()),
-                    records_bits(&batch),
-                    "{kind}: {label} diverged from the batch oracle"
-                );
-                stats
-            };
-            // 1. Refreshing the untouched, fully vacant window.
-            check(&mut miner, "empty window");
-            // 2. Fill past the first shard boundary: dirty slots of one step
-            //    land in different shards.
-            for i in 0..100u32 {
-                miner.append(Transaction::new([(i % 6, 0.9), ((i + 1) % 6, 0.7)]).unwrap());
-            }
-            check(&mut miner, "fill across shard boundary");
-            // 3. Warm churn on the now-retained memo: a second refresh whose
-            //    step must point-patch the survivors of step 2's mine rather
-            //    than rebuild them — on the columnar backends the patch
-            //    counter has to actually engage here.
-            miner.expire_oldest(5);
-            for i in 0..5u32 {
-                miner.append(Transaction::new([(i % 6, 0.85), ((i + 3) % 6, 0.65)]).unwrap());
-            }
-            let warm = check(&mut miner, "churn on a retained memo");
-            if kind != EngineKind::Horizontal {
-                assert!(
-                    warm.memo_patched > 0,
-                    "{kind} ({plan:?}): warm churn step never patched a retained memo node \
-                     (patched {}, rebuilt {})",
-                    warm.memo_patched,
-                    warm.memo_rebuilt
-                );
-            }
-            // 4. A transaction that arrives and expires within the same
-            //    step — against the memo retained across two refreshes —
-            //    its freshly-filled slot nets back to vacant, and the step
-            //    also empties the whole window (full-window expiry).
-            let live = miner.window().len();
-            miner.append(Transaction::new([(2, 0.8), (3, 0.8)]).unwrap());
-            assert_eq!(miner.expire_oldest(live + 1), live + 1);
-            check(
-                &mut miner,
-                "arrive-and-expire same step + full-window expiry on a retained memo",
+    for kind in EngineKind::ALL {
+        let window = WindowedDatabase::new(capacity, 6);
+        let mut miner = IncrementalMiner::new(window, measure, kind);
+        let check = |miner: &mut IncrementalMiner<ExpectedSupport>, label: &str| {
+            let stats = miner.refresh().stats.clone();
+            let batch = mine_level_wise(&miner.window().snapshot(), measure, kind);
+            assert_eq!(
+                records_bits(miner.result()),
+                records_bits(&batch),
+                "{kind}: {label} diverged from the batch oracle"
             );
-            assert!(miner.window().is_empty());
-            // 5. Refill after total expiry: the tracker must not resurrect
-            //    verdicts from the expired generation.
-            for i in 0..40u32 {
-                miner.append(Transaction::new([(i % 6, 0.6), ((i + 2) % 6, 0.95)]).unwrap());
-            }
-            check(&mut miner, "refill after empty");
+            stats
+        };
+        // 1. Refreshing the untouched, fully vacant window.
+        check(&mut miner, "empty window");
+        // 2. Fill past the first chunk boundary: dirty slots of one step
+        //    land in different chunks.
+        for i in 0..100u32 {
+            miner.append(Transaction::new([(i % 6, 0.9), ((i + 1) % 6, 0.7)]).unwrap());
         }
+        check(&mut miner, "fill across chunk boundary");
+        // 3. Warm churn on the now-retained memo: a second refresh whose
+        //    step must point-patch the survivors of step 2's mine rather
+        //    than rebuild them — on the columnar backends the patch
+        //    counter has to actually engage here.
+        miner.expire_oldest(5);
+        for i in 0..5u32 {
+            miner.append(Transaction::new([(i % 6, 0.85), ((i + 3) % 6, 0.65)]).unwrap());
+        }
+        let warm = check(&mut miner, "churn on a retained memo");
+        if kind != EngineKind::Horizontal {
+            assert!(
+                warm.memo_patched > 0,
+                "{kind}: warm churn step never patched a retained memo node \
+                 (patched {}, rebuilt {})",
+                warm.memo_patched,
+                warm.memo_rebuilt
+            );
+        }
+        // 4. A transaction that arrives and expires within the same
+        //    step — against the memo retained across two refreshes —
+        //    its freshly-filled slot nets back to vacant, and the step
+        //    also empties the whole window (full-window expiry).
+        let live = miner.window().len();
+        miner.append(Transaction::new([(2, 0.8), (3, 0.8)]).unwrap());
+        assert_eq!(miner.expire_oldest(live + 1), live + 1);
+        check(
+            &mut miner,
+            "arrive-and-expire same step + full-window expiry on a retained memo",
+        );
+        assert!(miner.window().is_empty());
+        // 5. Refill after total expiry: the tracker must not resurrect
+        //    verdicts from the expired generation.
+        for i in 0..40u32 {
+            miner.append(Transaction::new([(i % 6, 0.6), ((i + 2) % 6, 0.95)]).unwrap());
+        }
+        check(&mut miner, "refill after empty");
     }
 }

@@ -108,8 +108,8 @@ fn assert_bit_identical(reference: &MiningResult, got: &MiningResult, label: &st
 }
 
 /// Record-level half of [`assert_bit_identical`]: used on its own for
-/// cross-mode comparisons (sharded vs. unsharded) where the counters are
-/// legitimately mode-specific but the mined records must not move a bit.
+/// cross-engine comparisons, where the counters are legitimately
+/// backend-specific but the mined records must not move a bit.
 fn assert_records_bit_identical(reference: &MiningResult, got: &MiningResult, label: &str) {
     assert_eq!(reference.len(), got.len(), "{label}: result sizes differ");
     for (a, b) in reference.itemsets.iter().zip(&got.itemsets) {
@@ -236,57 +236,43 @@ fn hyper_and_tree_matrix_cells_are_bit_identical_across_pool_sizes() {
     }
 }
 
-/// The sharded support engines (tid-range shards from PR 7): forcing
-/// sub-default shard widths on the big fixture engages the shards ×
-/// candidates dual parallel axis in the columnar backends and the
-/// block-range seam in the horizontal one. Every width must be pool-size
-/// invariant down to the full [`MinerStats`], and its records must match
-/// the unsharded run bit for bit (counters are mode-specific there: the
-/// sharded engines count per-shard kernel invocations and the new shard
-/// counters, so only the records cross modes).
+/// A database wider than 65,536 tids over a few items. Every backend must
+/// return the same records with bit-equal expected supports, and each
+/// backend's records and [`MinerStats`] must not depend on the pool size.
 #[test]
-fn sharded_level_wise_is_bit_identical_across_pool_sizes_and_widths() {
-    use uncertain_fim::miners::common::{
-        mine_level_wise, mine_level_wise_with_plan, ExpectedSupport,
-    };
+fn wide_level_wise_is_bit_identical_across_engines_and_pool_sizes() {
+    use uncertain_fim::miners::common::{mine_level_wise, ExpectedSupport};
 
-    let db = big_db();
-    let threshold = 0.05 * db.num_transactions() as f64;
+    let mut rng = StdRng::seed_from_u64(65_537);
+    let transactions: Vec<Transaction> = (0..70_000)
+        .map(|_| {
+            let units: Vec<(u32, f64)> = (0..4u32)
+                .filter_map(|i| {
+                    if rng.gen_bool(0.5) {
+                        Some((i, rng.gen_range(0.2..=1.0)))
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            Transaction::new(units).unwrap()
+        })
+        .collect();
+    let db = UncertainDatabase::with_num_items(transactions, 4);
+    assert!(db.num_transactions() > 65_536);
+    let threshold = 0.02 * db.num_transactions() as f64;
+    let mine = |engine| mine_level_wise(&db, ExpectedSupport::with_variance(threshold), engine);
+
+    let reference = with_thread_override(1, || mine(EngineKind::Horizontal));
+    assert!(
+        reference.itemsets.iter().any(|f| f.itemset.len() >= 3),
+        "wide fixture is too shallow"
+    );
     for engine in EngineKind::ALL {
-        let unsharded = with_thread_override(1, || {
-            mine_level_wise(&db, ExpectedSupport::with_variance(threshold), engine)
-        });
-        assert!(
-            !unsharded.is_empty(),
-            "sharded sweep fixture is vacuous on {engine}"
-        );
-        // 64-tid shards (125 of them) and 1024-tid shards (8): both far
-        // below the default width, so the sharded paths genuinely run.
-        for width_chunks in [1usize, 16] {
-            let plan = ShardPlan::with_width_chunks(width_chunks);
-            assert!(
-                plan.num_shards(db.num_transactions()) > 1,
-                "width {width_chunks} does not shard the fixture"
-            );
-            let label = format!("sharded level-wise/{engine} width={width_chunks}");
-            sweep_pools(&label, || {
-                mine_level_wise_with_plan(
-                    &db,
-                    ExpectedSupport::with_variance(threshold),
-                    engine,
-                    plan,
-                )
-            });
-            let sharded = with_thread_override(1, || {
-                mine_level_wise_with_plan(
-                    &db,
-                    ExpectedSupport::with_variance(threshold),
-                    engine,
-                    plan,
-                )
-            });
-            assert_records_bit_identical(&unsharded, &sharded, &label);
-        }
+        let one = with_thread_override(1, || mine(engine));
+        let two = with_thread_override(2, || mine(engine));
+        assert_bit_identical(&one, &two, &format!("wide level-wise/{engine} @ threads=2"));
+        assert_records_bit_identical(&reference, &one, &format!("wide level-wise/{engine}"));
     }
 }
 
@@ -296,8 +282,7 @@ fn sharded_level_wise_is_bit_identical_across_pool_sizes_and_widths() {
 /// bit-identical, records **and** [`MinerStats`], across pool sizes. The
 /// incremental layer adds no thread-dependent state of its own (the border
 /// tracker's classify/record loop is sequential), so the invariance it
-/// inherits from the already-pinned engines must survive intact, on the
-/// default plan and under forced 1024-tid shards.
+/// inherits from the already-pinned engines must survive intact.
 #[test]
 fn incremental_refresh_is_bit_identical_across_pool_sizes() {
     use uncertain_fim::miners::common::{ExpectedSupport, IncrementalMiner};
@@ -323,49 +308,38 @@ fn incremental_refresh_is_bit_identical_across_pool_sizes() {
     let threshold = 0.05 * capacity as f64;
 
     for engine in EngineKind::ALL {
-        for (plan_label, plan) in [
-            ("default", ShardPlan::for_transactions(capacity)),
-            ("width=16", ShardPlan::with_width_chunks(16)),
-        ] {
-            let run = || -> Vec<MiningResult> {
-                let window = WindowedDatabase::new(capacity, 10);
-                let mut miner = IncrementalMiner::with_plan(
-                    window,
-                    ExpectedSupport::with_variance(threshold),
-                    engine,
-                    plan,
-                );
-                let mut stream = script.iter().cloned();
-                for t in stream.by_ref().take(8_000) {
+        let run = || -> Vec<MiningResult> {
+            let window = WindowedDatabase::new(capacity, 10);
+            let mut miner =
+                IncrementalMiner::new(window, ExpectedSupport::with_variance(threshold), engine);
+            let mut stream = script.iter().cloned();
+            for t in stream.by_ref().take(8_000) {
+                miner.append(t);
+            }
+            let mut refreshes = vec![miner.refresh().clone()];
+            for _ in 0..3 {
+                for t in stream.by_ref().take(200) {
                     miner.append(t);
                 }
-                let mut refreshes = vec![miner.refresh().clone()];
-                for _ in 0..3 {
-                    for t in stream.by_ref().take(200) {
-                        miner.append(t);
-                    }
-                    miner.expire_oldest(100);
-                    refreshes.push(miner.refresh().clone());
-                }
-                refreshes
-            };
-            let reference = with_thread_override(1, run);
-            assert!(
-                !reference.iter().all(|r| r.is_empty()),
-                "incremental/{engine} {plan_label}: fixture is vacuous"
-            );
-            for threads in POOLS {
-                let got = with_thread_override(threads, run);
-                assert_eq!(reference.len(), got.len());
-                for (i, (a, b)) in reference.iter().zip(&got).enumerate() {
-                    assert_bit_identical(
-                        a,
-                        b,
-                        &format!(
-                            "incremental/{engine} {plan_label} refresh {i} @ threads={threads}"
-                        ),
-                    );
-                }
+                miner.expire_oldest(100);
+                refreshes.push(miner.refresh().clone());
+            }
+            refreshes
+        };
+        let reference = with_thread_override(1, run);
+        assert!(
+            !reference.iter().all(|r| r.is_empty()),
+            "incremental/{engine}: fixture is vacuous"
+        );
+        for threads in POOLS {
+            let got = with_thread_override(threads, run);
+            assert_eq!(reference.len(), got.len());
+            for (i, (a, b)) in reference.iter().zip(&got).enumerate() {
+                assert_bit_identical(
+                    a,
+                    b,
+                    &format!("incremental/{engine} refresh {i} @ threads={threads}"),
+                );
             }
         }
     }
