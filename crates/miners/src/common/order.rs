@@ -109,13 +109,22 @@ impl FrequencyOrder {
     /// frequency) — the canonical insertion order for UFP-trees and
     /// UH-Struct rows.
     pub fn project(&self, items: &[ItemId], probs: &[f64]) -> Vec<(u32, f64)> {
-        let mut v: Vec<(u32, f64)> = items
-            .iter()
-            .zip(probs)
-            .filter_map(|(&i, &p)| self.rank(i).map(|r| (r, p)))
-            .collect();
-        v.sort_unstable_by_key(|&(r, _)| r);
+        let mut v = Vec::new();
+        self.project_into(items, probs, &mut v);
         v
+    }
+
+    /// [`FrequencyOrder::project`] into a caller-owned buffer (cleared
+    /// first), so a scan over many transactions reuses one allocation.
+    pub fn project_into(&self, items: &[ItemId], probs: &[f64], out: &mut Vec<(u32, f64)>) {
+        out.clear();
+        out.extend(
+            items
+                .iter()
+                .zip(probs)
+                .filter_map(|(&i, &p)| self.rank(i).map(|r| (r, p))),
+        );
+        out.sort_unstable_by_key(|&(r, _)| r);
     }
 }
 

@@ -32,37 +32,65 @@
 //! exact DP/DC measures cannot run on this traversal (the matrix's one
 //! principled hole).
 
+//! **Layout and allocation.** A UFP-tree is one flat arena of nodes
+//! `(rank, parent, next, count, prob, weight, weight_sq)`. `next` is the
+//! paper's horizontal item link: per-rank `head`/`tail` indices thread
+//! every node of a rank in creation order, and that order is also the
+//! order in which a rank's weights are summed. Child lookup during a build
+//! goes through one `(parent, rank, probability bits)` hash index per task,
+//! so nodes are shared on exact `(rank, probability)` equality only, as the
+//! paper prescribes; a built tree keeps no child index at all. Prefix paths
+//! are walked into a per-task buffer and conditional trees come from a
+//! per-task free list, emptied with their capacity kept, so **conditional
+//! builds allocate nothing in steady state; the tree, and so the paper's
+//! compression result, is unchanged** — the same nodes in the same order,
+//! every weight summed in the same path order, bit-identical records and
+//! counters. What a mine still allocates grows with the itemsets it emits,
+//! not with the nodes it builds.
+//!
 //! **Parallelism.** Mining decomposes **recursively** over the
-//! work-stealing pool ([`ufim_core::parallel::scope`]). The global
-//! UFP-tree is built once; each occupied header rank becomes a root task
-//! over the shared read-only tree when the tree clears
-//! [`ufim_core::parallel::DEFAULT_MIN_WORK`], and — the nested part —
-//! every conditional tree whose node count clears `SPAWN_MIN_NODES` is
-//! re-spawned from inside its task (the conditional tree is *owned* by
-//! the child task, so nothing is shared downward). A deep-skewed
-//! database, whose one dominant rank used to serialize its entire
-//! recursion on one worker, now splits again at every heavy conditional
-//! level. Per-task results and [`MinerStats`] merge in spawn-key order
-//! through an [`OrderedSink`] (sums and maxes only; every float is
-//! computed inside exactly one task), and spawn decisions are a pure
-//! function of the input — so records and stats are bit-identical for
-//! every `UFIM_THREADS`, pool size 1 running fully inline.
+//! work-stealing pool ([`ufim_core::parallel::scope`]). Every tree is
+//! judged the moment it is built, while it is hot in cache: the global
+//! UFP-tree once, and each conditional tree by the task that built it.
+//! Each kept root rank then becomes a root task over the shared read-only
+//! global tree when that tree clears
+//! [`ufim_core::parallel::DEFAULT_MIN_WORK`], and — the nested part — every
+//! judged conditional tree that clears `SPAWN_MIN_NODES` and kept at least
+//! one extension is handed to a child task (the conditional tree is
+//! *owned* by the child, so nothing is shared downward). A tree with
+//! nothing frequent below it is never handed off, since the child would
+//! only re-read it from a cold cache. A deep-skewed database, whose one
+//! dominant rank used to serialize its entire recursion on one worker,
+//! splits again at every heavy conditional level. Spawned tasks take over
+//! the scratch spaces of finished ones. Per-task results and
+//! [`MinerStats`] merge in spawn-key order through an [`OrderedSink`]
+//! (sums and maxes only; every float is computed inside exactly one task),
+//! and spawn decisions are a pure function of the input — so records and
+//! stats are bit-identical for every `UFIM_THREADS`, pool size 1 running
+//! fully inline.
 
 use crate::common::measure::{select_items, CandidateStats, FrequentnessMeasure, Screen};
 use crate::common::order::FrequencyOrder;
-use ufim_core::parallel::{child_key, scope, OrderedSink, Scope, DEFAULT_MIN_WORK};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use ufim_core::parallel::{child_key, scope, OrderedSink, Scope, SpawnKey, DEFAULT_MIN_WORK};
 use ufim_core::prelude::*;
+use ufim_core::FxHashMap;
 
-/// Conditional-tree node count above which the recursion below a kept
-/// candidate is spawned as a nested pool task (the child task takes
-/// ownership of the conditional tree). Small enough that a skewed rank's
-/// heavy conditionals split; large enough that task overhead stays noise
-/// against the conditional build that precedes it.
+/// Conditional-tree node count above which the recursion below a judged
+/// conditional tree with kept extensions is spawned as a nested pool task
+/// (the child task takes ownership of the tree). Small enough that a
+/// skewed rank's heavy conditionals split; large enough that task overhead
+/// stays noise against the conditional build that precedes it.
 const SPAWN_MIN_NODES: usize = 1 << 9;
 
 /// Suffix length beyond which recursion always stays inline — a backstop
 /// against unbounded task bookkeeping on pathological lattices.
 const SPAWN_MAX_DEPTH: usize = 24;
+
+/// Emptied conditional trees a task scratch keeps for reuse: one per
+/// recursion level in use, plus trees handed back by finished child tasks.
+/// Beyond the cap a tree is freed, so recycling cannot hoard memory.
+const FREE_TREES_MAX: usize = 8;
 
 /// The UFP-growth miner.
 #[derive(Clone, Debug, Default)]
@@ -94,89 +122,218 @@ impl MinerInfo for UFPGrowth {
 /// can reconstruct variance and nonzero counts exactly (see module docs).
 struct UfpNode {
     rank: u32,
+    parent: u32,
+    /// The next node of the same rank, in creation order: the paper's
+    /// horizontal item link.
+    next: u32,
+    count: u64,
     prob: f64,
     weight: f64,
     weight_sq: f64,
-    count: u64,
-    parent: u32,
-    /// Children sorted by `(rank, prob bits)` for binary-search insertion.
-    children: Vec<u32>,
 }
 
-/// A UFP-tree over rank-encoded items. `header[rank]` lists every node of
-/// that rank (the paper's horizontal item links).
+/// A UFP-tree over rank-encoded items, as one flat arena. `head[rank]` and
+/// `tail[rank]` bound the node-link list of every node of that rank, kept
+/// in creation order. The tree holds no child index: lookup during a build
+/// goes through the building task's [`TaskScratch::children`], so a built
+/// tree is only the arena and its links.
+#[derive(Default)]
 struct UfpTree {
     nodes: Vec<UfpNode>,
-    header: Vec<Vec<u32>>,
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// The ranks whose extension of the tree's suffix was judged frequent,
+    /// bottom-up — filled by [`judge_tree`] while the tree is still hot.
+    kept: Vec<u32>,
 }
 
+/// The root's arena index.
 const ROOT: u32 = 0;
 
-impl UfpTree {
-    fn new(num_ranks: usize) -> Self {
-        UfpTree {
-            nodes: vec![UfpNode {
-                rank: u32::MAX,
-                prob: 0.0,
-                weight: 0.0,
-                weight_sq: 0.0,
-                count: 0,
-                parent: u32::MAX,
-                children: Vec::new(),
-            }],
-            header: vec![Vec::new(); num_ranks],
+/// "No node": the root's parent and the end of every node-link list.
+const NIL: u32 = u32::MAX;
+
+/// Child lookup of the tree under construction: `(parent, rank,
+/// probability bits)` → node. Nodes are shared only on exact equality.
+type ChildIndex = FxHashMap<(u32, u32, u64), u32>;
+
+/// One task's reusable buffers: the child index of the tree it is building,
+/// a prefix-path buffer and a free list of conditional trees. All of them
+/// keep their capacity, so once they have grown a conditional build
+/// allocates nothing. Scratch contents never influence results.
+#[derive(Default)]
+struct TaskScratch {
+    children: ChildIndex,
+    path: Vec<(u32, f64)>,
+    free: Vec<UfpTree>,
+}
+
+impl TaskScratch {
+    /// Returns a finished conditional tree to the free list.
+    fn recycle(&mut self, tree: UfpTree) {
+        if self.free.len() < FREE_TREES_MAX {
+            self.free.push(tree);
         }
+    }
+}
+
+/// One pool task's state, threaded through its inline recursion: its
+/// spawn-order key and running spawn ordinal (see [`child_key`]), its local
+/// results, its scratch and its recursion budget. The (ample) budget guards
+/// pathological conditional explosions, turning a hypothetical runaway
+/// into truncated-but-sound output; it is never reached in practice. It is
+/// **per task** — a spawned child starts a fresh one — so exhaustion could
+/// never depend on task scheduling.
+struct Task {
+    key: SpawnKey,
+    spawn_seq: u32,
+    out: MiningResult,
+    scratch: TaskScratch,
+    depth_budget: u64,
+}
+
+impl Task {
+    fn new(key: SpawnKey, scratch: TaskScratch) -> Self {
+        Task {
+            key,
+            spawn_seq: 0,
+            out: MiningResult::default(),
+            scratch,
+            depth_budget: u64::MAX,
+        }
+    }
+}
+
+/// What every task of one mine shares: the item order, the measure, the
+/// sink collecting spawned tasks' results, and the scratch spaces of
+/// finished tasks, which the next spawned task takes over — so at any
+/// pool size a steady-state task allocates only its results and its
+/// spawn bookkeeping, never a tree buffer it could have reused.
+struct Shared<'env, M> {
+    order: &'env FrequencyOrder,
+    measure: &'env M,
+    sink: OrderedSink<MiningResult>,
+    scratch: Mutex<Vec<TaskScratch>>,
+}
+
+impl<'env, M: FrequentnessMeasure> Shared<'env, M> {
+    /// Spawns `body` as a pool task keyed `key`, on a recycled scratch;
+    /// its results go to the sink and its scratch back to the pool.
+    fn spawn(
+        &'env self,
+        s: &Scope<'env>,
+        key: SpawnKey,
+        body: impl FnOnce(&Scope<'env>, &mut Task) + Send + 'env,
+    ) {
+        s.spawn(move |s| {
+            let scratch = self.scratch_pool().pop().unwrap_or_default();
+            let mut task = Task::new(key, scratch);
+            body(s, &mut task);
+            self.scratch_pool().push(task.scratch);
+            self.sink.push(task.key, task.out);
+        });
+    }
+
+    fn scratch_pool(&self) -> MutexGuard<'_, Vec<TaskScratch>> {
+        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl UfpTree {
+    /// Empties the tree for `num_ranks` ranks, keeping every buffer's
+    /// capacity, and clears `children` for the build that follows.
+    fn reset(&mut self, num_ranks: usize, children: &mut ChildIndex) {
+        self.nodes.clear();
+        self.nodes.push(UfpNode {
+            rank: NIL,
+            parent: NIL,
+            next: NIL,
+            count: 0,
+            prob: 0.0,
+            weight: 0.0,
+            weight_sq: 0.0,
+        });
+        self.head.clear();
+        self.head.resize(num_ranks, NIL);
+        self.tail.clear();
+        self.tail.resize(num_ranks, NIL);
+        self.kept.clear();
+        children.clear();
     }
 
     /// Inserts one (rank-sorted) weighted path, sharing nodes only on exact
-    /// `(rank, probability)` matches — the defining UFP-tree rule.
-    fn insert(&mut self, path: &[(u32, f64)], weight: f64, weight_sq: f64, count: u64) {
+    /// `(rank, probability)` matches — the defining UFP-tree rule. New
+    /// nodes are appended to the arena and to their rank's node-link list.
+    fn insert(
+        &mut self,
+        children: &mut ChildIndex,
+        path: &[(u32, f64)],
+        weight: f64,
+        weight_sq: f64,
+        count: u64,
+    ) {
         let mut node = ROOT;
         for &(rank, prob) in path {
-            let key = (rank, prob.to_bits());
-            let found = self.nodes[node as usize].children.binary_search_by(|&c| {
-                let cn = &self.nodes[c as usize];
-                (cn.rank, cn.prob.to_bits()).cmp(&key)
-            });
-            node = match found {
-                Ok(pos) => {
-                    let child = self.nodes[node as usize].children[pos];
-                    let n = &mut self.nodes[child as usize];
-                    n.weight += weight;
-                    n.weight_sq += weight_sq;
-                    n.count += count;
-                    child
+            let fresh = self.nodes.len() as u32;
+            let child = *children
+                .entry((node, rank, prob.to_bits()))
+                .or_insert(fresh);
+            if child == fresh {
+                self.nodes.push(UfpNode {
+                    rank,
+                    parent: node,
+                    next: NIL,
+                    count,
+                    prob,
+                    weight,
+                    weight_sq,
+                });
+                match self.tail[rank as usize] {
+                    NIL => self.head[rank as usize] = fresh,
+                    last => self.nodes[last as usize].next = fresh,
                 }
-                Err(pos) => {
-                    let new_idx = self.nodes.len() as u32;
-                    self.nodes.push(UfpNode {
-                        rank,
-                        prob,
-                        weight,
-                        weight_sq,
-                        count,
-                        parent: node,
-                        children: Vec::new(),
-                    });
-                    self.nodes[node as usize].children.insert(pos, new_idx);
-                    self.header[rank as usize].push(new_idx);
-                    new_idx
-                }
-            };
+                self.tail[rank as usize] = fresh;
+            } else {
+                let n = &mut self.nodes[child as usize];
+                n.weight += weight;
+                n.weight_sq += weight_sq;
+                n.count += count;
+            }
+            node = child;
         }
     }
 
-    /// The prefix path of a node (exclusive), root-to-parent order.
-    fn prefix_path(&self, mut node: u32) -> Vec<(u32, f64)> {
-        let mut path = Vec::new();
-        node = self.nodes[node as usize].parent;
-        while node != ROOT && node != u32::MAX {
-            let n = &self.nodes[node as usize];
-            path.push((n.rank, n.prob));
-            node = n.parent;
+    /// Writes the prefix path of `node` (exclusive) into `path`,
+    /// root-to-parent order.
+    fn prefix_path_into(&self, node: &UfpNode, path: &mut Vec<(u32, f64)>) {
+        path.clear();
+        let mut n = node.parent;
+        while n != ROOT {
+            let p = &self.nodes[n as usize];
+            path.push((p.rank, p.prob));
+            n = p.parent;
         }
         path.reverse();
-        path
+    }
+
+    /// The nodes of `rank`, in creation order along the node-links.
+    fn rank_nodes(&self, rank: u32) -> impl Iterator<Item = &UfpNode> + '_ {
+        let mut n = self.head[rank as usize];
+        std::iter::from_fn(move || {
+            if n == NIL {
+                return None;
+            }
+            let node = &self.nodes[n as usize];
+            n = node.next;
+            Some(node)
+        })
+    }
+
+    /// The occupied ranks, bottom-up (least frequent first).
+    fn occupied_ranks(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.head.len() as u32)
+            .rev()
+            .filter(|&r| self.head[r as usize] != NIL)
     }
 
     fn num_nodes(&self) -> usize {
@@ -184,178 +341,143 @@ impl UfpTree {
     }
 }
 
-/// One header rank's unit of work: judge `suffix ∪ {item(rank)}` from the
-/// moments its node list reconstructs and, when kept, emit it, build the
-/// conditional tree, and recurse — spawning the recursion as a nested
-/// pool task when the conditional tree clears `SPAWN_MIN_NODES` (the
-/// task takes ownership of the tree; see the module docs). Shared by the
-/// in-task recursion ([`mine_tree_rec`]) and the root fan-out in
-/// [`mine_tree`]; the caller guarantees the rank's node list is nonempty.
+/// Judges `suffix ∪ {item(r)}` for every occupied rank `r` of `tree`,
+/// bottom-up, from the moments its node list reconstructs; emits each kept
+/// itemset and records its rank in `tree.kept`. Runs right after the tree
+/// is built, while it is hot in cache, so a tree with nothing frequent
+/// below it is never handed to another task.
+fn judge_tree<M: FrequentnessMeasure>(
+    env: &Shared<'_, M>,
+    out: &mut MiningResult,
+    tree: &mut UfpTree,
+    suffix: &[ItemId],
+) {
+    let measure = env.measure;
+    let needs = measure.needs();
+    out.stats.peak_structure_nodes = out.stats.peak_structure_nodes.max(tree.num_nodes() as u64);
+    let mut kept = std::mem::take(&mut tree.kept);
+    for rank in tree.occupied_ranks() {
+        out.stats.candidates_evaluated += 1;
+        let mut esup = 0.0f64;
+        let mut sum_sq = 0.0f64;
+        let mut count = 0u64;
+        for node in tree.rank_nodes(rank) {
+            esup += node.weight * node.prob;
+            if needs.variance {
+                sum_sq += node.weight_sq * node.prob * node.prob;
+            }
+            count += node.count;
+        }
+        match measure.screen(esup, count) {
+            Screen::Keep => {}
+            Screen::PruneCount => {
+                out.stats.candidates_pruned_count += 1;
+                continue;
+            }
+            Screen::PruneBound => {
+                out.stats.candidates_pruned_chernoff += 1;
+                continue;
+            }
+        }
+        let c = CandidateStats {
+            esup,
+            // Σ q_t(1 − q_t) = esup − Σ q_t², reconstructed exactly from
+            // the per-node second-moment weights.
+            variance: esup - sum_sq,
+            count,
+            probs: None,
+        };
+        let Some(j) = measure.judge(&c, &mut out.stats) else {
+            continue;
+        };
+        let item = env.order.item(rank);
+        out.itemsets.push(FrequentItemset {
+            itemset: Itemset::from_items(std::iter::once(item).chain(suffix.iter().copied())),
+            expected_support: j.expected_support,
+            variance: j.variance,
+            frequent_prob: j.frequent_prob,
+        });
+        kept.push(rank);
+    }
+    tree.kept = kept;
+}
+
+/// Grows kept `suffix ∪ {item(rank)}`: builds its conditional tree from the
+/// prefix paths of `rank`'s nodes, judges that tree's ranks, and recurses
+/// into whatever it kept — as a nested pool task when the conditional tree
+/// clears `SPAWN_MIN_NODES` (the task takes ownership of the tree; see the
+/// module docs). Shared by the in-task recursion ([`mine_tree_rec`]) and
+/// the root fan-out in [`mine_tree`].
 ///
-/// `task_key`/`spawn_seq` are the enclosing task's spawn-order identity
-/// (see [`child_key`]); spawned children push their local results into
-/// `sink` under the minted key. `depth_budget` is **per task**: a spawned
-/// child starts a fresh budget, which cannot change results because the
-/// (ample) budget is only a runaway guard, never reached in practice.
-#[allow(clippy::too_many_arguments)] // one recursion context, kept flat like the sequential original
-fn mine_rank<'env, M: FrequentnessMeasure>(
+/// The conditional tree comes from the task's free list and returns there
+/// once the recursion below it is done; a tree handed to a spawned child
+/// goes to the child's free list instead.
+fn expand_rank<'env, M: FrequentnessMeasure>(
     s: &Scope<'env>,
-    sink: &'env OrderedSink<MiningResult>,
-    task_key: &[u32],
-    spawn_seq: &mut u32,
+    env: &'env Shared<'env, M>,
+    task: &mut Task,
     tree: &UfpTree,
-    order: &'env FrequencyOrder,
-    measure: &'env M,
     rank: u32,
     suffix: &[ItemId],
-    out: &mut MiningResult,
-    depth_budget: &mut u64,
 ) {
-    let needs = measure.needs();
-    let nodes = &tree.header[rank as usize];
-    out.stats.candidates_evaluated += 1;
-    let mut esup = 0.0f64;
-    let mut sum_sq = 0.0f64;
-    let mut count = 0u64;
-    for &n in nodes.iter() {
-        let node = &tree.nodes[n as usize];
-        esup += node.weight * node.prob;
-        if needs.variance {
-            sum_sq += node.weight_sq * node.prob * node.prob;
-        }
-        count += node.count;
-    }
-    match measure.screen(esup, count) {
-        Screen::Keep => {}
-        Screen::PruneCount => {
-            out.stats.candidates_pruned_count += 1;
-            return;
-        }
-        Screen::PruneBound => {
-            out.stats.candidates_pruned_chernoff += 1;
-            return;
-        }
-    }
-    let c = CandidateStats {
-        esup,
-        // Σ q_t(1 − q_t) = esup − Σ q_t², reconstructed exactly from the
-        // per-node second-moment weights.
-        variance: esup - sum_sq,
-        count,
-        probs: None,
-    };
-    let Some(j) = measure.judge(&c, &mut out.stats) else {
-        return;
-    };
     let mut new_suffix = Vec::with_capacity(suffix.len() + 1);
-    new_suffix.push(order.item(rank));
+    new_suffix.push(env.order.item(rank));
     new_suffix.extend_from_slice(suffix);
-    out.itemsets.push(FrequentItemset {
-        itemset: Itemset::from_items(new_suffix.iter().copied()),
-        expected_support: j.expected_support,
-        variance: j.variance,
-        frequent_prob: j.frequent_prob,
-    });
+    task.out.stats.scans += 1; // each conditional build re-reads node lists
 
     // Conditional pattern base: prefix paths re-weighted by the node's
     // own contribution (w·p, w₂·p², count carried through).
-    let mut cond = UfpTree::new(rank as usize);
-    let mut inserted_any = false;
-    for &n in nodes.iter() {
-        let node = &tree.nodes[n as usize];
-        let path = tree.prefix_path(n);
-        if path.is_empty() {
-            continue;
-        }
-        cond.insert(
-            &path,
-            node.weight * node.prob,
-            node.weight_sq * node.prob * node.prob,
-            node.count,
-        );
-        inserted_any = true;
-    }
-    *depth_budget = depth_budget.saturating_sub(1);
-    if inserted_any && *depth_budget > 0 {
-        if s.threads() > 1
-            && new_suffix.len() < SPAWN_MAX_DEPTH
-            && cond.num_nodes() >= SPAWN_MIN_NODES
-        {
-            // Heavy conditional: hand the owned tree to a nested task so
-            // the recursion below it runs concurrently with our remaining
-            // ranks (and can itself split again).
-            let key = child_key(task_key, spawn_seq);
-            s.spawn(move |s| {
-                let mut local = MiningResult::default();
-                let mut child_seq = 0;
-                let mut child_budget = u64::MAX;
-                mine_tree_rec(
-                    s,
-                    sink,
-                    &key,
-                    &mut child_seq,
-                    &cond,
-                    order,
-                    measure,
-                    &new_suffix,
-                    &mut local,
-                    &mut child_budget,
-                );
-                sink.push(key, local);
-            });
-        } else {
-            mine_tree_rec(
-                s,
-                sink,
-                task_key,
-                spawn_seq,
-                &cond,
-                order,
-                measure,
-                &new_suffix,
-                out,
-                depth_budget,
+    let scratch = &mut task.scratch;
+    let mut cond = scratch.free.pop().unwrap_or_default();
+    cond.reset(rank as usize, &mut scratch.children);
+    for node in tree.rank_nodes(rank) {
+        tree.prefix_path_into(node, &mut scratch.path);
+        if !scratch.path.is_empty() {
+            cond.insert(
+                &mut scratch.children,
+                &scratch.path,
+                node.weight * node.prob,
+                node.weight_sq * node.prob * node.prob,
+                node.count,
             );
         }
     }
-    out.stats.scans += 1; // each conditional build re-reads node lists
+    task.depth_budget = task.depth_budget.saturating_sub(1);
+    if cond.num_nodes() > 1 && task.depth_budget > 0 {
+        judge_tree(env, &mut task.out, &mut cond, &new_suffix);
+        if s.threads() > 1
+            && !cond.kept.is_empty()
+            && new_suffix.len() < SPAWN_MAX_DEPTH
+            && cond.num_nodes() >= SPAWN_MIN_NODES
+        {
+            // Heavy conditional with frequent extensions: hand the owned
+            // tree to a nested task so the recursion below it runs
+            // concurrently with our remaining ranks (and can itself split
+            // again).
+            let key = child_key(&task.key, &mut task.spawn_seq);
+            env.spawn(s, key, move |s, child| {
+                mine_tree_rec(s, env, child, &cond, &new_suffix);
+                child.scratch.recycle(cond);
+            });
+            return;
+        }
+        mine_tree_rec(s, env, task, &cond, &new_suffix);
+    }
+    task.scratch.recycle(cond);
 }
 
-/// FP-growth-style mining over a conditional tree: bottom-up over the
-/// header, one [`mine_rank`] per occupied rank (each of which may spawn
-/// its own recursion — the nesting happens there).
-#[allow(clippy::too_many_arguments)] // one recursion context, kept flat like the sequential original
+/// FP-growth-style mining below a judged tree: one [`expand_rank`] per
+/// kept rank, bottom-up (each of which may spawn its own recursion — the
+/// nesting happens there).
 fn mine_tree_rec<'env, M: FrequentnessMeasure>(
     s: &Scope<'env>,
-    sink: &'env OrderedSink<MiningResult>,
-    task_key: &[u32],
-    spawn_seq: &mut u32,
+    env: &'env Shared<'env, M>,
+    task: &mut Task,
     tree: &UfpTree,
-    order: &'env FrequencyOrder,
-    measure: &'env M,
     suffix: &[ItemId],
-    out: &mut MiningResult,
-    depth_budget: &mut u64,
 ) {
-    out.stats.peak_structure_nodes = out.stats.peak_structure_nodes.max(tree.num_nodes() as u64);
-    // Bottom-up over the header: rank r contributes suffix ∪ {item(r)}.
-    for rank in (0..tree.header.len() as u32).rev() {
-        if tree.header[rank as usize].is_empty() {
-            continue;
-        }
-        mine_rank(
-            s,
-            sink,
-            task_key,
-            spawn_seq,
-            tree,
-            order,
-            measure,
-            rank,
-            suffix,
-            out,
-            depth_budget,
-        );
+    for &rank in &tree.kept {
+        expand_rank(s, env, task, tree, rank, suffix);
     }
 }
 
@@ -386,83 +508,54 @@ pub(crate) fn mine_tree<M: FrequentnessMeasure>(
         return result;
     }
 
-    let mut tree = UfpTree::new(order.len());
+    // The global build's child index is as large as the tree; it is
+    // dropped here rather than kept in a task scratch that clears it
+    // before every conditional build.
+    let mut scratch = TaskScratch::default();
+    let mut tree = UfpTree::default();
+    let mut children = ChildIndex::default();
+    tree.reset(order.len(), &mut children);
     for t in db.transactions() {
-        let path = order.project(t.items(), t.probs());
-        if !path.is_empty() {
-            tree.insert(&path, 1.0, 1.0, 1);
+        order.project_into(t.items(), t.probs(), &mut scratch.path);
+        if !scratch.path.is_empty() {
+            tree.insert(&mut children, &scratch.path, 1.0, 1.0, 1);
         }
     }
+    drop(children);
     result.stats.scans += 1;
-    result.stats.peak_structure_nodes = result
-        .stats
-        .peak_structure_nodes
-        .max(tree.num_nodes() as u64);
 
-    // Top level: when the global tree is heavy enough, each occupied
-    // header rank — judgment, conditional build, and the recursion below
-    // it — becomes one root task over the shared read-only tree (and the
-    // recursion re-spawns below it; see the module docs). Light trees run
-    // the ranks inline, where the same size cutoffs keep everything
-    // sequential. The sink merges per-task results in spawn-key order, so
-    // every pool size produces bit-identical output.
-    let ranks: Vec<u32> = (0..tree.header.len() as u32)
-        .rev()
-        .filter(|&r| !tree.header[r as usize].is_empty())
-        .collect();
-    let sink = OrderedSink::new();
-    let tree_ref = &tree;
-    let order_ref = &order;
+    // Top level: the global tree is judged once; then, when it is heavy
+    // enough, each kept rank — conditional build, its judgment and the
+    // recursion below it — becomes one root task over the shared read-only
+    // tree (and the recursion re-spawns below it; see the module docs).
+    // Light trees run the ranks inline, where the same size cutoffs keep
+    // everything sequential. The sink merges per-task results in spawn-key
+    // order, so every pool size produces bit-identical output.
+    let shared = Shared {
+        order: &order,
+        measure,
+        sink: OrderedSink::new(),
+        scratch: Mutex::new(Vec::new()),
+    };
+    let mut root = Task::new(SpawnKey::new(), scratch);
+    root.out = result;
+    judge_tree(&shared, &mut root.out, &mut tree, &[]);
+    let (env, tree) = (&shared, &tree);
     scope(|s| {
-        let spawn_roots = s.threads() > 1 && tree_ref.num_nodes() >= DEFAULT_MIN_WORK;
-        let mut spawn_seq = 0;
-        // An (ample) per-task recursion budget guards pathological
-        // conditional explosions; it is never hit in the experiments but
-        // turns a hypothetical runaway into truncated-but-sound output.
-        // Per-task (not shared) so exhaustion could never depend on task
-        // scheduling.
-        let mut root_budget = u64::MAX;
-        for &rank in &ranks {
+        let spawn_roots = s.threads() > 1 && tree.num_nodes() >= DEFAULT_MIN_WORK;
+        for &rank in &tree.kept {
             if spawn_roots {
-                let key = child_key(&[], &mut spawn_seq);
-                let sink = &sink;
-                s.spawn(move |s| {
-                    let mut local = MiningResult::default();
-                    let mut child_seq = 0;
-                    let mut child_budget = u64::MAX;
-                    mine_rank(
-                        s,
-                        sink,
-                        &key,
-                        &mut child_seq,
-                        tree_ref,
-                        order_ref,
-                        measure,
-                        rank,
-                        &[],
-                        &mut local,
-                        &mut child_budget,
-                    );
-                    sink.push(key, local);
+                let key = child_key(&root.key, &mut root.spawn_seq);
+                env.spawn(s, key, move |s, task| {
+                    expand_rank(s, env, task, tree, rank, &[]);
                 });
             } else {
-                mine_rank(
-                    s,
-                    &sink,
-                    &[],
-                    &mut spawn_seq,
-                    tree_ref,
-                    order_ref,
-                    measure,
-                    rank,
-                    &[],
-                    &mut result,
-                    &mut root_budget,
-                );
+                expand_rank(s, env, &mut root, tree, rank, &[]);
             }
         }
     });
-    for sub in sink.into_sorted_values() {
+    let mut result = root.out;
+    for sub in shared.sink.into_sorted_values() {
         result.stats.absorb(&sub.stats);
         result.itemsets.extend(sub.itemsets);
     }

@@ -15,7 +15,7 @@
 
 use crate::memo::{MemoKey, MemoOutcome, ResidentMemo};
 use crate::proto::{record_json, Json, Request};
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -600,6 +600,63 @@ impl Drop for TcpServer {
     }
 }
 
+/// Longest request line, newline excluded, that the TCP front end
+/// buffers. A longer line is answered with one error response; the rest
+/// of it, up to its newline, is skipped as it arrives without being
+/// buffered, and the connection keeps serving.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// What [`read_request`] found on a connection.
+enum Frame {
+    /// A request line in the caller's buffer: newline-terminated, or the
+    /// unterminated last one before the end of the stream.
+    Line,
+    /// A line longer than [`MAX_LINE_BYTES`]; the buffer was emptied and
+    /// the rest of the line will be skipped.
+    Overlong,
+    /// The stream ended with nothing pending.
+    Eof,
+}
+
+/// Reads the next request line into `line`, keeping at most
+/// [`MAX_LINE_BYTES`] of it. A read timeout surfaces as an error with the
+/// bytes read so far kept in `line`, and `skipping` (set while the rest of
+/// an overlong line is being dropped) likewise survives until the next
+/// call, so a slow client's line is neither mangled nor unbounded.
+fn read_request(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    skipping: &mut bool,
+) -> std::io::Result<Frame> {
+    while *skipping {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            *skipping = false;
+            return Ok(Frame::Eof);
+        }
+        let (skip, found) = match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (buf.len(), false),
+        };
+        reader.consume(skip);
+        *skipping = !found;
+    }
+    // One byte past the cap (or the newline) tells an overlong line apart.
+    let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+    reader.take(room).read_until(b'\n', line)?;
+    if line.last() == Some(&b'\n') {
+        Ok(Frame::Line)
+    } else if line.len() > MAX_LINE_BYTES {
+        line.clear();
+        *skipping = true;
+        Ok(Frame::Overlong)
+    } else if line.is_empty() {
+        Ok(Frame::Eof)
+    } else {
+        Ok(Frame::Line)
+    }
+}
+
 fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) {
     // A finite read timeout so connection threads notice a server stop
     // even when the client holds the socket open without sending.
@@ -613,10 +670,14 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) {
     // can fire mid-line, and the bytes read before it stay here until the
     // rest of the line arrives.
     let mut line = Vec::new();
+    let mut skipping = false;
     loop {
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) if line.is_empty() => break,
-            Ok(_) => {
+        let response = match read_request(&mut reader, &mut line, &mut skipping) {
+            Ok(Frame::Eof) => break,
+            Ok(Frame::Overlong) => {
+                err_json(&format!("request line longer than {MAX_LINE_BYTES} bytes")).to_line()
+            }
+            Ok(Frame::Line) => {
                 let response = match std::str::from_utf8(&line) {
                     Ok(text) if text.trim().is_empty() => None,
                     Ok(text) => Some(core.handle_line(text)),
@@ -626,13 +687,7 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) {
                 let Some(response) = response else {
                     continue;
                 };
-                if writer
-                    .write_all(format!("{response}\n").as_bytes())
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    break;
-                }
+                response
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -641,8 +696,16 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) {
                 if stop.load(Ordering::Relaxed) {
                     break;
                 }
+                continue;
             }
             Err(_) => break,
+        };
+        if writer
+            .write_all(format!("{response}\n").as_bytes())
+            .and_then(|()| writer.flush())
+            .is_err()
+        {
+            break;
         }
     }
 }
@@ -831,5 +894,66 @@ mod tests {
         drop(writer);
         drop(reader);
         server.stop();
+    }
+
+    #[test]
+    fn tcp_overlong_line_gets_one_error_and_the_connection_keeps_serving() {
+        let core = core_with_table1();
+        let Ok(server) = TcpServer::start(Arc::clone(&core), "127.0.0.1:0") else {
+            return; // binding forbidden; see tcp_roundtrip_matches_in_process
+        };
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        // Twice the cap, split by a pause past the 200 ms read timeout so
+        // the skip resumes after a timeout, then a valid request.
+        let half = vec![b'x'; MAX_LINE_BYTES];
+        writer.write_all(&half).unwrap();
+        writer.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        writer.write_all(&half).unwrap();
+        writer.write_all(b"\n{\"op\":\"stats\"}\n").unwrap();
+        writer.flush().unwrap();
+        let mut next = || {
+            let mut got = String::new();
+            reader.read_line(&mut got).unwrap();
+            Json::parse(got.trim_end()).unwrap()
+        };
+        let first = next();
+        assert_eq!(first.get("ok").unwrap().as_bool(), Some(false));
+        assert!(first
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("longer than"));
+        let second = next();
+        assert_eq!(second.get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(second.get("op").unwrap().as_str(), Some("stats"));
+        drop(writer);
+        drop(reader);
+        server.stop();
+    }
+
+    #[test]
+    fn request_lines_up_to_the_cap_are_read_whole() {
+        let body = vec![b'x'; MAX_LINE_BYTES];
+        let mut input = body.clone();
+        input.push(b'\n');
+        input.extend_from_slice(&body);
+        input.extend_from_slice(b"x\nok\n");
+        let mut reader = BufReader::new(input.as_slice());
+        let (mut line, mut skipping) = (Vec::new(), false);
+        let mut frame = || {
+            let frame = read_request(&mut reader, &mut line, &mut skipping).unwrap();
+            let got = std::mem::take(&mut line);
+            (frame, got)
+        };
+        let (f, got) = frame();
+        assert!(matches!(f, Frame::Line) && got.len() == MAX_LINE_BYTES + 1);
+        assert!(matches!(frame().0, Frame::Overlong));
+        let (f, got) = frame();
+        assert!(matches!(f, Frame::Line) && got == b"ok\n");
+        assert!(matches!(frame().0, Frame::Eof));
     }
 }
