@@ -4,120 +4,54 @@
 //! the vertical engine's headline claim; the `ufim-bench --engine both`
 //! harness sweeps the full figure axes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::time::Duration;
+use ufim_bench::harness::{dense_db, Harness};
+use ufim_bench::json::JsonRun;
 use ufim_core::prelude::*;
 use ufim_miners::{DcMiner, UApriori};
 
-/// A dense synthetic uncertain database: every item appears in `density` of
-/// the transactions with a high existence probability, so mining runs
-/// several levels deep — the regime where per-level re-scans hurt most.
-fn dense_db(transactions: usize, items: u32, density: f64, seed: u64) -> UncertainDatabase {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let t = (0..transactions)
-        .map(|_| {
-            let units: Vec<(u32, f64)> = (0..items)
-                .filter_map(|i| {
-                    if rng.gen_bool(density) {
-                        Some((i, rng.gen_range(0.5..=1.0)))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            Transaction::new(units).unwrap()
-        })
-        .collect();
-    UncertainDatabase::with_num_items(t, items)
-}
+fn main() {
+    let mut h = Harness::from_env();
 
-fn bench_esup_backends(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engines_uapriori_dense");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(3));
-
-    let db = dense_db(20_000, 24, 0.4, 7);
     // esup(singleton) ≈ 20k·0.4·0.75 = 6000; pairs ≈ 1800; triples ≈ 540.
     // min_esup = 0.02 (threshold 400) keeps 3–4 levels alive.
-    let min_esup = 0.02;
+    let db = dense_db(20_000, 24, 0.4, 7);
     for engine in EngineKind::ALL {
-        group.bench_with_input(
-            BenchmarkId::new(engine.name(), "N=20k,I=24,d=0.4"),
-            &db,
-            |b, db| {
-                let miner = UApriori::with_engine(engine);
-                b.iter(|| {
-                    miner
-                        .mine_expected_ratio(std::hint::black_box(db), min_esup)
-                        .unwrap()
-                        .len()
-                })
-            },
-        );
+        let miner = UApriori::with_engine(engine);
+        let run = JsonRun::new("N=20k,I=24,d=0.4", "UApriori", engine.name());
+        h.mine("engines_uapriori_dense", run, || {
+            miner
+                .mine_expected_ratio(std::hint::black_box(&db), 0.02)
+                .unwrap()
+        });
     }
-    group.finish();
-}
-
-fn bench_exact_backends(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engines_dcb_dense");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(3));
 
     let db = dense_db(4_000, 16, 0.4, 11);
     let params = MiningParams::new(0.05, 0.5).unwrap();
     for engine in EngineKind::ALL {
-        group.bench_with_input(
-            BenchmarkId::new(engine.name(), "N=4k,I=16,d=0.4"),
-            &db,
-            |b, db| {
-                let miner = DcMiner::with_pruning();
-                let params = params.with_engine(engine);
-                b.iter(|| {
-                    miner
-                        .mine_probabilistic(std::hint::black_box(db), params)
-                        .unwrap()
-                        .len()
-                })
-            },
-        );
+        let miner = DcMiner::with_pruning();
+        let params = params.with_engine(engine);
+        let run = JsonRun::new("N=4k,I=16,d=0.4", "DCB", engine.name());
+        h.mine("engines_dcb_dense", run, || {
+            miner
+                .mine_probabilistic(std::hint::black_box(&db), params)
+                .unwrap()
+        });
     }
-    group.finish();
-}
 
-/// Sanity companion to the timing: all backends must return identical
-/// results on the benchmarked workloads (checked once, outside timing).
-fn bench_equivalence_guard(c: &mut Criterion) {
-    let db = dense_db(2_000, 16, 0.4, 7);
-    let h = UApriori::with_engine(EngineKind::Horizontal)
-        .mine_expected_ratio(&db, 0.02)
-        .unwrap();
-    let v = UApriori::with_engine(EngineKind::Vertical)
-        .mine_expected_ratio(&db, 0.02)
-        .unwrap();
-    assert_eq!(h.sorted_itemsets(), v.sorted_itemsets());
-    let d = UApriori::with_engine(EngineKind::Diffset)
-        .mine_expected_ratio(&db, 0.02)
-        .unwrap();
-    assert_eq!(h.sorted_itemsets(), d.sorted_itemsets());
-    let mut group = c.benchmark_group("engines_guard");
-    group
-        .sample_size(2)
-        .warm_up_time(Duration::from_millis(10))
-        .measurement_time(Duration::from_millis(50));
-    group.bench_function("results_identical", |b| b.iter(|| h.len() + v.len()));
-    group.finish();
-}
+    // All backends must return identical results on the benchmarked
+    // workloads.
+    h.guard("engines_guard/results_identical", || {
+        let db = dense_db(2_000, 16, 0.4, 7);
+        let mine = |engine| {
+            UApriori::with_engine(engine)
+                .mine_expected_ratio(&db, 0.02)
+                .unwrap()
+                .sorted_itemsets()
+        };
+        let horizontal = mine(EngineKind::Horizontal);
+        assert_eq!(horizontal, mine(EngineKind::Vertical));
+        assert_eq!(horizontal, mine(EngineKind::Diffset));
+    });
 
-criterion_group!(
-    benches,
-    bench_esup_backends,
-    bench_exact_backends,
-    bench_equivalence_guard
-);
-criterion_main!(benches);
+    h.finish("engines", 1.0, 7);
+}

@@ -4,29 +4,23 @@
 //! comparison on the skewed pair and the dense UApriori anchor the
 //! ROADMAP's ≥2× target is measured on.
 //!
-//! The vendored criterion shim cannot export measurements, so this bench
-//! is a hand-rolled `harness = false` binary that times the kernels
-//! itself and emits a `BENCH_kernels.json` snapshot (`--json-out DIR`)
-//! through `ufim_bench::json` — the same format the fig4 harness writes,
-//! so the CI `json-compare` gate covers it. Deterministic counters:
+//! The bench emits a `BENCH_kernels.json` snapshot (`--json-out DIR`),
+//! which the CI `json-compare` gate covers. Deterministic counters:
 //! `intersections` records the operands' total nonzero units (kernel
 //! rows) or `MinerStats::intersections` (the anchor row); `num_itemsets`
-//! the result's nonzero count — both independent of timing iterations,
-//! so `--smoke` (CI) and full runs produce identical strict fields.
-//!
-//! Flags: `--json-out DIR` writes the snapshot; `--smoke` shrinks the
-//! timing budget (counters unchanged); criterion-style flags cargo
-//! passes (`--bench`) are ignored.
+//! the result's nonzero count — both read from an untimed call, so
+//! `--smoke` (CI) and full runs produce identical strict fields.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
-use ufim_bench::json::{JsonRun, JsonSnapshot};
+use ufim_bench::harness::{dense_db, Harness};
+use ufim_bench::json::JsonRun;
 use ufim_core::prelude::*;
 use ufim_core::{ProbVector, ScratchSpace};
 use ufim_miners::UApriori;
 
 const SEED: u64 = 7;
+const GROUP: &str = "kernels";
 /// Long-side operand length for the kernel grid.
 const BASE_LEN: usize = 1 << 16;
 
@@ -53,85 +47,17 @@ fn build(rng: &mut StdRng, len: usize, spread: usize) -> ProbVector {
     ProbVector::from_parts(tids, probs)
 }
 
-/// Times `f` in a fixed-budget loop (one warmup call first), returning
-/// mean milliseconds per call.
-fn time_ms<F: FnMut()>(mut f: F, smoke: bool) -> f64 {
-    f();
-    let budget = if smoke {
-        Duration::from_millis(2)
-    } else {
-        Duration::from_millis(150)
-    };
-    let start = Instant::now();
-    let mut iters = 0u64;
-    loop {
-        f();
-        iters += 1;
-        if start.elapsed() >= budget {
-            break;
-        }
-    }
-    start.elapsed().as_secs_f64() * 1000.0 / iters as f64
-}
-
 /// One kernel row: `workload` is the grid point, `algorithm` the kernel.
-fn kernel_run(
-    workload: &str,
-    algorithm: &str,
-    wall_ms: f64,
-    input_units: usize,
-    result_count: usize,
-) -> JsonRun {
+fn kernel_run(workload: &str, algorithm: &str, input_units: usize, result_count: usize) -> JsonRun {
     JsonRun {
-        workload: workload.to_string(),
-        algorithm: algorithm.to_string(),
-        engine: "kernel".to_string(),
-        wall_ms,
-        peak_bytes: 0,
-        peak_memo_bytes: 0,
         intersections: input_units as u64,
         num_itemsets: result_count as u64,
-        ..Default::default()
+        ..JsonRun::new(workload, algorithm, "kernel")
     }
-}
-
-/// The dense synthetic database of `bench_engines`' UApriori anchor
-/// (N=20k, I=24, d=0.4, seed 7) — duplicated here because the criterion
-/// shim over there cannot export its measurements.
-fn anchor_db() -> UncertainDatabase {
-    let mut rng = StdRng::seed_from_u64(7);
-    let t = (0..20_000)
-        .map(|_| {
-            let units: Vec<(u32, f64)> = (0..24)
-                .filter_map(|i| {
-                    if rng.gen_bool(0.4) {
-                        Some((i, rng.gen_range(0.5..=1.0)))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            Transaction::new(units).unwrap()
-        })
-        .collect();
-    UncertainDatabase::with_num_items(t, 24)
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut json_out: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--json-out" => {
-                json_out = Some(args.next().expect("--json-out needs a directory").into());
-            }
-            _ => {} // cargo bench passes --bench; ignore unknown flags
-        }
-    }
-
-    let mut snap = JsonSnapshot::new("kernels", 1.0, SEED);
+    let mut h = Harness::from_env();
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut scratch = ScratchSpace::new();
 
@@ -146,52 +72,24 @@ fn main() {
             // Short side over the same universe: spread scaled by ratio.
             let short = build(&mut rng, BASE_LEN / ratio, spread * ratio);
             let units = short.len() + long.len();
-
-            let ms = time_ms(
-                || {
-                    std::hint::black_box(short.intersect_into(&long, &mut scratch));
-                },
-                smoke,
-            );
-            let count = scratch.len();
-            snap.runs
-                .push(kernel_run(&workload, "intersect_into", ms, units, count));
-
-            let ms = time_ms(
-                || {
-                    std::hint::black_box(short.intersect_stats(&long));
-                },
-                smoke,
-            );
-            snap.runs
-                .push(kernel_run(&workload, "intersect_stats", ms, units, count));
-
-            let ms = time_ms(
-                || {
-                    std::hint::black_box(short.diff_extend_into(&long, &mut scratch));
-                },
-                smoke,
-            );
-            let dropped = scratch.dropped().len();
-            snap.runs.push(kernel_run(
-                &workload,
-                "diff_extend_into",
-                ms,
-                units,
-                dropped,
-            ));
-
+            let count = short.intersect_stats(&long).2;
             let (diff, ..) = short.diff_extend(&long);
+            let run = |algorithm, result| kernel_run(&workload, algorithm, units, result);
+
+            h.bench(GROUP, run("intersect_into", count), || {
+                short.intersect_into(&long, &mut scratch)
+            });
+            h.bench(GROUP, run("intersect_stats", count), || {
+                short.intersect_stats(&long)
+            });
+            h.bench(GROUP, run("diff_extend_into", diff.len()), || {
+                short.diff_extend_into(&long, &mut scratch)
+            });
             let mut out = ProbVector::new();
-            let ms = time_ms(
-                || {
-                    short.apply_diff_into(&diff, &long, &mut out);
-                    std::hint::black_box(out.len());
-                },
-                smoke,
-            );
-            snap.runs
-                .push(kernel_run(&workload, "apply_diff_into", ms, units, count));
+            h.bench(GROUP, run("apply_diff_into", count), || {
+                short.apply_diff_into(&diff, &long, &mut out);
+                out.len()
+            });
         }
     }
 
@@ -207,22 +105,11 @@ fn main() {
         let short = build(&mut rng, BASE_LEN / ratio, 128 * ratio);
         let units = short.len() + long.len();
         let count = short.intersect_stats(&long).2;
-        let ms = time_ms(
-            || {
-                std::hint::black_box(short.intersect_stats(&long));
-            },
-            smoke,
-        );
-        snap.runs
-            .push(kernel_run(&workload, "stats_gallop", ms, units, count));
-        let ms = time_ms(
-            || {
-                std::hint::black_box(short.intersect_stats_merge_join(&long));
-            },
-            smoke,
-        );
-        snap.runs
-            .push(kernel_run(&workload, "stats_merge_join", ms, units, count));
+        let run = |algorithm| kernel_run(&workload, algorithm, units, count);
+        h.bench(GROUP, run("stats_gallop"), || short.intersect_stats(&long));
+        h.bench(GROUP, run("stats_merge_join"), || {
+            short.intersect_stats_merge_join(&long)
+        });
     }
 
     // Anchor decomposition: the dense UApriori anchor pays for both the
@@ -233,82 +120,30 @@ fn main() {
     // anchor's wall time is stats math" from "how much is building and
     // allocating result vectors" — the split behind the 99.5 ms → ~140 ms
     // move when memoization landed.
-    let db = anchor_db();
+    let db = dense_db(20_000, 24, 0.4, 7);
     {
         let index = VerticalIndex::build(&db);
         let (a, b) = (index.postings(0), index.postings(1));
-        let workload = "anchor-postings";
         let units = a.len() + b.len();
         let count = a.intersect_stats(b).2;
-        let ms = time_ms(
-            || {
-                std::hint::black_box(a.intersect_stats(b));
-            },
-            smoke,
-        );
-        snap.runs
-            .push(kernel_run(workload, "intersect_stats", ms, units, count));
-        let ms = time_ms(
-            || {
-                a.intersect_materialize_into(b, &mut scratch);
-                std::hint::black_box(scratch.len());
-            },
-            smoke,
-        );
-        snap.runs.push(kernel_run(
-            workload,
-            "intersect_materialize_into",
-            ms,
-            units,
-            count,
-        ));
-        let ms = time_ms(
-            || {
-                std::hint::black_box(a.intersect(b));
-            },
-            smoke,
-        );
-        snap.runs
-            .push(kernel_run(workload, "intersect_alloc", ms, units, count));
+        let run = |algorithm| kernel_run("anchor-postings", algorithm, units, count);
+        h.bench(GROUP, run("intersect_stats"), || a.intersect_stats(b));
+        h.bench(GROUP, run("intersect_materialize_into"), || {
+            a.intersect_materialize_into(b, &mut scratch);
+            scratch.len()
+        });
+        h.bench(GROUP, run("intersect_alloc"), || a.intersect(b));
     }
 
-    // The ROADMAP anchor: dense UApriori, vertical engine. Counters come
-    // from the mining result (deterministic); wall time is the mean over
-    // the timing loop.
+    // The ROADMAP anchor: dense UApriori, vertical engine (the
+    // `bench_engines` workload).
     let miner = UApriori::with_engine(EngineKind::Vertical);
-    let result = miner.mine_expected_ratio(&db, 0.02).unwrap();
-    let iters = if smoke { 1 } else { 5 };
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(
-            miner
-                .mine_expected_ratio(std::hint::black_box(&db), 0.02)
-                .unwrap(),
-        );
-    }
-    let anchor_ms = start.elapsed().as_secs_f64() * 1000.0 / iters as f64;
-    snap.runs.push(JsonRun {
-        workload: "N=20k,I=24,d=0.4".to_string(),
-        algorithm: "UApriori".to_string(),
-        engine: "vertical".to_string(),
-        wall_ms: anchor_ms,
-        peak_bytes: 0,
-        peak_memo_bytes: result.stats.peak_memo_bytes,
-        intersections: result.stats.intersections,
-        num_itemsets: result.len() as u64,
-        ..Default::default()
+    let run = JsonRun::new("N=20k,I=24,d=0.4", "UApriori", "vertical");
+    h.mine(GROUP, run, || {
+        miner
+            .mine_expected_ratio(std::hint::black_box(&db), 0.02)
+            .unwrap()
     });
 
-    for r in &snap.runs {
-        println!(
-            "{:<28} {:<18} {:>10.4} ms  (units {:>7}, result {:>7})",
-            r.workload, r.algorithm, r.wall_ms, r.intersections, r.num_itemsets
-        );
-    }
-    if let Some(dir) = json_out {
-        match snap.write(&dir) {
-            Some(path) => println!("wrote {}", path.display()),
-            None => std::process::exit(1),
-        }
-    }
+    h.finish("kernels", 1.0, SEED);
 }

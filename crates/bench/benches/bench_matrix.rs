@@ -1,13 +1,13 @@
-//! Criterion coverage for the measure × traversal matrix: the same
-//! frequentness judgment on every traversal that can carry it, plus the
-//! previously unbuildable cells head-to-head with their named level-wise
-//! counterparts. `ufim-bench matrix` sweeps the grid on the paper-shaped
-//! datasets; this microbenchmark isolates the traversal cost.
+//! The measure × traversal matrix: the same frequentness judgment on every
+//! traversal that can carry it, plus the previously unbuildable cells
+//! head-to-head with their named level-wise counterparts. `ufim-bench
+//! matrix` sweeps the grid on the paper-shaped datasets; this
+//! microbenchmark isolates the traversal cost.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
+use ufim_bench::harness::Harness;
+use ufim_bench::json::JsonRun;
 use ufim_core::prelude::*;
 use ufim_core::{MeasureKind, TraversalKind};
 use ufim_miners::MatrixMiner;
@@ -34,70 +34,52 @@ fn mixed_db(transactions: usize, items: u32, seed: u64) -> UncertainDatabase {
     UncertainDatabase::with_num_items(t, items)
 }
 
-fn bench_measure_across_traversals(c: &mut Criterion) {
+fn main() {
+    let mut h = Harness::from_env();
+
     let db = mixed_db(4_000, 20, 13);
     let params = MiningParams::new(0.05, 0.7).unwrap();
-
     for measure in [MeasureKind::Normal, MeasureKind::ExactDp] {
-        let mut group = c.benchmark_group(format!("matrix_{measure}"));
-        group
-            .sample_size(10)
-            .warm_up_time(Duration::from_millis(500))
-            .measurement_time(Duration::from_secs(3));
         for traversal in TraversalKind::ALL {
             if !MatrixMiner::supported(measure, traversal) {
                 continue;
             }
             let cell = MatrixMiner::new(measure, traversal);
-            group.bench_with_input(
-                BenchmarkId::new(traversal.name(), "N=4k,I=20"),
-                &db,
-                |b, db| {
-                    b.iter(|| {
-                        cell.mine_probabilistic(std::hint::black_box(db), params)
-                            .unwrap()
-                            .len()
-                    })
-                },
+            let run = JsonRun::new(
+                "N=4k,I=20",
+                format!("{measure}×{traversal}"),
+                params.engine.name(),
             );
+            h.mine(&format!("matrix_{measure}"), run, || {
+                cell.mine_probabilistic(std::hint::black_box(&db), params)
+                    .unwrap()
+            });
         }
-        group.finish();
     }
-}
 
-/// Sanity companion to the timing: every traversal of a measure must find
-/// the same itemsets on the benchmarked workload (checked once, untimed).
-fn bench_matrix_guard(c: &mut Criterion) {
-    let db = mixed_db(1_000, 16, 13);
-    let params = MiningParams::new(0.05, 0.7).unwrap();
-    let mut total = 0usize;
-    for measure in MeasureKind::ALL {
-        let reference = MatrixMiner::new(measure, TraversalKind::LevelWise)
-            .mine_probabilistic(&db, params)
-            .unwrap();
-        for traversal in [TraversalKind::HyperStructure, TraversalKind::TreeGrowth] {
-            if !MatrixMiner::supported(measure, traversal) {
-                continue;
-            }
-            let got = MatrixMiner::new(measure, traversal)
+    // Every traversal of a measure must find the same itemsets on the
+    // benchmarked workload.
+    h.guard("matrix_guard/traversals_identical", || {
+        let db = mixed_db(1_000, 16, 13);
+        for measure in MeasureKind::ALL {
+            let reference = MatrixMiner::new(measure, TraversalKind::LevelWise)
                 .mine_probabilistic(&db, params)
                 .unwrap();
-            assert_eq!(
-                got.sorted_itemsets(),
-                reference.sorted_itemsets(),
-                "{measure}×{traversal} diverged on the bench workload"
-            );
-            total += got.len();
+            for traversal in [TraversalKind::HyperStructure, TraversalKind::TreeGrowth] {
+                if !MatrixMiner::supported(measure, traversal) {
+                    continue;
+                }
+                let got = MatrixMiner::new(measure, traversal)
+                    .mine_probabilistic(&db, params)
+                    .unwrap();
+                assert_eq!(
+                    got.sorted_itemsets(),
+                    reference.sorted_itemsets(),
+                    "{measure}×{traversal} diverged on the bench workload"
+                );
+            }
         }
-    }
-    let mut group = c.benchmark_group("matrix_guard");
-    group
-        .sample_size(2)
-        .warm_up_time(Duration::from_millis(10))
-        .measurement_time(Duration::from_millis(50));
-    group.bench_function("traversals_identical", |b| b.iter(|| total));
-    group.finish();
-}
+    });
 
-criterion_group!(benches, bench_measure_across_traversals, bench_matrix_guard);
-criterion_main!(benches);
+    h.finish("matrix", 1.0, 13);
+}

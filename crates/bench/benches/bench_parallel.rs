@@ -9,43 +9,24 @@
 //! past ~1.1× speedup) — swept over worker pool sizes through
 //! `ufim_core::parallel::with_thread_override`.
 //!
-//! On a multi-core host the `threads=N` rows show the work-stealing
-//! speedup; on a single-core container they bound the scheduling overhead
-//! instead (`threads=1` must not regress against the sequential code —
-//! results are bit-identical by construction, pinned by
-//! `tests/thread_determinism.rs`). The `parallel_guard` group is the CI
-//! smoke: it asserts cross-pool-size result identity on the benchmarked
-//! workloads, including the deep-skew fixture's nested-spawn path.
+//! Every workload runs at a fixed `threads=1` and `threads=2`, so the
+//! snapshot has the same rows on every host: on a multi-core host the
+//! ratio of the two rows' `wall_ms` is the work-stealing speedup; on a
+//! single core it bounds the scheduling overhead instead. The rows'
+//! counters are the same at both pool sizes (results and stats are
+//! bit-identical by construction, pinned by `tests/thread_determinism.rs`)
+//! and join the strict regression gate through the checked-in
+//! `BENCH_parallel.json`. The `parallel_guard` guard asserts
+//! cross-pool-size result identity on the benchmarked workloads,
+//! including the deep-skew fixture's nested-spawn path.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
+use ufim_bench::harness::{dense_db, Harness};
+use ufim_bench::json::JsonRun;
 use ufim_core::parallel::with_thread_override;
 use ufim_core::prelude::*;
 use ufim_miners::{NDUHMine, UApriori, UFPGrowth, UHMine};
-
-/// Dense synthetic uncertain database (same generator family as
-/// `bench_engines`): every item appears in `density` of the transactions
-/// with a high existence probability.
-fn dense_db(transactions: usize, items: u32, density: f64, seed: u64) -> UncertainDatabase {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let t = (0..transactions)
-        .map(|_| {
-            let units: Vec<(u32, f64)> = (0..items)
-                .filter_map(|i| {
-                    if rng.gen_bool(density) {
-                        Some((i, rng.gen_range(0.5..=1.0)))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            Transaction::new(units).unwrap()
-        })
-        .collect();
-    UncertainDatabase::with_num_items(t, items)
-}
 
 /// Sparser mixed database — the depth-first miners' home regime.
 fn sparse_db(transactions: usize, items: u32, seed: u64) -> UncertainDatabase {
@@ -77,224 +58,141 @@ fn sparse_db(transactions: usize, items: u32, seed: u64) -> UncertainDatabase {
 /// re-spawning can spread it across a pool.
 use ufim_data::benchmarks::deep_skew as deep_skew_db;
 
-/// Pool sizes to sweep: sequential, two workers, and the host's
-/// parallelism — deduplicated so 1- and 2-core hosts never register the
-/// same benchmark id twice.
-fn pools() -> Vec<usize> {
-    let max = ufim_core::parallel::max_threads();
-    let mut pools = vec![1, 2.min(max), max];
-    pools.dedup();
-    pools
-}
+/// The pool sizes every workload runs at: fixed, so the snapshot's rows
+/// do not depend on the host's core count.
+const POOLS: [usize; 2] = [1, 2];
 
-fn bench_uapriori_dense(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_uapriori_dense");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(3));
-    let db = dense_db(20_000, 24, 0.4, 7);
-    for threads in pools() {
-        group.bench_with_input(
-            BenchmarkId::new(format!("threads={threads}"), "N=20k,I=24,d=0.4"),
-            &db,
-            |b, db| {
-                let miner = UApriori::with_engine(EngineKind::Vertical);
-                b.iter(|| {
-                    with_thread_override(threads, || {
-                        miner
-                            .mine_expected_ratio(std::hint::black_box(db), 0.02)
-                            .unwrap()
-                            .len()
-                    })
-                })
-            },
-        );
+/// Times `mine` at each pool size as one row per size.
+fn sweep(
+    h: &mut Harness,
+    group: &str,
+    workload: &str,
+    algorithm: &str,
+    engine: &str,
+    mine: impl Fn() -> MiningResult,
+) {
+    for threads in POOLS {
+        let run = JsonRun::new(format!("{workload},threads={threads}"), algorithm, engine);
+        h.mine(group, run, || with_thread_override(threads, &mine));
     }
-    group.finish();
 }
 
-fn bench_nduh_mine(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_nduh_mine");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(3));
-    let db = sparse_db(30_000, 24, 13);
-    for threads in pools() {
-        group.bench_with_input(
-            BenchmarkId::new(format!("threads={threads}"), "N=30k,I=24,zipfish"),
-            &db,
-            |b, db| {
-                let miner = NDUHMine::new();
-                b.iter(|| {
-                    with_thread_override(threads, || {
-                        miner
-                            .mine_probabilistic_raw(std::hint::black_box(db), 0.05, 0.5)
-                            .unwrap()
-                            .len()
-                    })
-                })
-            },
-        );
-    }
-    group.finish();
-}
+fn main() {
+    let mut h = Harness::from_env();
 
-fn bench_ufp_growth(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_ufp_growth");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(3));
-    let db = dense_db(4_000, 20, 0.3, 21);
-    for threads in pools() {
-        group.bench_with_input(
-            BenchmarkId::new(format!("threads={threads}"), "N=4k,I=20,d=0.3"),
-            &db,
-            |b, db| {
-                let miner = UFPGrowth::new();
-                b.iter(|| {
-                    with_thread_override(threads, || {
-                        miner
-                            .mine_expected_ratio(std::hint::black_box(db), 0.05)
-                            .unwrap()
-                            .len()
-                    })
-                })
-            },
-        );
-    }
-    group.finish();
-}
+    let dense = dense_db(20_000, 24, 0.4, 7);
+    let miner = UApriori::with_engine(EngineKind::Vertical);
+    sweep(
+        &mut h,
+        "parallel_uapriori_dense",
+        "N=20k,I=24,d=0.4",
+        "UApriori",
+        "vertical",
+        || {
+            miner
+                .mine_expected_ratio(std::hint::black_box(&dense), 0.02)
+                .unwrap()
+        },
+    );
 
-/// The deep-skew workload: UH-Mine and UFP-growth on the dominant-subtree
-/// database. The interesting comparison is `threads=1` vs `threads=N`
-/// here specifically — a one-level fan-out gains almost nothing on this
-/// shape, nested spawning is what moves it.
-fn bench_deep_skew(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_deep_skew");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(3));
-    let db = deep_skew_db(12_000, 16, 4242);
-    for threads in pools() {
-        group.bench_with_input(
-            BenchmarkId::new(format!("uh_mine/threads={threads}"), "N=12k,I=16,skewed"),
-            &db,
-            |b, db| {
-                let miner = UHMine::new();
-                b.iter(|| {
-                    with_thread_override(threads, || {
-                        miner
-                            .mine_expected_ratio(std::hint::black_box(db), 0.05)
-                            .unwrap()
-                            .len()
-                    })
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("ufp_growth/threads={threads}"), "N=12k,I=16,skewed"),
-            &db,
-            |b, db| {
-                let miner = UFPGrowth::new();
-                b.iter(|| {
-                    with_thread_override(threads, || {
-                        miner
-                            .mine_expected_ratio(std::hint::black_box(db), 0.05)
-                            .unwrap()
-                            .len()
-                    })
-                })
-            },
-        );
-    }
-    group.finish();
-}
+    let sparse = sparse_db(30_000, 24, 13);
+    sweep(
+        &mut h,
+        "parallel_nduh_mine",
+        "N=30k,I=24,zipfish",
+        "NDUH-Mine",
+        "n/a",
+        || {
+            NDUHMine::new()
+                .mine_probabilistic_raw(std::hint::black_box(&sparse), 0.05, 0.5)
+                .unwrap()
+        },
+    );
 
-/// CI smoke: the benchmarked miners must produce identical results
-/// at every pool size (checked once, outside timing).
-fn bench_parallel_guard(c: &mut Criterion) {
-    let dense = dense_db(4_000, 16, 0.4, 7);
-    let sparse = sparse_db(4_000, 16, 13);
-    // Full-size deep-skew fixture: the nested-spawn path only triggers
-    // above the size cutoffs, and pinning that path is the point.
+    let dense = dense_db(4_000, 20, 0.3, 21);
+    sweep(
+        &mut h,
+        "parallel_ufp_growth",
+        "N=4k,I=20,d=0.3",
+        "UFP-growth",
+        "n/a",
+        || {
+            UFPGrowth::new()
+                .mine_expected_ratio(std::hint::black_box(&dense), 0.05)
+                .unwrap()
+        },
+    );
+
+    // The deep-skew workload: UH-Mine and UFP-growth on the
+    // dominant-subtree database. The interesting comparison is `threads=1`
+    // vs `threads=2` here specifically — a one-level fan-out gains almost
+    // nothing on this shape, nested spawning is what moves it.
     let skewed = deep_skew_db(12_000, 16, 4242);
-    let reference_u = with_thread_override(1, || {
-        UApriori::with_engine(EngineKind::Vertical)
-            .mine_expected_ratio(&dense, 0.02)
-            .unwrap()
-    });
-    let reference_n = with_thread_override(1, || {
-        NDUHMine::new()
-            .mine_probabilistic_raw(&sparse, 0.05, 0.5)
-            .unwrap()
-    });
-    let reference_t = with_thread_override(1, || {
-        UFPGrowth::new().mine_expected_ratio(&dense, 0.05).unwrap()
-    });
-    let reference_skew_u = with_thread_override(1, || {
-        UHMine::new().mine_expected_ratio(&skewed, 0.05).unwrap()
-    });
-    let reference_skew_t = with_thread_override(1, || {
-        UFPGrowth::new().mine_expected_ratio(&skewed, 0.05).unwrap()
-    });
-    for threads in [2usize, 8] {
-        with_thread_override(threads, || {
-            let u = UApriori::with_engine(EngineKind::Vertical)
-                .mine_expected_ratio(&dense, 0.02)
-                .unwrap();
-            assert_eq!(u.sorted_itemsets(), reference_u.sorted_itemsets());
-            assert_eq!(u.stats, reference_u.stats, "UApriori stats @ {threads}");
-            let n = NDUHMine::new()
-                .mine_probabilistic_raw(&sparse, 0.05, 0.5)
-                .unwrap();
-            assert_eq!(n.sorted_itemsets(), reference_n.sorted_itemsets());
-            assert_eq!(n.stats, reference_n.stats, "NDUH-Mine stats @ {threads}");
-            let t = UFPGrowth::new().mine_expected_ratio(&dense, 0.05).unwrap();
-            assert_eq!(t.sorted_itemsets(), reference_t.sorted_itemsets());
-            assert_eq!(t.stats, reference_t.stats, "UFP-growth stats @ {threads}");
+    sweep(
+        &mut h,
+        "parallel_deep_skew",
+        "N=12k,I=16,skewed",
+        "UH-Mine",
+        "n/a",
+        || {
+            UHMine::new()
+                .mine_expected_ratio(std::hint::black_box(&skewed), 0.05)
+                .unwrap()
+        },
+    );
+    sweep(
+        &mut h,
+        "parallel_deep_skew",
+        "N=12k,I=16,skewed",
+        "UFP-growth",
+        "n/a",
+        || {
+            UFPGrowth::new()
+                .mine_expected_ratio(std::hint::black_box(&skewed), 0.05)
+                .unwrap()
+        },
+    );
+
+    // The benchmarked miners must produce identical results and stats at
+    // every pool size.
+    h.guard("parallel_guard/pool_sizes_identical", || {
+        let dense = dense_db(4_000, 16, 0.4, 7);
+        let sparse = sparse_db(4_000, 16, 13);
+        // Full-size deep-skew fixture: the nested-spawn path only triggers
+        // above the size cutoffs, and pinning that path is the point.
+        let skewed = deep_skew_db(12_000, 16, 4242);
+        let mines: [(&str, &dyn Fn() -> MiningResult); 5] = [
+            ("UApriori", &|| {
+                UApriori::with_engine(EngineKind::Vertical)
+                    .mine_expected_ratio(&dense, 0.02)
+                    .unwrap()
+            }),
+            ("NDUH-Mine", &|| {
+                NDUHMine::new()
+                    .mine_probabilistic_raw(&sparse, 0.05, 0.5)
+                    .unwrap()
+            }),
+            ("UFP-growth", &|| {
+                UFPGrowth::new().mine_expected_ratio(&dense, 0.05).unwrap()
+            }),
             // Deep skew: these runs take the nested-spawn path, so the
             // guard pins nested bit-identity in CI, not just locally.
-            let su = UHMine::new().mine_expected_ratio(&skewed, 0.05).unwrap();
-            assert_eq!(su.sorted_itemsets(), reference_skew_u.sorted_itemsets());
-            assert_eq!(
-                su.stats, reference_skew_u.stats,
-                "deep-skew UH-Mine stats @ {threads}"
-            );
-            let st = UFPGrowth::new().mine_expected_ratio(&skewed, 0.05).unwrap();
-            assert_eq!(st.sorted_itemsets(), reference_skew_t.sorted_itemsets());
-            assert_eq!(
-                st.stats, reference_skew_t.stats,
-                "deep-skew UFP-growth stats @ {threads}"
-            );
-        });
-    }
-    let mut group = c.benchmark_group("parallel_guard");
-    group
-        .sample_size(2)
-        .warm_up_time(Duration::from_millis(10))
-        .measurement_time(Duration::from_millis(50));
-    group.bench_function("pool_sizes_identical", |b| {
-        b.iter(|| {
-            reference_u.len()
-                + reference_n.len()
-                + reference_t.len()
-                + reference_skew_u.len()
-                + reference_skew_t.len()
-        })
+            ("deep-skew UH-Mine", &|| {
+                UHMine::new().mine_expected_ratio(&skewed, 0.05).unwrap()
+            }),
+            ("deep-skew UFP-growth", &|| {
+                UFPGrowth::new().mine_expected_ratio(&skewed, 0.05).unwrap()
+            }),
+        ];
+        for (name, mine) in mines {
+            let reference = with_thread_override(1, mine);
+            for threads in [2usize, 8] {
+                let got = with_thread_override(threads, mine);
+                assert_eq!(got.sorted_itemsets(), reference.sorted_itemsets());
+                assert_eq!(got.stats, reference.stats, "{name} stats @ {threads}");
+            }
+        }
     });
-    group.finish();
-}
 
-criterion_group!(
-    benches,
-    bench_uapriori_dense,
-    bench_nduh_mine,
-    bench_ufp_growth,
-    bench_deep_skew,
-    bench_parallel_guard
-);
-criterion_main!(benches);
+    h.finish("parallel", 1.0, 7);
+}

@@ -26,16 +26,15 @@
 //! rounds) emits the same counters as a full run and the checked-in
 //! `BENCH_serve.json` baseline stays comparable either way.
 //!
-//! Flags: `--json-out DIR` writes the snapshot; `--smoke` shrinks the
-//! timing rounds (counters unchanged); `--log FILE` appends the counted
-//! pass's per-request server log (the CI artifact); unknown flags
-//! (cargo's `--bench`) are ignored.
+//! Besides the harness flags (`--smoke` shrinks the timing rounds,
+//! counters unchanged), `--log FILE` appends the counted pass's
+//! per-request server log (the CI artifact).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-use ufim_bench::json::{JsonRun, JsonSnapshot};
+use ufim_bench::harness::{dense_db, Harness};
+use ufim_bench::json::JsonRun;
 use ufim_core::prelude::*;
 use ufim_core::{EngineKind, MeasureKind, TraversalKind};
 use ufim_miners::MatrixMiner;
@@ -58,28 +57,6 @@ const CELLS: [(MeasureKind, EngineKind); 3] = [
     (MeasureKind::ExpectedSupport, EngineKind::Diffset),
     (MeasureKind::Normal, EngineKind::Vertical),
 ];
-
-/// The resident dataset: dense synthetic fixture, confident readings —
-/// singletons and most pairs stay frequent at the basis threshold, so
-/// the retained lattice is non-trivial at every level the probes touch.
-fn fixture() -> UncertainDatabase {
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let transactions = (0..N)
-        .map(|_| {
-            let units: Vec<(u32, f64)> = (0..ITEMS)
-                .filter_map(|i| {
-                    if rng.gen_bool(0.35) {
-                        Some((i, rng.gen_range(0.5..=1.0)))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            Transaction::new(units).unwrap()
-        })
-        .collect();
-    UncertainDatabase::with_num_items(transactions, ITEMS)
-}
 
 /// Priming requests: one lowest-threshold sweep per cell. These are the
 /// only queries in the run that mine.
@@ -293,22 +270,18 @@ fn timed_phase(db: &UncertainDatabase, clients: usize, rounds: usize) -> (f64, f
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut json_out: Option<std::path::PathBuf> = None;
-    let mut log: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--json-out" => {
-                json_out = Some(args.next().expect("--json-out needs a directory").into());
-            }
-            "--log" => log = Some(args.next().expect("--log needs a file").into()),
-            _ => {} // cargo bench passes --bench; ignore unknown flags
-        }
-    }
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let log = args.iter().position(|a| a == "--log").map(|i| {
+        let file = PathBuf::from(args.get(i + 1).expect("--log needs a file"));
+        args.drain(i..i + 2);
+        file
+    });
+    let mut h = Harness::parse(args);
 
-    let db = fixture();
+    // The resident dataset: dense synthetic fixture, confident readings —
+    // singletons and most pairs stay frequent at the basis threshold, so
+    // the retained lattice is non-trivial at every level the probes touch.
+    let db = dense_db(N, ITEMS, 0.35, SEED);
     let counted = counted_pass(&db, log.as_deref());
     println!(
         "counted pass: priming {} intersections, {} records; warm replay {} intersections, \
@@ -322,18 +295,22 @@ fn main() {
         counted.resident_bytes
     );
 
-    let rounds = if smoke { 2 } else { 16 };
-    let mut snap = JsonSnapshot::new("serve", 1.0, SEED);
+    let rounds = if h.smoke() { 2 } else { 16 };
     for clients in [1usize, 4, 8] {
+        let run = JsonRun::new(
+            format!("N={N},clients={clients}"),
+            "mixed sweep/topk/probe",
+            "memo",
+        );
+        if !h.selects(&format!("serve/{}", run.workload)) {
+            continue;
+        }
         let (p50, p95, p99, qps, wall_ms) = timed_phase(&db, clients, rounds);
         println!(
             "clients={clients:<2} p50 {p50:>7.3} ms  p95 {p95:>7.3} ms  p99 {p99:>7.3} ms  \
              {qps:>8.0} q/s  ({wall_ms:.1} ms total)"
         );
-        snap.runs.push(JsonRun {
-            workload: format!("N={N},clients={clients}"),
-            algorithm: "mixed sweep/topk/probe".to_string(),
-            engine: "memo".to_string(),
+        h.record(JsonRun {
             wall_ms,
             peak_memo_bytes: counted.resident_bytes,
             intersections: counted.cold_intersections,
@@ -344,14 +321,9 @@ fn main() {
             latency_p95_ms: Some(p95),
             latency_p99_ms: Some(p99),
             qps: Some(qps),
-            ..Default::default()
+            ..run
         });
     }
 
-    if let Some(dir) = json_out {
-        match snap.write(&dir) {
-            Some(path) => println!("wrote {}", path.display()),
-            None => std::process::exit(1),
-        }
-    }
+    h.finish("serve", 1.0, SEED);
 }

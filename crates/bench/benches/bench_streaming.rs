@@ -14,31 +14,23 @@
 //! 90% of the batch count (measured ratios sit far below; the bound only
 //! catches a collapse of the border reuse).
 //!
-//! Like `bench_kernels`, the vendored criterion shim cannot export
-//! measurements, so this is a hand-rolled `harness = false` binary that
-//! emits a `BENCH_streaming.json` snapshot (`--json-out DIR`) through
-//! `ufim_bench::json`. Strict fields (`intersections`, `num_itemsets`)
-//! come from the counted pass and are bit-identical across machines and
-//! pool sizes; the throughput (`wall_ms`, from which tx/sec derives) and
-//! the border-tracker counters ride along as advisory fields.
+//! The bench emits a `BENCH_streaming.json` snapshot (`--json-out DIR`).
+//! Strict fields (`intersections`, `num_itemsets`) come from the counted
+//! pass and are bit-identical across machines and pool sizes; the
+//! throughput (`wall_ms`, from which tx/sec derives) and the
+//! border-tracker counters ride along as advisory fields.
 //!
-//! With `--gate` the binary additionally asserts the **wall-clock
-//! contract** of memo-preserving delta evaluation: on the columnar
-//! backends (vertical and diffset), the incremental pass must finish in ≤ 1.0× the batch
-//! re-mine's wall-clock on this cheap esup+var fixture at 6% churn —
-//! the memo patch walk plus warm-memo short-circuit has to *pay for
-//! itself*, not just shrink candidate counts. The gate times both
-//! sides over the full (non-smoke) iteration budget and compares
-//! best-of-N, so a single scheduler hiccup cannot flip the verdict.
-//!
-//! Flags: `--json-out DIR` writes the snapshot; `--smoke` shrinks the
-//! timing loop (counters unchanged); `--gate` enables the wall-clock
-//! assertion above; unknown flags (cargo's `--bench`) are ignored.
+//! With `--gate` (this bench's own flag) the binary additionally asserts
+//! the **wall-clock contract** of memo-preserving delta evaluation: on the
+//! columnar backends (vertical and diffset), the incremental pass must
+//! finish in ≤ 1.0× the batch re-mine's wall-clock on this cheap esup+var
+//! fixture at 6% churn — the memo patch walk plus warm-memo short-circuit
+//! has to *pay for itself*, not just shrink candidate counts. The gate
+//! compares the two sides' best samples, so a single scheduler hiccup
+//! cannot flip the verdict.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::time::Instant;
-use ufim_bench::json::{JsonRun, JsonSnapshot};
+use ufim_bench::harness::{dense_db, Harness};
+use ufim_bench::json::JsonRun;
 use ufim_core::prelude::*;
 use ufim_miners::common::{mine_level_wise, ExpectedSupport, IncrementalMiner};
 
@@ -53,26 +45,6 @@ const ROUNDS: usize = 8;
 /// Expected-support threshold ratio: singletons and most pairs stay
 /// frequent on the dense fixture, triples fall below — a live border.
 const MIN_ESUP_RATIO: f64 = 0.05;
-
-/// The whole stream, synthesized once: the initial fill plus every round's
-/// arrivals (dense fixture, ~35% density, confident readings).
-fn stream() -> Vec<Transaction> {
-    let mut rng = StdRng::seed_from_u64(SEED);
-    (0..CAPACITY + ROUNDS * BATCH)
-        .map(|_| {
-            let units: Vec<(u32, f64)> = (0..ITEMS)
-                .filter_map(|i| {
-                    if rng.gen_bool(0.35) {
-                        Some((i, rng.gen_range(0.5..=1.0)))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            Transaction::new(units).unwrap()
-        })
-        .collect()
-}
 
 /// Accumulated work counters of one side of the counted pass.
 #[derive(Default)]
@@ -140,81 +112,51 @@ fn counted_pass(txs: &[Transaction], engine: EngineKind, threshold: f64) -> (Tal
     (inc, batch, final_size)
 }
 
-/// Timed replay of one side: `(mean_ms, best_ms)` over `iters`
-/// repetitions. `incremental == false` re-mines the snapshot at every
-/// checkpoint instead of refreshing. The mean is what the snapshot
-/// reports; the best-of-N is what the `--gate` comparison uses (robust
-/// to a one-off scheduler stall inflating a single repetition).
-fn timed_pass(
-    txs: &[Transaction],
-    engine: EngineKind,
-    threshold: f64,
-    incremental: bool,
-    iters: usize,
-) -> (f64, f64) {
-    let mut total = 0.0;
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        let window = WindowedDatabase::new(CAPACITY, ITEMS);
-        let mut miner =
-            IncrementalMiner::new(window, ExpectedSupport::with_variance(threshold), engine);
-        let mut stream = txs.iter().cloned();
-        for t in stream.by_ref().take(CAPACITY) {
+/// One timed replay of one side. `incremental == false` re-mines the
+/// snapshot at every checkpoint instead of refreshing.
+fn timed_pass(txs: &[Transaction], engine: EngineKind, threshold: f64, incremental: bool) {
+    let window = WindowedDatabase::new(CAPACITY, ITEMS);
+    let mut miner =
+        IncrementalMiner::new(window, ExpectedSupport::with_variance(threshold), engine);
+    let mut stream = txs.iter().cloned();
+    for t in stream.by_ref().take(CAPACITY) {
+        miner.append(t);
+    }
+    let mine = |miner: &mut IncrementalMiner<ExpectedSupport>| {
+        if incremental {
+            miner.refresh();
+        } else {
+            std::hint::black_box(mine_level_wise(
+                &miner.window().snapshot(),
+                ExpectedSupport::with_variance(threshold),
+                engine,
+            ));
+        }
+    };
+    mine(&mut miner);
+    for _ in 0..ROUNDS {
+        miner.expire_oldest(BATCH);
+        for t in stream.by_ref().take(BATCH) {
             miner.append(t);
         }
-        let mine = |miner: &mut IncrementalMiner<ExpectedSupport>| {
-            if incremental {
-                miner.refresh();
-            } else {
-                std::hint::black_box(mine_level_wise(
-                    &miner.window().snapshot(),
-                    ExpectedSupport::with_variance(threshold),
-                    engine,
-                ));
-            }
-        };
         mine(&mut miner);
-        for _ in 0..ROUNDS {
-            miner.expire_oldest(BATCH);
-            for t in stream.by_ref().take(BATCH) {
-                miner.append(t);
-            }
-            mine(&mut miner);
-        }
-        let ms = start.elapsed().as_secs_f64() * 1000.0;
-        total += ms;
-        best = best.min(ms);
     }
-    (total / iters as f64, best)
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut gate = false;
-    let mut json_out: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--gate" => gate = true,
-            "--json-out" => {
-                json_out = Some(args.next().expect("--json-out needs a directory").into());
-            }
-            _ => {} // cargo bench passes --bench; ignore unknown flags
-        }
-    }
+    let mut h = Harness::from_env();
+    let gate = std::env::args().any(|a| a == "--gate");
 
-    let txs = stream();
+    // The whole stream, synthesized once: the initial fill plus every
+    // round's arrivals (dense fixture, ~35% density, confident readings).
+    let stream = dense_db(CAPACITY + ROUNDS * BATCH, ITEMS, 0.35, SEED);
+    let txs = stream.transactions();
     let threshold = MIN_ESUP_RATIO * CAPACITY as f64;
-    // The gate needs a stable best-of-N; never let --smoke starve it.
-    let iters = if smoke && !gate { 1 } else { 3 };
     let streamed = (ROUNDS * BATCH) as f64;
-    let mut snap = JsonSnapshot::new("streaming", 1.0, SEED);
 
     for engine in EngineKind::ALL {
         let workload = format!("N={CAPACITY},rounds={ROUNDS},batch={BATCH}");
-        let (inc, batch, num_itemsets) = counted_pass(&txs, engine, threshold);
+        let (inc, batch, num_itemsets) = counted_pass(txs, engine, threshold);
         // The acceptance floor: border reuse must keep the incremental
         // path strictly under the batch oracle's candidate workload.
         let ratio = inc.candidates as f64 / batch.candidates as f64;
@@ -225,7 +167,7 @@ fn main() {
             inc.candidates,
             batch.candidates
         );
-        let mut best = [0.0f64; 2];
+        let mut best = [None; 2];
         for (side, (algorithm, tally, incremental)) in [
             ("incremental", &inc, true),
             ("batch re-mine", &batch, false),
@@ -233,22 +175,7 @@ fn main() {
         .into_iter()
         .enumerate()
         {
-            let (wall_ms, best_ms) = timed_pass(&txs, engine, threshold, incremental, iters);
-            best[side] = best_ms;
-            println!(
-                "{workload:<34} {:<10} {algorithm:<14} {wall_ms:>9.2} ms  \
-                 ({:.0} tx/sec, candidates {:>5}, intersections {:>6}, itemsets {num_itemsets})",
-                engine.name(),
-                streamed / (wall_ms / 1000.0),
-                tally.candidates,
-                tally.intersections,
-            );
-            snap.runs.push(JsonRun {
-                workload: workload.clone(),
-                algorithm: algorithm.to_string(),
-                engine: engine.name().to_string(),
-                wall_ms,
-                peak_bytes: 0,
+            let run = JsonRun {
                 peak_memo_bytes: tally.peak_memo,
                 intersections: tally.intersections,
                 num_itemsets,
@@ -256,8 +183,22 @@ fn main() {
                 border_skipped: incremental.then_some(tally.skipped),
                 memo_patched: incremental.then_some(tally.patched),
                 memo_rebuilt: incremental.then_some(tally.rebuilt),
-                ..Default::default()
-            });
+                ..JsonRun::new(&workload, algorithm, engine.name())
+            };
+            let Some(timing) = h.bench("streaming", run, || {
+                timed_pass(txs, engine, threshold, incremental)
+            }) else {
+                continue;
+            };
+            best[side] = Some(timing.best_ms);
+            println!(
+                "{workload:<34} {:<10} {algorithm:<14} {:.0} tx/sec, candidates {:>5}, \
+                 intersections {:>6}, itemsets {num_itemsets}",
+                engine.name(),
+                streamed / (timing.median_ms / 1000.0),
+                tally.candidates,
+                tally.intersections,
+            );
         }
         println!(
             "{workload:<34} {:<10} candidate ratio {ratio:.2} (border re-judged {}, reused {}; \
@@ -274,28 +215,23 @@ fn main() {
         // rides the candidate-ratio floor above.
         let columnar = matches!(engine, EngineKind::Vertical | EngineKind::Diffset);
         if gate && columnar {
-            let speedup = best[0] / best[1];
+            let [Some(incremental), Some(batch)] = best else {
+                panic!("--gate needs both sides timed; drop the filter");
+            };
+            let speedup = incremental / batch;
             println!(
-                "{workload:<34} {:<10} wall-clock gate: incremental {:.2} ms vs batch {:.2} ms \
-                 ({speedup:.2}x, limit 1.00x)",
+                "{workload:<34} {:<10} wall-clock gate: incremental {incremental:.2} ms vs \
+                 batch {batch:.2} ms ({speedup:.2}x, limit 1.00x)",
                 engine.name(),
-                best[0],
-                best[1]
             );
             assert!(
                 speedup <= 1.0,
-                "{workload} {engine}: incremental best-of-{iters} {:.2} ms exceeded the batch \
-                 re-mine's {:.2} ms ({speedup:.2}x > 1.00x) — memo patching stopped paying off",
-                best[0],
-                best[1]
+                "{workload} {engine}: incremental best sample {incremental:.2} ms exceeded the \
+                 batch re-mine's {batch:.2} ms ({speedup:.2}x > 1.00x) — memo patching stopped \
+                 paying off"
             );
         }
     }
 
-    if let Some(dir) = json_out {
-        match snap.write(&dir) {
-            Some(path) => println!("wrote {}", path.display()),
-            None => std::process::exit(1),
-        }
-    }
+    h.finish("streaming", 1.0, SEED);
 }

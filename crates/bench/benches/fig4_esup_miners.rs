@@ -1,13 +1,13 @@
-//! Criterion micro-benchmarks backing Figure 4: the three expected-support
-//! miners across a dense and a sparse dataset, plus the decremental-pruning
+//! Micro-benchmarks backing Figure 4: the three expected-support miners
+//! across a dense and a sparse dataset, plus the decremental-pruning
 //! ablation called out in DESIGN.md.
 //!
-//! These complement (not replace) the `ufim-bench fig4` harness: Criterion
-//! gives statistically robust *time* comparisons at a fixed small scale,
-//! while the harness sweeps full parameter axes and measures memory.
+//! These complement (not replace) the `ufim-bench fig4` harness: here the
+//! time comparisons are best-of-N at a fixed small scale, while the
+//! harness sweeps full parameter axes and measures memory.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
+use ufim_bench::harness::Harness;
+use ufim_bench::json::JsonRun;
 use ufim_core::prelude::*;
 use ufim_data::Benchmark;
 use ufim_miners::{Algorithm, UApriori};
@@ -15,12 +15,8 @@ use ufim_miners::{Algorithm, UApriori};
 const SCALE: f64 = 0.002;
 const SEED: u64 = 42;
 
-fn bench_datasets(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig4_esup_miners");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
+fn main() {
+    let mut h = Harness::from_env();
 
     for bench in [
         Benchmark::Connect,
@@ -39,43 +35,37 @@ fn bench_datasets(c: &mut Criterion) {
         };
         for algo in Algorithm::EXPECTED_SUPPORT {
             let miner = algo.expected_support_miner().unwrap();
-            group.bench_with_input(BenchmarkId::new(algo.name(), bench.name()), &db, |b, db| {
-                b.iter(|| {
-                    miner
-                        .mine_expected_ratio(std::hint::black_box(db), min_esup)
-                        .unwrap()
-                        .len()
-                })
+            let engine = if algo.supports_engine_selection() {
+                "horizontal"
+            } else {
+                "n/a"
+            };
+            let run = JsonRun::new(bench.name(), algo.name(), engine);
+            h.mine("fig4_esup_miners", run, || {
+                miner
+                    .mine_expected_ratio(std::hint::black_box(&db), min_esup)
+                    .unwrap()
             });
         }
     }
-    group.finish();
-}
 
-/// Ablation A-2 (DESIGN.md): UApriori's decremental pruning on/off.
-fn bench_decremental_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig4_ablation_decremental");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-
+    // Ablation A-2 (DESIGN.md): UApriori's decremental pruning on/off.
     let db = Benchmark::Connect.generate(SCALE, SEED);
     for (label, miner) in [
         ("plain", UApriori::new()),
         ("decremental", UApriori::with_decremental_pruning()),
     ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                miner
-                    .mine_expected_ratio(std::hint::black_box(&db), 0.45)
-                    .unwrap()
-                    .len()
-            })
+        let run = JsonRun::new(
+            "Connect,min_esup=0.45",
+            format!("UApriori-{label}"),
+            "horizontal",
+        );
+        h.mine("fig4_ablation_decremental", run, || {
+            miner
+                .mine_expected_ratio(std::hint::black_box(&db), 0.45)
+                .unwrap()
         });
     }
-    group.finish();
-}
 
-criterion_group!(benches, bench_datasets, bench_decremental_ablation);
-criterion_main!(benches);
+    h.finish("fig4_esup_miners", SCALE, SEED);
+}

@@ -1,22 +1,17 @@
-//! Criterion micro-benchmarks backing Figure 5: the exact probabilistic
-//! miners, isolating the two paper-claimed effects — DC vs DP kernel cost
-//! and the Chernoff-bound pruning benefit.
+//! Micro-benchmarks backing Figure 5: the exact probabilistic miners,
+//! isolating the two paper-claimed effects — DC vs DP kernel cost and the
+//! Chernoff-bound pruning benefit.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
+use ufim_bench::harness::Harness;
+use ufim_bench::json::JsonRun;
 use ufim_data::Benchmark;
 use ufim_miners::Algorithm;
 
 const SCALE: f64 = 0.002;
 const SEED: u64 = 42;
 
-fn bench_exact_miners(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig5_exact_prob");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(3));
-
+fn main() {
+    let mut h = Harness::from_env();
     for bench in [Benchmark::Accident, Benchmark::Kosarak] {
         let db = bench.generate(SCALE, SEED);
         let (min_sup, pft) = match bench {
@@ -25,18 +20,18 @@ fn bench_exact_miners(c: &mut Criterion) {
         };
         for algo in Algorithm::EXACT_PROBABILISTIC {
             let miner = algo.probabilistic_miner().unwrap();
-            group.bench_with_input(BenchmarkId::new(algo.name(), bench.name()), &db, |b, db| {
-                b.iter(|| {
-                    miner
-                        .mine_probabilistic_raw(std::hint::black_box(db), min_sup, pft)
-                        .unwrap()
-                        .len()
-                })
+            let engine = if algo.supports_engine_selection() {
+                "horizontal"
+            } else {
+                "n/a"
+            };
+            let run = JsonRun::new(bench.name(), algo.name(), engine);
+            h.mine("fig5_exact_prob", run, || {
+                miner
+                    .mine_probabilistic_raw(std::hint::black_box(&db), min_sup, pft)
+                    .unwrap()
             });
         }
     }
-    group.finish();
+    h.finish("fig5_exact_prob", SCALE, SEED);
 }
-
-criterion_group!(benches, bench_exact_miners);
-criterion_main!(benches);

@@ -1,22 +1,16 @@
-//! Criterion micro-benchmarks backing Figure 6: the approximate
-//! probabilistic miners against the exact DCB reference, on a dense and a
-//! sparse dataset.
+//! Micro-benchmarks backing Figure 6: the approximate probabilistic miners
+//! against the exact DCB reference, on a dense and a sparse dataset.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
+use ufim_bench::harness::Harness;
+use ufim_bench::json::JsonRun;
 use ufim_data::Benchmark;
 use ufim_miners::Algorithm;
 
 const SCALE: f64 = 0.002;
 const SEED: u64 = 42;
 
-fn bench_approx_miners(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig6_approx_prob");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(3));
-
+fn main() {
+    let mut h = Harness::from_env();
     for bench in [Benchmark::Accident, Benchmark::Kosarak] {
         let db = bench.generate(SCALE, SEED);
         let (min_sup, pft) = match bench {
@@ -25,18 +19,18 @@ fn bench_approx_miners(c: &mut Criterion) {
         };
         for algo in Algorithm::APPROXIMATE {
             let miner = algo.probabilistic_miner().unwrap();
-            group.bench_with_input(BenchmarkId::new(algo.name(), bench.name()), &db, |b, db| {
-                b.iter(|| {
-                    miner
-                        .mine_probabilistic_raw(std::hint::black_box(db), min_sup, pft)
-                        .unwrap()
-                        .len()
-                })
+            let engine = if algo.supports_engine_selection() {
+                "horizontal"
+            } else {
+                "n/a"
+            };
+            let run = JsonRun::new(bench.name(), algo.name(), engine);
+            h.mine("fig6_approx_prob", run, || {
+                miner
+                    .mine_probabilistic_raw(std::hint::black_box(&db), min_sup, pft)
+                    .unwrap()
             });
         }
     }
-    group.finish();
+    h.finish("fig6_approx_prob", SCALE, SEED);
 }
-
-criterion_group!(benches, bench_approx_miners);
-criterion_main!(benches);

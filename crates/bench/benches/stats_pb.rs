@@ -7,8 +7,9 @@
 //!   `pmf_divide_conquer` (`O(N log N)`) vs the `O(1)`-after-moments
 //!   approximations — the complexity hierarchy the paper prints as Table 4.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
+use std::hint::black_box;
+use ufim_bench::harness::Harness;
+use ufim_bench::json::JsonRun;
 use ufim_stats::chernoff::chernoff_upper_bound;
 use ufim_stats::conv::{convolve_fft, convolve_naive};
 use ufim_stats::normal::normal_survival_with_continuity;
@@ -21,64 +22,45 @@ fn probs(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn bench_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pb_kernels");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(2));
+fn main() {
+    let mut h = Harness::from_env();
 
-    for &n in &[256usize, 1024, 4096] {
+    for n in [256usize, 1024, 4096] {
         let q = probs(n);
         let msup = n / 2;
-        group.bench_with_input(BenchmarkId::new("survival_dp", n), &q, |b, q| {
-            b.iter(|| survival_dp(std::hint::black_box(q), msup))
+        let run = |kernel| JsonRun::new(format!("n={n}"), kernel, "pb");
+        h.bench("pb_kernels", run("survival_dp"), || {
+            survival_dp(black_box(&q), msup)
         });
-        group.bench_with_input(BenchmarkId::new("pmf_dc_fft", n), &q, |b, q| {
-            b.iter(|| pmf_divide_conquer(std::hint::black_box(q), Some(msup)))
+        h.bench("pb_kernels", run("pmf_dc_fft"), || {
+            pmf_divide_conquer(black_box(&q), Some(msup))
         });
-        group.bench_with_input(BenchmarkId::new("normal_approx", n), &q, |b, q| {
-            b.iter(|| {
-                let (mu, var) = support_moments(std::hint::black_box(q));
-                normal_survival_with_continuity(mu, var, msup)
-            })
+        h.bench("pb_kernels", run("normal_approx"), || {
+            let (mu, var) = support_moments(black_box(&q));
+            normal_survival_with_continuity(mu, var, msup)
         });
-        group.bench_with_input(BenchmarkId::new("poisson_approx", n), &q, |b, q| {
-            b.iter(|| {
-                let (mu, _) = support_moments(std::hint::black_box(q));
-                poisson_survival(msup, mu)
-            })
+        h.bench("pb_kernels", run("poisson_approx"), || {
+            let (mu, _) = support_moments(black_box(&q));
+            poisson_survival(msup, mu)
         });
-        group.bench_with_input(BenchmarkId::new("chernoff_bound", n), &q, |b, q| {
-            b.iter(|| {
-                let (mu, _) = support_moments(std::hint::black_box(q));
-                chernoff_upper_bound(mu, msup as f64)
-            })
+        h.bench("pb_kernels", run("chernoff_bound"), || {
+            let (mu, _) = support_moments(black_box(&q));
+            chernoff_upper_bound(mu, msup as f64)
         });
     }
-    group.finish();
-}
 
-/// Ablation A-1: where does FFT convolution overtake the naive product-sum?
-fn bench_conv_crossover(c: &mut Criterion) {
-    let mut group = c.benchmark_group("conv_crossover");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(2));
-
-    for &n in &[32usize, 128, 256, 512, 2048] {
-        let a = probs(n);
-        let b_ = probs(n);
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |bch, _| {
-            bch.iter(|| convolve_naive(std::hint::black_box(&a), std::hint::black_box(&b_)))
+    // Ablation A-1: where does FFT convolution overtake the naive
+    // product-sum?
+    for n in [32usize, 128, 256, 512, 2048] {
+        let (a, b) = (probs(n), probs(n));
+        let run = |method| JsonRun::new(format!("n={n}"), method, "conv");
+        h.bench("conv_crossover", run("naive"), || {
+            convolve_naive(black_box(&a), black_box(&b))
         });
-        group.bench_with_input(BenchmarkId::new("fft", n), &n, |bch, _| {
-            bch.iter(|| convolve_fft(std::hint::black_box(&a), std::hint::black_box(&b_)))
+        h.bench("conv_crossover", run("fft"), || {
+            convolve_fft(black_box(&a), black_box(&b))
         });
     }
-    group.finish();
-}
 
-criterion_group!(benches, bench_kernels, bench_conv_crossover);
-criterion_main!(benches);
+    h.finish("stats_pb", 1.0, 0);
+}

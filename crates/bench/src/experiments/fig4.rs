@@ -34,7 +34,7 @@ pub const ZIPF_SKEW_AXIS: [f64; 4] = [0.8, 1.2, 1.6, 2.0];
 /// `min_esup` used in the Zipf panels. Zipf-level probabilities are much
 /// smaller on average than the Gaussian defaults, so the paper-style dense
 /// threshold (0.5) would find nothing; 0.05 keeps one to two mining levels
-/// alive across the whole skew axis (see EXPERIMENTS.md).
+/// alive across the whole skew axis.
 pub const ZIPF_MIN_ESUP: f64 = 0.05;
 
 /// Panels of Figure 4.

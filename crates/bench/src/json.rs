@@ -8,14 +8,15 @@
 //! thread cap). `crates/bench/baselines/` keeps checked-in snapshots from
 //! past PRs as the comparison anchor.
 //!
-//! The sanctioned dependency set has no serde, so this module hand-rolls
-//! the (tiny) writer and a strict reader. The reader is a real JSON
-//! parser — `ufim-bench json-check` uses it in CI to prove the emitted
-//! snapshots are actually machine-readable, not just string-shaped.
+//! Snapshots are read and written with the workspace's one JSON codec,
+//! [`ufim_serve::Json`]: `ufim-bench json-check` parses every emitted
+//! snapshot in CI to prove it is machine-readable, not just string-shaped,
+//! and inherits the codec's nesting cap, so a hostile file is rejected
+//! rather than overflowing the stack.
 //!
 //! ## The regression gate
 //!
-//! `ufim-bench json-compare BASELINE FRESH [--tolerance-pct P]`
+//! `ufim-bench json-compare BASELINE FRESH`
 //! ([`compare_paths`]) turns the snapshots into an actual CI gate:
 //!
 //! * **strict** (build-failing): the experiment identity (name, scale,
@@ -24,10 +25,10 @@
 //!   `num_itemsets` — must match the baseline exactly. These are
 //!   bit-identical across machines and pool sizes by the workspace's
 //!   determinism guarantee, so *any* drift is a real behavioral change.
-//! * **advisory** (warning only): `wall_ms` drift beyond the tolerance
-//!   and `peak_memo_bytes` changes. Timing depends on the host; memory
-//!   policy may legitimately change — both are surfaced, neither fails
-//!   the build.
+//! * **advisory** (warning only): `wall_ms` drift beyond
+//!   [`DEFAULT_TOLERANCE_PCT`] and `peak_memo_bytes` changes. Timing
+//!   depends on the host; memory policy may legitimately change — both
+//!   are surfaced, neither fails the build.
 //! * **advisory by construction**: counter fields added after a baseline
 //!   was recorded (the border/memo counters from incremental runs, and
 //!   the `memo_hits` / `memo_extends` pair plus the
@@ -39,8 +40,8 @@
 //!   reader does not know (such as the retired `shards_*` pair) are
 //!   ignored, so older snapshots that carry them still parse.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use ufim_serve::Json;
 
 /// One measured run inside a snapshot. `Default` gives every label empty,
 /// every measurement zero and every optional counter absent — experiment
@@ -122,6 +123,118 @@ pub struct JsonSnapshot {
     pub runs: Vec<JsonRun>,
 }
 
+impl JsonRun {
+    /// A run labelled `(workload, algorithm, engine)` with every
+    /// measurement zero and every optional counter absent.
+    pub fn new(
+        workload: impl Into<String>,
+        algorithm: impl Into<String>,
+        engine: impl Into<String>,
+    ) -> Self {
+        JsonRun {
+            workload: workload.into(),
+            algorithm: algorithm.into(),
+            engine: engine.into(),
+            ..Default::default()
+        }
+    }
+
+    fn to_value(&self) -> Json {
+        let mut fields = vec![
+            ("workload", Json::Str(self.workload.clone())),
+            ("algorithm", Json::Str(self.algorithm.clone())),
+            ("engine", Json::Str(self.engine.clone())),
+            ("wall_ms", num(self.wall_ms)),
+            ("peak_bytes", num(self.peak_bytes as f64)),
+            ("peak_memo_bytes", num(self.peak_memo_bytes as f64)),
+            ("intersections", num(self.intersections as f64)),
+            ("num_itemsets", num(self.num_itemsets as f64)),
+        ];
+        let mut run = self.clone();
+        for (name, field) in OPTIONAL {
+            if let Some(x) = field.get(&mut run) {
+                fields.push((name, num(x)));
+            }
+        }
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    fn from_value(v: &Json) -> Result<Self, String> {
+        let mut run = JsonRun {
+            workload: string(v, "workload")?,
+            algorithm: string(v, "algorithm")?,
+            engine: string(v, "engine")?,
+            wall_ms: number(v, "wall_ms")?,
+            peak_bytes: unsigned(v, "peak_bytes")?,
+            peak_memo_bytes: unsigned(v, "peak_memo_bytes")?,
+            intersections: unsigned(v, "intersections")?,
+            num_itemsets: unsigned(v, "num_itemsets")?,
+            ..Default::default()
+        };
+        for (name, field) in OPTIONAL {
+            if v.get(name).is_none() {
+                continue;
+            }
+            match field {
+                Optional::Count(f) => *f(&mut run) = Some(unsigned(v, name)?),
+                Optional::Timing(f) => *f(&mut run) = Some(number(v, name)?),
+            }
+        }
+        Ok(run)
+    }
+}
+
+/// One optional field of a [`JsonRun`]: absent from snapshots that
+/// predate it, and advisory in the gate (see the module docs).
+#[derive(Clone, Copy)]
+enum Optional {
+    /// A deterministic counter: any change warns.
+    Count(fn(&mut JsonRun) -> &mut Option<u64>),
+    /// A timing-derived float: drift beyond the tolerance warns.
+    Timing(fn(&mut JsonRun) -> &mut Option<f64>),
+}
+
+impl Optional {
+    fn get(self, run: &mut JsonRun) -> Option<f64> {
+        match self {
+            Optional::Count(f) => f(run).map(|n| n as f64),
+            Optional::Timing(f) => *f(run),
+        }
+    }
+}
+
+/// Every optional field of [`JsonRun`], in emission order. Emitting,
+/// parsing and comparing snapshots all walk this one list.
+const OPTIONAL: [(&str, Optional); 10] = [
+    (
+        "border_rejudged",
+        Optional::Count(|r| &mut r.border_rejudged),
+    ),
+    ("border_skipped", Optional::Count(|r| &mut r.border_skipped)),
+    ("memo_patched", Optional::Count(|r| &mut r.memo_patched)),
+    ("memo_rebuilt", Optional::Count(|r| &mut r.memo_rebuilt)),
+    ("memo_hits", Optional::Count(|r| &mut r.memo_hits)),
+    ("memo_extends", Optional::Count(|r| &mut r.memo_extends)),
+    (
+        "latency_p50_ms",
+        Optional::Timing(|r| &mut r.latency_p50_ms),
+    ),
+    (
+        "latency_p95_ms",
+        Optional::Timing(|r| &mut r.latency_p95_ms),
+    ),
+    (
+        "latency_p99_ms",
+        Optional::Timing(|r| &mut r.latency_p99_ms),
+    ),
+    ("qps", Optional::Timing(|r| &mut r.qps)),
+];
+
 impl JsonSnapshot {
     /// An empty snapshot for `experiment` under the current configuration.
     pub fn new(experiment: impl Into<String>, scale: f64, seed: u64) -> Self {
@@ -134,62 +247,25 @@ impl JsonSnapshot {
         }
     }
 
-    /// Serializes the snapshot as pretty-printed JSON.
+    /// Serializes the snapshot as JSON: one line per top-level field and
+    /// one per run, so snapshots diff run by run.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.runs.len() * 192);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"experiment\": {},", quote(&self.experiment));
-        let _ = writeln!(s, "  \"scale\": {},", fmt_f64(self.scale));
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        s.push_str("  \"runs\": [");
-        for (i, r) in self.runs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    {");
-            let _ = write!(
-                s,
-                "\"workload\": {}, \"algorithm\": {}, \"engine\": {}, \
-                 \"wall_ms\": {}, \"peak_bytes\": {}, \"peak_memo_bytes\": {}, \
-                 \"intersections\": {}, \"num_itemsets\": {}",
-                quote(&r.workload),
-                quote(&r.algorithm),
-                quote(&r.engine),
-                fmt_f64(r.wall_ms),
-                r.peak_bytes,
-                r.peak_memo_bytes,
-                r.intersections,
-                r.num_itemsets
-            );
-            for (name, v) in [
-                ("border_rejudged", r.border_rejudged),
-                ("border_skipped", r.border_skipped),
-                ("memo_patched", r.memo_patched),
-                ("memo_rebuilt", r.memo_rebuilt),
-                ("memo_hits", r.memo_hits),
-                ("memo_extends", r.memo_extends),
-            ] {
-                if let Some(n) = v {
-                    let _ = write!(s, ", \"{name}\": {n}");
-                }
-            }
-            for (name, v) in [
-                ("latency_p50_ms", r.latency_p50_ms),
-                ("latency_p95_ms", r.latency_p95_ms),
-                ("latency_p99_ms", r.latency_p99_ms),
-                ("qps", r.qps),
-            ] {
-                if let Some(x) = v {
-                    let _ = write!(s, ", \"{name}\": {}", fmt_f64(x));
-                }
-            }
-            s.push('}');
+        let mut s = format!(
+            "{{\n  \"experiment\": {},\n  \"scale\": {},\n  \"seed\": {},\n  \"threads\": {},\n  \"runs\": [",
+            Json::Str(self.experiment.clone()).to_line(),
+            num(self.scale).to_line(),
+            self.seed,
+            self.threads
+        );
+        for (i, run) in self.runs.iter().enumerate() {
+            s.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            s.push_str(&run.to_value().to_line());
         }
-        if !self.runs.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
+        s.push_str(if self.runs.is_empty() {
+            "]\n}\n"
+        } else {
+            "\n  ]\n}\n"
+        });
         s
     }
 
@@ -220,44 +296,52 @@ impl JsonSnapshot {
     /// A message naming the malformed construct (JSON syntax, a missing or
     /// mistyped field) — suitable for printing from `json-check`.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let (value, rest) = Value::parse(text.trim_start())?;
-        if !rest.trim_start().is_empty() {
-            return Err("trailing content after the top-level object".into());
-        }
-        let top = value.object("top level")?;
-        let runs_value = top_field(&top, "runs")?;
-        let mut runs = Vec::new();
-        for (i, rv) in runs_value.array("runs")?.iter().enumerate() {
-            let r = rv.object(&format!("runs[{i}]"))?;
-            runs.push(JsonRun {
-                workload: top_field(&r, "workload")?.string("workload")?,
-                algorithm: top_field(&r, "algorithm")?.string("algorithm")?,
-                engine: top_field(&r, "engine")?.string("engine")?,
-                wall_ms: top_field(&r, "wall_ms")?.number("wall_ms")?,
-                peak_bytes: top_field(&r, "peak_bytes")?.unsigned("peak_bytes")?,
-                peak_memo_bytes: top_field(&r, "peak_memo_bytes")?.unsigned("peak_memo_bytes")?,
-                intersections: top_field(&r, "intersections")?.unsigned("intersections")?,
-                num_itemsets: top_field(&r, "num_itemsets")?.unsigned("num_itemsets")?,
-                border_rejudged: opt_field(&r, "border_rejudged")?,
-                border_skipped: opt_field(&r, "border_skipped")?,
-                memo_patched: opt_field(&r, "memo_patched")?,
-                memo_rebuilt: opt_field(&r, "memo_rebuilt")?,
-                memo_hits: opt_field(&r, "memo_hits")?,
-                memo_extends: opt_field(&r, "memo_extends")?,
-                latency_p50_ms: opt_float(&r, "latency_p50_ms")?,
-                latency_p95_ms: opt_float(&r, "latency_p95_ms")?,
-                latency_p99_ms: opt_float(&r, "latency_p99_ms")?,
-                qps: opt_float(&r, "qps")?,
-            });
-        }
+        let top = Json::parse(text)?;
+        let runs = field(&top, "runs")?
+            .as_arr()
+            .ok_or("runs: expected an array")?
+            .iter()
+            .enumerate()
+            .map(|(i, r)| JsonRun::from_value(r).map_err(|e| format!("runs[{i}]: {e}")))
+            .collect::<Result<_, _>>()?;
         Ok(JsonSnapshot {
-            experiment: top_field(&top, "experiment")?.string("experiment")?,
-            scale: top_field(&top, "scale")?.number("scale")?,
-            seed: top_field(&top, "seed")?.unsigned("seed")?,
-            threads: top_field(&top, "threads")?.unsigned("threads")?,
+            experiment: string(&top, "experiment")?,
+            scale: number(&top, "scale")?,
+            seed: unsigned(&top, "seed")?,
+            threads: unsigned(&top, "threads")?,
             runs,
         })
     }
+}
+
+/// A finite JSON number (measurements are finite; clamp defensively, as
+/// JSON has no NaN or infinity).
+fn num(x: f64) -> Json {
+    Json::Num(if x.is_finite() { x } else { 0.0 })
+}
+
+fn field<'a>(obj: &'a Json, name: &str) -> Result<&'a Json, String> {
+    obj.get(name)
+        .ok_or_else(|| format!("missing field {name:?}"))
+}
+
+fn string(obj: &Json, name: &str) -> Result<String, String> {
+    field(obj, name)?
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("{name}: expected a string"))
+}
+
+fn number(obj: &Json, name: &str) -> Result<f64, String> {
+    field(obj, name)?
+        .as_f64()
+        .ok_or_else(|| format!("{name}: expected a number"))
+}
+
+fn unsigned(obj: &Json, name: &str) -> Result<u64, String> {
+    field(obj, name)?
+        .as_u64()
+        .ok_or_else(|| format!("{name}: expected an unsigned integer"))
 }
 
 /// Validates one snapshot file, returning a one-line summary.
@@ -266,10 +350,7 @@ impl JsonSnapshot {
 /// Propagates I/O and [`JsonSnapshot::from_json`] failures with the path
 /// prepended.
 pub fn check_file(path: &Path) -> Result<String, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("{}: cannot read: {e}", path.display()))?;
-    let snap = JsonSnapshot::from_json(&text)
-        .map_err(|e| format!("{}: invalid snapshot: {e}", path.display()))?;
+    let snap = load_snapshot(path)?;
     Ok(format!(
         "{}: ok — experiment {:?}, {} runs, scale {}, threads {}",
         path.display(),
@@ -286,38 +367,26 @@ pub fn check_file(path: &Path) -> Result<String, String> {
 /// # Errors
 /// The first file-level failure, or a complaint about an empty directory.
 pub fn check_path(path: &Path) -> Result<Vec<String>, String> {
-    if path.is_dir() {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(path)
-            .map_err(|e| format!("{}: cannot read dir: {e}", path.display()))?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-            })
-            .collect();
-        entries.sort();
-        if entries.is_empty() {
-            return Err(format!(
-                "{}: no BENCH_*.json snapshots found",
-                path.display()
-            ));
-        }
-        entries.iter().map(|p| check_file(p)).collect()
-    } else {
-        Ok(vec![check_file(path)?])
-    }
+    snapshot_files(path)?
+        .iter()
+        .map(|p| check_file(p))
+        .collect()
 }
 
-/// Default `--tolerance-pct` for [`compare_paths`]: wall-clock drift
-/// within ±this percentage of the baseline never warns. Generous because
-/// baselines are recorded on whatever machine produced the PR while the
-/// gate usually runs on CI hardware.
-pub const DEFAULT_TOLERANCE_PCT: f64 = 200.0;
+/// Wall-clock and latency drift within ±this percentage of the baseline
+/// never warns. Generous because baselines are recorded on whatever
+/// machine produced the change while the gate usually runs on CI hardware.
+pub const DEFAULT_TOLERANCE_PCT: f64 = 300.0;
 
 /// Absolute wall-clock floor below which drift never warns: sub-
 /// millisecond runs are dominated by scheduling noise, not regressions.
 const WALL_MS_NOISE_FLOOR: f64 = 0.5;
+
+/// Whether a timing drifted beyond the tolerance and the noise floor.
+fn beyond_tolerance(fresh: f64, base: f64) -> bool {
+    let drift = (fresh - base).abs();
+    drift > base.abs() * DEFAULT_TOLERANCE_PCT / 100.0 && drift > WALL_MS_NOISE_FLOOR
+}
 
 /// Outcome of one [`compare_paths`] invocation.
 #[derive(Clone, Debug, Default)]
@@ -343,7 +412,6 @@ fn compare_snapshots(
     name: &str,
     base: &JsonSnapshot,
     fresh: &JsonSnapshot,
-    tolerance_pct: f64,
     report: &mut CompareReport,
 ) {
     let failures_before = report.failures.len();
@@ -414,59 +482,28 @@ fn compare_snapshots(
                 f.peak_memo_bytes, b.peak_memo_bytes
             ));
         }
-        // Newly-added counters: advisory whatever happens, including one
-        // side missing the field entirely (older baseline or a batch run).
-        for (field, fv, bv) in [
-            ("border_rejudged", f.border_rejudged, b.border_rejudged),
-            ("border_skipped", f.border_skipped, b.border_skipped),
-            ("memo_patched", f.memo_patched, b.memo_patched),
-            ("memo_rebuilt", f.memo_rebuilt, b.memo_rebuilt),
-            ("memo_hits", f.memo_hits, b.memo_hits),
-            ("memo_extends", f.memo_extends, b.memo_extends),
-        ] {
-            if fv != bv {
-                let show = |v: Option<u64>| v.map_or("absent".into(), |n| n.to_string());
-                report.warnings.push(format!(
-                    "{name}: {run}: {field} {} vs baseline {} (new counter, advisory)",
-                    show(fv),
-                    show(bv)
-                ));
+        // Optional fields are advisory whatever happens, including one
+        // side missing the field (an older baseline or a batch run).
+        let (mut f_run, mut b_run) = (f.clone(), b.clone());
+        for (field, kind) in OPTIONAL {
+            let (fv, bv) = (kind.get(&mut f_run), kind.get(&mut b_run));
+            let warning = match (kind, fv, bv) {
+                (Optional::Timing(_), Some(fv), Some(bv)) => beyond_tolerance(fv, bv).then(|| {
+                    format!(
+                        "{field} {fv:.3} vs baseline {bv:.3} \
+                         (beyond ±{DEFAULT_TOLERANCE_PCT}% tolerance, advisory)"
+                    )
+                }),
+                _ => (fv != bv).then(|| {
+                    let show = |v: Option<f64>| v.map_or("absent".into(), |x| x.to_string());
+                    format!("{field} {} vs baseline {} (advisory)", show(fv), show(bv))
+                }),
+            };
+            if let Some(warning) = warning {
+                report.warnings.push(format!("{name}: {run}: {warning}"));
             }
         }
-        // Serve-layer latency percentiles and throughput: timing-derived,
-        // so advisory like `wall_ms` — tolerance-gated when both sides
-        // have them, presence mismatches (pre-serve baselines) only warn.
-        for (field, fv, bv) in [
-            ("latency_p50_ms", f.latency_p50_ms, b.latency_p50_ms),
-            ("latency_p95_ms", f.latency_p95_ms, b.latency_p95_ms),
-            ("latency_p99_ms", f.latency_p99_ms, b.latency_p99_ms),
-            ("qps", f.qps, b.qps),
-        ] {
-            match (fv, bv) {
-                (Some(fv), Some(bv)) => {
-                    let drift = (fv - bv).abs();
-                    if drift > bv.abs() * tolerance_pct / 100.0 && drift > WALL_MS_NOISE_FLOOR {
-                        report.warnings.push(format!(
-                            "{name}: {run}: {field} {fv:.3} vs baseline {bv:.3} \
-                             (beyond ±{tolerance_pct}% tolerance, advisory)"
-                        ));
-                    }
-                }
-                (None, None) => {}
-                (fv, bv) => {
-                    let show = |v: Option<f64>| v.map_or("absent".into(), |x| format!("{x:.3}"));
-                    report.warnings.push(format!(
-                        "{name}: {run}: {field} {} vs baseline {} (new field, advisory)",
-                        show(fv),
-                        show(bv)
-                    ));
-                }
-            }
-        }
-        // Wall-clock: advisory, tolerance-gated, noise-floored.
-        let drift = (f.wall_ms - b.wall_ms).abs();
-        let allowed = b.wall_ms * tolerance_pct / 100.0;
-        if drift > allowed && drift > WALL_MS_NOISE_FLOOR {
+        if beyond_tolerance(f.wall_ms, b.wall_ms) {
             warned_time += 1;
             let direction = if f.wall_ms > b.wall_ms {
                 "slower"
@@ -474,7 +511,7 @@ fn compare_snapshots(
                 "faster"
             };
             report.warnings.push(format!(
-                "{name}: {run}: wall_ms {:.3} vs baseline {:.3} ({direction} than ±{tolerance_pct}% tolerance)",
+                "{name}: {run}: wall_ms {:.3} vs baseline {:.3} ({direction} than ±{DEFAULT_TOLERANCE_PCT}% tolerance)",
                 f.wall_ms, b.wall_ms
             ));
         }
@@ -490,18 +527,14 @@ fn compare_snapshots(
 
 /// Runs the bench-regression gate: every `BENCH_*.json` under `baseline`
 /// must have a fresh counterpart under `fresh` whose deterministic
-/// counters match exactly; wall-clock drift beyond `tolerance_pct` only
-/// warns. Both paths may be a single snapshot file or a directory of
-/// them. Fresh-only snapshots are advisory (baselines lag new
-/// experiments by design).
+/// counters match exactly; wall-clock drift beyond
+/// [`DEFAULT_TOLERANCE_PCT`] only warns. Both paths may be a single
+/// snapshot file or a directory of them. Fresh-only snapshots are
+/// advisory (baselines lag new experiments by design).
 ///
 /// # Errors
 /// I/O or parse failures on either side, with the path named.
-pub fn compare_paths(
-    baseline: &Path,
-    fresh: &Path,
-    tolerance_pct: f64,
-) -> Result<CompareReport, String> {
+pub fn compare_paths(baseline: &Path, fresh: &Path) -> Result<CompareReport, String> {
     let base_files = snapshot_files(baseline)?;
     let fresh_files = snapshot_files(fresh)?;
     let mut report = CompareReport::default();
@@ -522,7 +555,7 @@ pub fn compare_paths(
         };
         let base = load_snapshot(base_path)?;
         let fresh = load_snapshot(fresh_path)?;
-        compare_snapshots(&file_name, &base, &fresh, tolerance_pct, &mut report);
+        compare_snapshots(&file_name, &base, &fresh, &mut report);
     }
     for fresh_path in &fresh_files {
         let name = fresh_path.file_name().and_then(|n| n.to_str());
@@ -570,235 +603,6 @@ fn load_snapshot(path: &Path) -> Result<JsonSnapshot, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("{}: cannot read: {e}", path.display()))?;
     JsonSnapshot::from_json(&text).map_err(|e| format!("{}: invalid snapshot: {e}", path.display()))
-}
-
-/// JSON-escapes and quotes a string (the labels this crate emits are
-/// ASCII, but escape defensively).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an f64 so it round-trips as a JSON number (never NaN/inf —
-/// measurements are finite; clamp defensively).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` prints integral floats without a dot; keep them numbers
-        // either way (JSON has one number type), nothing to fix.
-        s
-    } else {
-        "0".into()
-    }
-}
-
-/// A parsed JSON value — the minimal model the snapshot reader needs.
-#[derive(Clone, Debug, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Value>),
-    Object(Vec<(String, Value)>),
-}
-
-/// Looks a field up in a parsed object.
-fn top_field<'a>(obj: &'a [(String, Value)], name: &str) -> Result<&'a Value, String> {
-    obj.iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {name:?}"))
-}
-
-/// Looks an *optional* unsigned counter up: absent is `None` (snapshots
-/// written before the field existed stay parseable), present must still be
-/// a well-formed unsigned integer.
-fn opt_field(obj: &[(String, Value)], name: &str) -> Result<Option<u64>, String> {
-    obj.iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.unsigned(name))
-        .transpose()
-}
-
-/// The floating-point sibling of [`opt_field`]: absent is `None`, present
-/// must be a well-formed JSON number.
-fn opt_float(obj: &[(String, Value)], name: &str) -> Result<Option<f64>, String> {
-    obj.iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.number(name))
-        .transpose()
-}
-
-impl Value {
-    fn object(&self, ctx: &str) -> Result<Vec<(String, Value)>, String> {
-        match self {
-            Value::Object(fields) => Ok(fields.clone()),
-            other => Err(format!("{ctx}: expected an object, got {other:?}")),
-        }
-    }
-
-    fn array(&self, ctx: &str) -> Result<&[Value], String> {
-        match self {
-            Value::Array(items) => Ok(items),
-            other => Err(format!("{ctx}: expected an array, got {other:?}")),
-        }
-    }
-
-    fn string(&self, ctx: &str) -> Result<String, String> {
-        match self {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(format!("{ctx}: expected a string, got {other:?}")),
-        }
-    }
-
-    fn number(&self, ctx: &str) -> Result<f64, String> {
-        match self {
-            Value::Number(n) => Ok(*n),
-            other => Err(format!("{ctx}: expected a number, got {other:?}")),
-        }
-    }
-
-    fn unsigned(&self, ctx: &str) -> Result<u64, String> {
-        let n = self.number(ctx)?;
-        if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 {
-            Ok(n as u64)
-        } else {
-            Err(format!("{ctx}: expected an unsigned integer, got {n}"))
-        }
-    }
-
-    /// Recursive-descent parse of one value; returns the remainder.
-    fn parse(s: &str) -> Result<(Value, &str), String> {
-        let s = s.trim_start();
-        let mut chars = s.chars();
-        match chars.next() {
-            None => Err("unexpected end of input".into()),
-            Some('n') => s
-                .strip_prefix("null")
-                .map(|r| (Value::Null, r))
-                .ok_or_else(|| "bad literal (expected null)".into()),
-            Some('t') => s
-                .strip_prefix("true")
-                .map(|r| (Value::Bool(true), r))
-                .ok_or_else(|| "bad literal (expected true)".into()),
-            Some('f') => s
-                .strip_prefix("false")
-                .map(|r| (Value::Bool(false), r))
-                .ok_or_else(|| "bad literal (expected false)".into()),
-            Some('"') => Self::parse_string(&s[1..]),
-            Some('[') => {
-                let mut rest = s[1..].trim_start();
-                let mut items = Vec::new();
-                if let Some(r) = rest.strip_prefix(']') {
-                    return Ok((Value::Array(items), r));
-                }
-                loop {
-                    let (v, r) = Self::parse(rest)?;
-                    items.push(v);
-                    rest = r.trim_start();
-                    if let Some(r) = rest.strip_prefix(',') {
-                        rest = r;
-                    } else if let Some(r) = rest.strip_prefix(']') {
-                        return Ok((Value::Array(items), r));
-                    } else {
-                        return Err("expected ',' or ']' in array".into());
-                    }
-                }
-            }
-            Some('{') => {
-                let mut rest = s[1..].trim_start();
-                let mut fields = Vec::new();
-                if let Some(r) = rest.strip_prefix('}') {
-                    return Ok((Value::Object(fields), r));
-                }
-                loop {
-                    rest = rest.trim_start();
-                    let Some(r) = rest.strip_prefix('"') else {
-                        return Err("expected a quoted object key".into());
-                    };
-                    let (key, r) = Self::parse_string(r)?;
-                    let Value::String(key) = key else {
-                        unreachable!("parse_string returns strings")
-                    };
-                    let r = r.trim_start();
-                    let Some(r) = r.strip_prefix(':') else {
-                        return Err(format!("expected ':' after key {key:?}"));
-                    };
-                    let (v, r) = Self::parse(r)?;
-                    fields.push((key, v));
-                    rest = r.trim_start();
-                    if let Some(r) = rest.strip_prefix(',') {
-                        rest = r;
-                    } else if let Some(r) = rest.strip_prefix('}') {
-                        return Ok((Value::Object(fields), r));
-                    } else {
-                        return Err("expected ',' or '}' in object".into());
-                    }
-                }
-            }
-            Some(c) if c == '-' || c.is_ascii_digit() => {
-                let end = s
-                    .char_indices()
-                    .find(|&(_, c)| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-                    .map_or(s.len(), |(i, _)| i);
-                let (num, rest) = s.split_at(end);
-                num.parse::<f64>()
-                    .map(|n| (Value::Number(n), rest))
-                    .map_err(|_| format!("bad number {num:?}"))
-            }
-            Some(c) => Err(format!("unexpected character {c:?}")),
-        }
-    }
-
-    /// Parses the remainder of a string literal (the opening quote is
-    /// consumed by the caller).
-    fn parse_string(s: &str) -> Result<(Value, &str), String> {
-        let mut out = String::new();
-        let mut chars = s.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => return Ok((Value::String(out), &s[i + 1..])),
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 'b')) => out.push('\u{8}'),
-                    Some((_, 'f')) => out.push('\u{c}'),
-                    Some((j, 'u')) => {
-                        let hex = s.get(j + 1..j + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        // Skip the 4 hex digits.
-                        for _ in 0..4 {
-                            chars.next();
-                        }
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                c => out.push(c),
-            }
-        }
-        Err("unterminated string".into())
-    }
 }
 
 #[cfg(test)]
@@ -904,7 +708,7 @@ mod tests {
         let mut fresh = sample();
         fresh.runs[0].wall_ms *= 10.0;
         fresh.write(&fresh_dir).unwrap();
-        let report = compare_paths(&base_dir, &fresh_dir, 200.0).unwrap();
+        let report = compare_paths(&base_dir, &fresh_dir).unwrap();
         assert!(report.passed(), "failures: {:?}", report.failures);
         assert_eq!(report.warnings.len(), 1, "{:?}", report.warnings);
         assert!(
@@ -912,8 +716,11 @@ mod tests {
             "{:?}",
             report.warnings
         );
-        // A wide tolerance silences the warning.
-        let report = compare_paths(&base_dir, &fresh_dir, 2000.0).unwrap();
+        // Drift inside the tolerance is silent.
+        let mut fresh = sample();
+        fresh.runs[0].wall_ms *= 3.5;
+        fresh.write(&fresh_dir).unwrap();
+        let report = compare_paths(&base_dir, &fresh_dir).unwrap();
         assert!(report.passed() && report.warnings.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -928,7 +735,7 @@ mod tests {
         drifted.runs[1].intersections += 1;
         drifted.runs[0].num_itemsets -= 1;
         drifted.write(&fresh_dir).unwrap();
-        let report = compare_paths(&base_dir, &fresh_dir, 200.0).unwrap();
+        let report = compare_paths(&base_dir, &fresh_dir).unwrap();
         assert!(!report.passed());
         assert_eq!(report.failures.len(), 2, "{:?}", report.failures);
         assert!(report.failures.iter().any(|f| f.contains("intersections")));
@@ -939,7 +746,7 @@ mod tests {
         extra.experiment = "fig4_new".into();
         extra.write(&fresh_dir).unwrap();
         std::fs::remove_file(fresh_dir.join("BENCH_fig4_zipf.json")).unwrap();
-        let report = compare_paths(&base_dir, &fresh_dir, 200.0).unwrap();
+        let report = compare_paths(&base_dir, &fresh_dir).unwrap();
         assert!(report
             .failures
             .iter()
@@ -955,20 +762,20 @@ mod tests {
         // Changed labels and a dropped run both fail strictly.
         let mut fresh = sample();
         fresh.runs[0].engine = "diffset".into();
-        compare_snapshots("s", &base, &fresh, 200.0, &mut report);
+        compare_snapshots("s", &base, &fresh, &mut report);
         assert!(report.failures.iter().any(|f| f.contains("labels")));
         let mut report = CompareReport::default();
         let mut fresh = sample();
         fresh.runs.pop();
         fresh.seed += 1;
-        compare_snapshots("s", &base, &fresh, 200.0, &mut report);
+        compare_snapshots("s", &base, &fresh, &mut report);
         assert!(report.failures.iter().any(|f| f.contains("seed")));
         assert!(report.failures.iter().any(|f| f.contains("runs")));
         // Memo drift is advisory only.
         let mut report = CompareReport::default();
         let mut fresh = sample();
         fresh.runs[0].peak_memo_bytes += 1024;
-        compare_snapshots("s", &base, &fresh, 200.0, &mut report);
+        compare_snapshots("s", &base, &fresh, &mut report);
         assert!(report.passed());
         assert!(report
             .warnings
@@ -981,8 +788,8 @@ mod tests {
         // Older snapshots carry a `shards_evaluated` / `shards_pruned`
         // pair; they must parse to the same runs as without it.
         let text = sample().to_json().replacen(
-            "\"num_itemsets\": 31",
-            "\"num_itemsets\": 31, \"shards_evaluated\": 96, \"shards_pruned\": 32",
+            "\"num_itemsets\":31",
+            "\"num_itemsets\":31,\"shards_evaluated\":96,\"shards_pruned\":32",
             1,
         );
         assert!(text.contains("shards_pruned"));
@@ -1006,7 +813,7 @@ mod tests {
         let parsed = JsonSnapshot::from_json(&fresh.to_json()).unwrap();
         assert_eq!(parsed, fresh);
         let mut report = CompareReport::default();
-        compare_snapshots("s", &base, &fresh, 200.0, &mut report);
+        compare_snapshots("s", &base, &fresh, &mut report);
         assert!(report.passed(), "failures: {:?}", report.failures);
         assert_eq!(report.warnings.len(), 6, "{:?}", report.warnings);
         for field in ["memo_hits", "memo_extends", "latency_p50_ms", "qps"] {
@@ -1023,12 +830,12 @@ mod tests {
         // is silent; beyond the tolerance it warns but still passes.
         let mut report = CompareReport::default();
         let base = fresh.clone();
-        compare_snapshots("s", &base, &fresh, 200.0, &mut report);
+        compare_snapshots("s", &base, &fresh, &mut report);
         assert!(report.passed() && report.warnings.is_empty());
         let mut report = CompareReport::default();
         let mut slow = fresh.clone();
         slow.runs[0].latency_p99_ms = Some(400.0);
-        compare_snapshots("s", &base, &slow, 200.0, &mut report);
+        compare_snapshots("s", &base, &slow, &mut report);
         assert!(report.passed(), "failures: {:?}", report.failures);
         assert!(report
             .warnings
@@ -1037,17 +844,13 @@ mod tests {
     }
 
     #[test]
-    fn parser_handles_nested_and_escaped_values() {
-        let (v, rest) =
-            Value::parse("{\"a\": [1, {\"b\": \"x\\u0021\"}, true, null], \"c\": -2.5e1}  ")
-                .unwrap();
-        assert_eq!(rest.trim(), "");
-        let obj = v.object("t").unwrap();
-        assert_eq!(top_field(&obj, "c").unwrap().number("c").unwrap(), -25.0);
-        let arr = top_field(&obj, "a").unwrap().clone();
-        let arr = arr.array("a").unwrap();
-        assert_eq!(arr[0].number("0").unwrap(), 1.0);
-        let inner = arr[1].object("1").unwrap();
-        assert_eq!(top_field(&inner, "b").unwrap().string("b").unwrap(), "x!");
+    fn deep_nesting_is_rejected_not_a_stack_overflow() {
+        let dir = std::env::temp_dir().join(format!("ufim-json-deep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_deep.json");
+        std::fs::write(&path, "[".repeat(200_000)).unwrap();
+        let err = check_file(&path).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -39,17 +39,20 @@
 //!   (`MinerStats::peak_memo_bytes`), which is exactly where the
 //!   `--engine vertical` and `--engine diffset` backends differ and the
 //!   number to compare across them;
-//! * the Criterion harness `benches/bench_memory.rs` compares the
-//!   backends' allocator-level and memo-level peaks head to head on a
-//!   dense workload (the diffset backend's target regime).
+//! * `benches/bench_memory.rs` compares the backends' allocator-level and
+//!   memo-level peaks head to head on a dense workload (the diffset
+//!   backend's target regime).
 //!
-//! Criterion benches live under `benches/`.
+//! The benches under `benches/` all run on one harness, [`harness`]: a
+//! substring filter, `--smoke` and `--json-out DIR`, best-of-N timing with
+//! median and spread, and a `BENCH_<bench>.json` snapshot per bench.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
 pub mod experiments;
+pub mod harness;
 pub mod json;
 pub mod runner;
 

@@ -33,14 +33,14 @@ SUBCOMMANDS:
     json-check PATH   validate BENCH_*.json snapshots (a file, or every
                       snapshot in a directory) — CI proves --json output
                       is machine-readable
-    json-compare BASELINE FRESH [--tolerance-pct P]
+    json-compare BASELINE FRESH
                       the bench-regression gate: every baseline snapshot
                       needs a fresh counterpart whose counters
                       (intersections, num_itemsets) and labels match
                       EXACTLY (exit 1 on drift — counters are
                       deterministic across machines and pool sizes);
-                      wall_ms drift beyond ±P% (default 200) and
-                      peak_memo_bytes changes only warn
+                      wall_ms drift beyond ±300% and peak_memo_bytes
+                      changes only warn
     help              this text
 
 OPTIONS (all subcommands):
@@ -158,20 +158,9 @@ fn main() {
                 eprintln!("error: json-compare needs BASELINE and FRESH paths\n\n{HELP}");
                 std::process::exit(2);
             };
-            let tolerance_pct = match flag_value(&rest, "--tolerance-pct") {
-                Some(v) => match v.parse::<f64>() {
-                    Ok(p) if p >= 0.0 => p,
-                    _ => {
-                        eprintln!("error: bad --tolerance-pct value {v:?}\n\n{HELP}");
-                        std::process::exit(2);
-                    }
-                },
-                None => ufim_bench::json::DEFAULT_TOLERANCE_PCT,
-            };
             match ufim_bench::json::compare_paths(
                 std::path::Path::new(baseline),
                 std::path::Path::new(fresh),
-                tolerance_pct,
             ) {
                 Ok(report) => {
                     for line in &report.lines {

@@ -2,9 +2,9 @@
 //!
 //! The relative performance of the miners hinges on *popularity skew* (how
 //! concentrated item occurrences are) as much as on density; these
-//! statistics quantify it for generated analogs so EXPERIMENTS.md can show
-//! that each analog lands in the right regime, and tests can pin the
-//! generators' profiles.
+//! statistics quantify it for generated analogs, so `ufim-datagen --stats`
+//! can show that each analog lands in the right regime and tests can pin
+//! the generators' profiles.
 
 use crate::deterministic::DeterministicDatabase;
 

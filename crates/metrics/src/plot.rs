@@ -1,8 +1,8 @@
 //! ASCII line charts for the experiment harness.
 //!
 //! The paper's figures are log-scale line plots; the harness reproduces
-//! their *shape* directly in the terminal so EXPERIMENTS.md can show
-//! curve-vs-curve comparisons without a plotting stack. One chart holds
+//! their *shape* directly in the terminal, so curves can be compared
+//! without a plotting stack. One chart holds
 //! several named series over a shared categorical x axis (the sweep
 //! points), rendered on a log-10 y grid.
 

@@ -1,12 +1,13 @@
 //! The wire protocol: one JSON object per line, hand-rolled (no serde).
 //!
 //! Requests and responses are single-line JSON objects terminated by
-//! `'\n'`. The parser is a minimal recursive-descent reader over the JSON
-//! subset the protocol uses (objects, arrays, strings with basic escapes,
-//! numbers, booleans, null); the writer emits keys in insertion order and
-//! formats floats with Rust's shortest-round-trip `Display`, so a response
-//! built from the same records is always the same byte sequence — the
-//! property the concurrency isolation tests assert on.
+//! `'\n'`. The parser is a depth-capped recursive-descent reader (objects,
+//! arrays, strings with every standard escape, numbers, booleans, null);
+//! it is also what `ufim-bench` reads its `BENCH_*.json` snapshots with.
+//! The writer escapes every control character, emits keys in insertion
+//! order and formats floats with Rust's shortest-round-trip `Display`, so
+//! a response built from the same records is always the same byte
+//! sequence — the property the concurrency isolation tests assert on.
 
 use ufim_core::prelude::*;
 
@@ -213,6 +214,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'n' => out.push('\n'),
                     b't' => out.push('\t'),
                     b'r' => out.push('\r'),
+                    b'b' => out.push('\u{8}'),
+                    b'f' => out.push('\u{c}'),
+                    b'u' => out.push(parse_unicode_escape(b, pos)?),
                     other => return Err(format!("unsupported escape '\\{}'", other as char)),
                 }
             }
@@ -231,6 +235,35 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
         }
     }
     Err("unterminated string".into())
+}
+
+/// The character of a `\uXXXX` escape whose `\u` is already consumed,
+/// joining a UTF-16 surrogate pair into one character.
+fn parse_unicode_escape(b: &[u8], pos: &mut usize) -> Result<char, String> {
+    let hex4 = |pos: &mut usize| -> Result<u32, String> {
+        let code = b
+            .get(*pos..*pos + 4)
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+        *pos += 4;
+        Ok(code)
+    };
+    let high = hex4(pos)?;
+    let code = if (0xD800..0xDC00).contains(&high) {
+        if !b[*pos..].starts_with(b"\\u") {
+            return Err(format!("unpaired surrogate at byte {pos}"));
+        }
+        *pos += 2;
+        let low = hex4(pos)?;
+        if !(0xDC00..0xE000).contains(&low) {
+            return Err(format!("unpaired surrogate at byte {pos}"));
+        }
+        0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+    } else {
+        high
+    };
+    char::from_u32(code).ok_or_else(|| format!("unpaired surrogate at byte {pos}"))
 }
 
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -292,6 +325,7 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", u32::from(c))),
             _ => out.push(c),
         }
     }
@@ -564,6 +598,28 @@ mod tests {
         // Far too deep to recurse through: must fail, not overflow.
         assert!(Json::parse(&"[".repeat(200_000)).is_err());
         assert!(Json::parse(&r#"{"a":"#.repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn parser_handles_nested_and_escaped_values() {
+        let v = Json::parse("{\"a\": [1, {\"b\": \"x\\u0021\"}, true, null], \"c\": -2.5e1}  ")
+            .unwrap();
+        assert_eq!(v.get("c").unwrap().as_f64(), Some(-25.0));
+        let arr = v.get("a").unwrap().as_arr().unwrap();
+        assert_eq!(arr[0].as_f64(), Some(1.0));
+        assert_eq!(arr[1].get("b").unwrap().as_str(), Some("x!"));
+        assert_eq!((arr[2].as_bool(), &arr[3]), (Some(true), &Json::Null));
+        // Every standard escape, including a surrogate pair.
+        let s = Json::parse(r#""caf\u00e9 \b\f \ud83d\ude00""#).unwrap();
+        assert_eq!(s.as_str(), Some("café \u{8}\u{c} \u{1f600}"));
+        for bad in [r#""\u12""#, r#""\ud83d""#, r#""\ud83dx""#, r#""\ude00""#] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+        // Control characters go out escaped and come back unchanged.
+        let raw = Json::Str("a\u{1}b\u{1f}\n".into());
+        let line = raw.to_line();
+        assert_eq!(line, r#""a\u0001b\u001f\n""#);
+        assert_eq!(Json::parse(&line).unwrap(), raw);
     }
 
     #[test]

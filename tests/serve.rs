@@ -19,7 +19,7 @@ use uncertain_fim::core::parallel::with_thread_override;
 use uncertain_fim::core::{EngineKind, MeasureKind, TraversalKind};
 use uncertain_fim::miners::{top_k_by_expected_support, MatrixMiner};
 use uncertain_fim::prelude::*;
-use uncertain_fim::serve::{MemoOutcome, ResidentMemo, ServeCore};
+use uncertain_fim::serve::{Json, MemoOutcome, ResidentMemo, ServeCore};
 
 /// Strategy: a probability strictly in (0, 1].
 fn prob() -> impl Strategy<Value = f64> {
@@ -224,4 +224,32 @@ fn interleaved_clients_get_serialized_bytes() {
     // priming mines (probes on uncovered exact cells count as misses at
     // priming time only if uncovered — assert no extends at least).
     assert_eq!(core.memo().counters().extends, 0);
+}
+
+/// Replies stay valid JSON whatever a request's strings hold: a raw control
+/// character echoed in an error goes out escaped, and a `\u` escape from a
+/// standard client decodes instead of being refused.
+#[test]
+fn error_replies_escape_control_chars_and_unicode_escapes_decode() {
+    let core = ServeCore::new(1 << 20);
+    for (line, dataset) in [
+        (
+            "{\"op\":\"sweep\",\"dataset\":\"a\u{1}b\",\"measure\":\"esup\",\"pft\":0.5,\"thresholds\":[0.5]}",
+            "a\u{1}b",
+        ),
+        (
+            r#"{"op":"probe","dataset":"caf\u00e9","measure":"esup","min_sup":0.5,"pft":0.5,"itemset":[0]}"#,
+            "café",
+        ),
+    ] {
+        let reply = core.handle_line(line);
+        let parsed =
+            Json::parse(&reply).unwrap_or_else(|e| panic!("invalid JSON reply {reply:?}: {e}"));
+        assert_eq!(parsed.get("ok"), Some(&Json::Bool(false)), "{reply}");
+        assert_eq!(
+            parsed.get("error").and_then(Json::as_str),
+            Some(format!("unknown dataset '{dataset}'").as_str()),
+            "{reply}"
+        );
+    }
 }
