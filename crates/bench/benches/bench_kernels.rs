@@ -1,7 +1,6 @@
 //! Microbenchmarks of the chunked `ProbVector` kernels: intersect /
 //! diff_extend / apply_diff across operand length ratios (1:1, 1:16,
-//! 1:256) and chunk densities, plus the galloping-vs-merge-join
-//! comparison on the skewed pair and the dense UApriori anchor the
+//! 1:256) and chunk densities, plus the dense UApriori anchor the
 //! ROADMAP's ≥2× target is measured on.
 //!
 //! The bench emits a `BENCH_kernels.json` snapshot (`--json-out DIR`),
@@ -64,7 +63,7 @@ fn main() {
     // Kernel grid: length ratios × chunk densities. The long side's
     // layout follows the density label; the short side spreads over the
     // same tid universe, so skewed ratios also skew the chunk
-    // directories (the galloping regime).
+    // directories.
     for &(ratio, ratio_label) in &[(1usize, "1:1"), (16, "1:16"), (256, "1:256")] {
         for &(spread, density) in &[(16usize, "sparse"), (1, "dense")] {
             let workload = format!("ratio={ratio_label},density={density}");
@@ -93,25 +92,6 @@ fn main() {
         }
     }
 
-    // Galloping vs merge-join. Spread 128 (≈0.5 nonzeros per 64-tid
-    // window) leaves both chunk directories gappy — neither side is
-    // contiguous, so the direct-indexed fast paths cannot engage and the
-    // skewed pair exercises true galloping directory search. The 1:1 pair
-    // is the no-regression control: below the ratio cutoff both labels
-    // run the same scalar merge-join.
-    for &(ratio, ratio_label) in &[(1usize, "1:1"), (256, "1:256")] {
-        let workload = format!("ratio={ratio_label},density=scatter");
-        let long = build(&mut rng, BASE_LEN, 128);
-        let short = build(&mut rng, BASE_LEN / ratio, 128 * ratio);
-        let units = short.len() + long.len();
-        let count = short.intersect_stats(&long).2;
-        let run = |algorithm| kernel_run(&workload, algorithm, units, count);
-        h.bench(GROUP, run("stats_gallop"), || short.intersect_stats(&long));
-        h.bench(GROUP, run("stats_merge_join"), || {
-            short.intersect_stats_merge_join(&long)
-        });
-    }
-
     // Anchor decomposition: the dense UApriori anchor pays for both the
     // statistics (esup/var/count) and, since the memoizing engine of PR 6,
     // the materialization of every surviving tid-list. These rows time the
@@ -128,10 +108,6 @@ fn main() {
         let count = a.intersect_stats(b).2;
         let run = |algorithm| kernel_run("anchor-postings", algorithm, units, count);
         h.bench(GROUP, run("intersect_stats"), || a.intersect_stats(b));
-        h.bench(GROUP, run("intersect_materialize_into"), || {
-            a.intersect_materialize_into(b, &mut scratch);
-            scratch.len()
-        });
         h.bench(GROUP, run("intersect_alloc"), || a.intersect(b));
     }
 

@@ -120,7 +120,7 @@ fn main() {
                 IncrementalMiner::new(window, ExpectedSupport::with_variance(threshold), engine);
             let mut stream = db.transactions().iter().cloned();
             for t in stream.by_ref().take(1_024) {
-                miner.append(t);
+                miner.append(t).unwrap();
             }
             let cold = miner.refresh().stats.peak_memo_bytes;
             assert!(cold > 0, "{engine:?}: cold mine must charge the memo peak");
@@ -128,7 +128,7 @@ fn main() {
             for _ in 0..8 {
                 miner.expire_oldest(128);
                 for t in stream.by_ref().take(128) {
-                    miner.append(t);
+                    miner.append(t).unwrap();
                 }
                 peaks.push(miner.refresh().stats.peak_memo_bytes);
             }

@@ -80,7 +80,7 @@ fn counted_pass(txs: &[Transaction], engine: EngineKind, threshold: f64) -> (Tal
     let (mut inc, mut batch) = (Tally::default(), Tally::default());
     let mut stream = txs.iter().cloned();
     for t in stream.by_ref().take(CAPACITY) {
-        miner.append(t);
+        miner.append(t).unwrap();
     }
     let check =
         |miner: &mut IncrementalMiner<ExpectedSupport>, inc: &mut Tally, batch: &mut Tally| {
@@ -105,7 +105,7 @@ fn counted_pass(txs: &[Transaction], engine: EngineKind, threshold: f64) -> (Tal
     for _ in 0..ROUNDS {
         miner.expire_oldest(BATCH);
         for t in stream.by_ref().take(BATCH) {
-            miner.append(t);
+            miner.append(t).unwrap();
         }
         final_size = check(&mut miner, &mut inc, &mut batch);
     }
@@ -120,7 +120,7 @@ fn timed_pass(txs: &[Transaction], engine: EngineKind, threshold: f64, increment
         IncrementalMiner::new(window, ExpectedSupport::with_variance(threshold), engine);
     let mut stream = txs.iter().cloned();
     for t in stream.by_ref().take(CAPACITY) {
-        miner.append(t);
+        miner.append(t).unwrap();
     }
     let mine = |miner: &mut IncrementalMiner<ExpectedSupport>| {
         if incremental {
@@ -137,7 +137,7 @@ fn timed_pass(txs: &[Transaction], engine: EngineKind, threshold: f64, increment
     for _ in 0..ROUNDS {
         miner.expire_oldest(BATCH);
         for t in stream.by_ref().take(BATCH) {
-            miner.append(t);
+            miner.append(t).unwrap();
         }
         mine(&mut miner);
     }

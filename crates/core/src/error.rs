@@ -36,6 +36,14 @@ pub enum CoreError {
         /// Description of the problem.
         message: String,
     },
+    /// A transaction referenced an item id outside the vocabulary
+    /// `0..num_items` it was offered to (e.g. a sliding window's).
+    ItemOutOfVocabulary {
+        /// The offending item id.
+        item: u32,
+        /// The vocabulary size.
+        num_items: u32,
+    },
     /// A measure × traversal combination that cannot exist: the traversal's
     /// data structure does not supply the statistics the measure judges on
     /// (e.g. exact measures need per-transaction probability vectors, which
@@ -63,6 +71,9 @@ impl fmt::Display for CoreError {
             CoreError::EmptyDatabase => write!(f, "operation requires a non-empty database"),
             CoreError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
+            }
+            CoreError::ItemOutOfVocabulary { item, num_items } => {
+                write!(f, "item {item} is outside the vocabulary 0..{num_items}")
             }
             CoreError::UnsupportedCombination { measure, traversal } => {
                 write!(
@@ -97,6 +108,11 @@ mod tests {
         };
         assert!(e.to_string().contains("line 3"));
         assert!(CoreError::EmptyDatabase.to_string().contains("non-empty"));
+        let e = CoreError::ItemOutOfVocabulary {
+            item: 9,
+            num_items: 6,
+        };
+        assert!(e.to_string().contains("item 9"));
         let e = CoreError::UnsupportedCombination {
             measure: "exact-dp",
             traversal: "tree",

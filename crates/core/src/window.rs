@@ -41,6 +41,7 @@
 //! the net change.
 
 use crate::database::UncertainDatabase;
+use crate::error::CoreError;
 use crate::hash::FxHashMap;
 use crate::itemset::ItemId;
 use crate::transaction::Transaction;
@@ -353,14 +354,18 @@ impl WindowedDatabase {
     /// Appends a transaction, evicting the oldest one first when the window
     /// is full. Returns the tid (slot index) the transaction landed in.
     ///
-    /// # Panics
-    /// In debug builds, if the transaction references an item outside the
-    /// vocabulary.
-    pub fn append(&mut self, t: Transaction) -> u32 {
-        debug_assert!(
-            t.items().iter().all(|&i| i < self.num_items),
-            "transaction references an item outside the vocabulary"
-        );
+    /// # Errors
+    /// [`CoreError::ItemOutOfVocabulary`] if the transaction references an
+    /// item outside `0..num_items`. The check runs before any mutation, so
+    /// a rejected append leaves the window exactly as it was.
+    pub fn append(&mut self, t: Transaction) -> Result<u32, CoreError> {
+        // Items are sorted ascending, so the last one is the largest.
+        if let Some(&item) = t.items().last().filter(|&&i| i >= self.num_items) {
+            return Err(CoreError::ItemOutOfVocabulary {
+                item,
+                num_items: self.num_items,
+            });
+        }
         if self.free.is_empty() {
             self.expire_oldest(1);
         }
@@ -368,7 +373,7 @@ impl WindowedDatabase {
         self.mark_dirty(tid);
         self.slots[tid as usize] = t;
         self.order.push_back(tid);
-        tid
+        Ok(tid)
     }
 
     /// Expires (vacates) up to `n` of the oldest transactions; returns how
@@ -424,9 +429,9 @@ mod tests {
     #[test]
     fn appends_fill_slots_in_order() {
         let mut w = WindowedDatabase::new(3, 4);
-        assert_eq!(w.append(tx(&[(0, 0.5)])), 0);
-        assert_eq!(w.append(tx(&[(1, 0.5)])), 1);
-        assert_eq!(w.append(tx(&[(2, 0.5)])), 2);
+        assert_eq!(w.append(tx(&[(0, 0.5)])), Ok(0));
+        assert_eq!(w.append(tx(&[(1, 0.5)])), Ok(1));
+        assert_eq!(w.append(tx(&[(2, 0.5)])), Ok(2));
         assert_eq!(w.len(), 3);
         assert_eq!(w.capacity(), 3);
     }
@@ -434,10 +439,10 @@ mod tests {
     #[test]
     fn full_window_append_evicts_oldest() {
         let mut w = WindowedDatabase::new(2, 4);
-        w.append(tx(&[(0, 0.5)]));
-        w.append(tx(&[(1, 0.5)]));
+        w.append(tx(&[(0, 0.5)])).unwrap();
+        w.append(tx(&[(1, 0.5)])).unwrap();
         // Slot 0 (oldest) is evicted and immediately reused.
-        assert_eq!(w.append(tx(&[(2, 0.5)])), 0);
+        assert_eq!(w.append(tx(&[(2, 0.5)])), Ok(0));
         assert_eq!(w.len(), 2);
         assert_eq!(w.slot(0).items(), &[2]);
         assert_eq!(w.slot(1).items(), &[1]);
@@ -446,8 +451,8 @@ mod tests {
     #[test]
     fn expiry_vacates_fifo() {
         let mut w = WindowedDatabase::new(3, 4);
-        w.append(tx(&[(0, 0.5)]));
-        w.append(tx(&[(1, 0.5)]));
+        w.append(tx(&[(0, 0.5)])).unwrap();
+        w.append(tx(&[(1, 0.5)])).unwrap();
         assert_eq!(w.expire_oldest(1), 1);
         assert!(w.slot(0).is_empty());
         assert_eq!(w.len(), 1);
@@ -459,12 +464,12 @@ mod tests {
     #[test]
     fn step_records_net_changes_sorted_by_tid() {
         let mut w = WindowedDatabase::new(4, 4);
-        w.append(tx(&[(0, 0.5)]));
-        w.append(tx(&[(1, 0.5)]));
+        w.append(tx(&[(0, 0.5)])).unwrap();
+        w.append(tx(&[(1, 0.5)])).unwrap();
         let _ = w.take_step();
         // Dirty slots 1 (expired), 0 (expired), 2 (appended) — out of order.
         w.expire_oldest(2);
-        w.append(tx(&[(2, 0.5)]));
+        w.append(tx(&[(2, 0.5)])).unwrap();
         let step = w.take_step();
         let tids: Vec<u32> = step.dirty.iter().map(|d| d.tid).collect();
         // Appends reuse freed slots LIFO: slot 1 was freed last, so the new
@@ -478,9 +483,9 @@ mod tests {
     #[test]
     fn arrive_and_expire_same_step_cancels() {
         let mut w = WindowedDatabase::new(2, 4);
-        w.append(tx(&[(0, 0.5)]));
+        w.append(tx(&[(0, 0.5)])).unwrap();
         let _ = w.take_step();
-        w.append(tx(&[(1, 0.5)]));
+        w.append(tx(&[(1, 0.5)])).unwrap();
         w.expire_oldest(2); // removes slot 0's old tx AND the new arrival
         let step = w.take_step();
         // Slot 1 went empty → tx → empty: net nothing. Slot 0 went tx → empty.
@@ -494,7 +499,7 @@ mod tests {
     fn empty_step_is_empty() {
         let mut w = WindowedDatabase::new(2, 4);
         assert!(w.take_step().is_empty());
-        w.append(tx(&[(0, 0.5)]));
+        w.append(tx(&[(0, 0.5)])).unwrap();
         let _ = w.take_step();
         assert!(w.take_step().is_empty());
     }
@@ -502,7 +507,7 @@ mod tests {
     #[test]
     fn snapshot_has_constant_n_with_empty_vacant_slots() {
         let mut w = WindowedDatabase::new(3, 4);
-        w.append(tx(&[(0, 0.8), (1, 0.5)]));
+        w.append(tx(&[(0, 0.8), (1, 0.5)])).unwrap();
         let db = w.snapshot();
         assert_eq!(db.num_transactions(), 3);
         assert_eq!(db.num_items(), 4);
@@ -511,6 +516,29 @@ mod tests {
         assert!(db.transactions()[2].is_empty());
         // Vacant slots contribute exactly nothing.
         assert_eq!(db.expected_support(&[0]), 0.8);
+    }
+
+    #[test]
+    fn out_of_vocabulary_append_is_rejected_before_any_mutation() {
+        let mut w = WindowedDatabase::new(2, 4);
+        w.append(tx(&[(0, 0.5)])).unwrap();
+        w.append(tx(&[(1, 0.5)])).unwrap();
+        let _ = w.take_step();
+        // The window is full, so an accepted append would evict slot 0.
+        let err = w.append(tx(&[(2, 0.5), (4, 0.5)])).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::ItemOutOfVocabulary {
+                item: 4,
+                num_items: 4
+            }
+        );
+        assert_eq!(w.len(), 2);
+        assert_eq!(w.slot(0).items(), &[0]);
+        assert_eq!(w.slot(1).items(), &[1]);
+        assert!(w.take_step().is_empty(), "nothing was dirtied");
+        // The next in-vocabulary append behaves as if nothing happened.
+        assert_eq!(w.append(tx(&[(3, 0.5)])), Ok(0));
     }
 
     #[test]

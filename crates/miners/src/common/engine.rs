@@ -317,16 +317,13 @@ fn patch_beats_rebuild(changed: usize, nnz: usize) -> bool {
     changed * 2 <= nnz.max(1)
 }
 
-/// One retained prefix of the vertical memo: its prob-vector and its
-/// probability mass (the expected support recorded at `finish_level`,
-/// which seeds the bounded stats pass's early-exit bound). In streaming
-/// mode the node additionally keeps the vector's per-4096-tid-block
-/// striped partial sums, so a window step can re-fold only the touched
-/// blocks and land bit-identical cached moments, plus the stamp of the
-/// last refresh whose frequent stream contained it.
+/// One retained prefix of the vertical memo: its prob-vector. In
+/// streaming mode the node additionally keeps the vector's
+/// per-4096-tid-block striped partial sums, so a window step can re-fold
+/// only the touched blocks and land bit-identical cached moments, plus the
+/// stamp of the last refresh whose frequent stream contained it.
 struct PrevNode {
     vector: ProbVector,
-    mass: f64,
     /// Block partials of `vector` (`Some` in streaming mode only).
     moments: Option<BlockMoments>,
     /// Cross-refresh GC stamp (streaming mode; 0 in batch mode).
@@ -449,164 +446,76 @@ impl SupportEngine for VerticalEngine {
         let mean_units = self.index.mean_posting_units();
         let (index, prev) = (&self.index, &self.prev);
 
-        if want.min_esup.is_some() || want.min_count.is_some() {
-            stats.intersections += candidates.iter().filter(|c| c.len() > 1).count() as u64;
-            // Pushdown strategy: each candidate is visited once, fusing
-            // statistics and (survivors-only) materialization — see
-            // `evaluate_pushdown` for the bounded / unbounded split. Either
-            // way candidates the thresholds rule out never allocate, and on
-            // candidate-heavy final levels, where (almost) nothing
-            // survives, evaluation degenerates to bounded stats probes that
-            // bail at the first summation block ruling them out.
-            // The bounded kernel only proves "esup below threshold"; when a
-            // count bound is also in play, partial counts could shift which
-            // prune verdict fires, so it stays off.
-            let esup_bound = if want.min_count.is_none() {
-                want.min_esup
-            } else {
-                None
-            };
-            // Evaluate tiled by last item, not in candidate order: all
-            // candidates whose last items fall in one tile of
-            // `LAST_ITEM_TILE` consecutive ids are evaluated together,
-            // sorted by prefix within the tile. The tile's postings vectors
-            // — the fattest operands — fit in cache and stay resident,
-            // while each prefix vector's reads land back-to-back (one
-            // DRAM stream-in, then hits) instead of once per last-item
-            // group. (Raw candidate order interleaves last items, which
-            // re-streams a different postings vector per candidate; on the
-            // dense anchor that traffic costs more than the arithmetic.)
-            // Results are scattered back to candidate order — per-candidate
-            // sums don't depend on evaluation order.
-            const LAST_ITEM_TILE: u32 = 8;
-            let mut order: Vec<u32> = (0..candidates.len() as u32).collect();
-            order.sort_by_key(|&i| {
-                let items = candidates[i as usize].items();
-                let (last, prefix) = items.split_last().expect("candidates are non-empty");
-                (last / LAST_ITEM_TILE, prefix, *last)
-            });
-            // Levels split into two regimes: candidate-heavy final levels
-            // where (almost) nothing survives — the stats-first bounded
-            // shape wins because pruned candidates bail early and never
-            // touch output buffers — and survivor-heavy middle levels where
-            // stats-first pays a *second* materialization walk per survivor
-            // for nothing. Which regime a level is in can't be known up
-            // front, so probe it: evaluate the first `PILOT_CANDIDATES`
-            // (in evaluation order, sequentially) stats-first, and switch
-            // the remainder to the fused single-walk shape iff a majority
-            // survived. The pilot is a pure function of the candidate data,
-            // so the mode — and with it every counter — is identical across
-            // thread counts; either shape returns bit-identical moments and
-            // vectors for survivors, so results never depend on the choice.
-            const PILOT_CANDIDATES: usize = 64;
-            let pilot_len = if esup_bound.is_some() {
-                order.len().min(PILOT_CANDIDATES)
-            } else {
-                0
-            };
-            let mut pilot_results = Vec::with_capacity(pilot_len);
-            let fused = {
-                let mut scratch = ScratchSpace::new();
-                let mut survivors = 0usize;
-                for &i in &order[..pilot_len] {
-                    let r = evaluate_pushdown(
-                        index,
-                        prev,
-                        &candidates[i as usize],
-                        &mut scratch,
-                        esup_bound,
-                        want.min_esup,
-                        want.min_count,
-                        false,
-                    );
-                    survivors += r.1.is_some() as usize;
-                    pilot_results.push(r);
+        // In streaming mode (whose refreshes carry no pushdown thresholds),
+        // candidates the patch walk kept current in the retained memo are
+        // answered straight from their per-block partials — the payoff of
+        // memo-preserving delta evaluation: the fold combines the
+        // already-maintained block sums, bit-identical to the cold re-fold
+        // a fresh intersection would feed the same accumulator shape. Every
+        // other candidate is walked once by `evaluate_pushdown`, and only
+        // those walks are charged an intersection.
+        let streaming = self.streaming;
+        let mut moments: Vec<Option<(f64, f64, usize)>> = candidates
+            .iter()
+            .map(|c| {
+                if !streaming {
+                    return None;
                 }
-                2 * survivors > pilot_len
-            };
-            let rest = par_map_min_len_with(
-                &order[pilot_len..],
-                mean_units.max(1),
-                PAR_MIN_WORK,
-                ScratchSpace::new,
-                |scratch, &i| {
-                    evaluate_pushdown(
-                        index,
-                        prev,
-                        &candidates[i as usize],
-                        scratch,
-                        esup_bound,
-                        want.min_esup,
-                        want.min_count,
-                        fused,
-                    )
-                },
-            );
-            let results = pilot_results.into_iter().chain(rest);
-            let mut moments = vec![(0.0f64, 0.0f64, 0usize); candidates.len()];
-            let mut second_walks = 0u64;
-            for (&i, (m, vector, double_walked)) in order.iter().zip(results) {
-                moments[i as usize] = m;
-                second_walks += double_walked as u64;
-                if let Some(vector) = vector {
-                    self.current
-                        .insert(candidates[i as usize].items().to_vec(), vector);
-                }
-            }
-            // Bounded survivors spend a second (materialization) walk on
-            // top of the blanket one-per-candidate charge above.
-            stats.intersections += second_walks;
-            for (esup, var, count) in moments {
-                record(&mut out, esup, var, count);
-            }
-        } else {
-            // Streaming refreshes take this unbounded arm. Candidates the
-            // patch walk kept current in the retained memo are answered
-            // straight from their per-block partials — the payoff of
-            // memo-preserving delta evaluation: the fold combines the
-            // already-maintained block sums, bit-identical to the cold
-            // re-fold a fresh intersection would feed the same accumulator
-            // shape. Only memo misses pay an intersection (and only they
-            // are charged one).
-            let streaming = self.streaming;
-            let folded: Vec<Option<(f64, f64, usize)>> = candidates
-                .iter()
-                .map(|c| {
-                    if !streaming {
-                        return None;
-                    }
-                    prev.get(c.items())
-                        .and_then(|n| n.moments.as_ref())
-                        .map(BlockMoments::fold)
-                })
-                .collect();
-            let misses: Vec<u32> = (0..candidates.len() as u32)
-                .filter(|&i| folded[i as usize].is_none())
-                .collect();
-            stats.intersections += misses
-                .iter()
-                .filter(|&&i| candidates[i as usize].len() > 1)
-                .count() as u64;
-            let results = par_map_min_len_with(
-                &misses,
-                mean_units.max(1),
-                PAR_MIN_WORK,
-                ScratchSpace::new,
-                |scratch, &i| evaluate_with(index, prev, &candidates[i as usize], scratch),
-            );
-            let mut fresh: FxHashMap<u32, (f64, f64, usize)> = FxHashMap::default();
-            for (&i, (vector, esup, var, count)) in misses.iter().zip(results) {
-                fresh.insert(i, (esup, var, count));
+                prev.get(c.items())
+                    .and_then(|n| n.moments.as_ref())
+                    .map(BlockMoments::fold)
+            })
+            .collect();
+        let mut misses: Vec<u32> = (0..candidates.len() as u32)
+            .filter(|&i| moments[i as usize].is_none())
+            .collect();
+        stats.intersections += misses
+            .iter()
+            .filter(|&&i| candidates[i as usize].len() > 1)
+            .count() as u64;
+        // Evaluate tiled by last item, not in candidate order: all
+        // candidates whose last items fall in one tile of `LAST_ITEM_TILE`
+        // consecutive ids are evaluated together, sorted by prefix within
+        // the tile. The tile's postings vectors — the fattest operands — fit
+        // in cache and stay resident, while each prefix vector's reads land
+        // back-to-back (one DRAM stream-in, then hits) instead of once per
+        // last-item group. (Raw candidate order interleaves last items,
+        // which re-streams a different postings vector per candidate; on
+        // the dense anchor that traffic costs more than the arithmetic.)
+        // Results are scattered back to candidate order — per-candidate
+        // sums don't depend on evaluation order.
+        const LAST_ITEM_TILE: u32 = 8;
+        misses.sort_by_key(|&i| {
+            let items = candidates[i as usize].items();
+            let (last, prefix) = items.split_last().expect("candidates are non-empty");
+            (last / LAST_ITEM_TILE, prefix, *last)
+        });
+        let results = par_map_min_len_with(
+            &misses,
+            mean_units.max(1),
+            PAR_MIN_WORK,
+            ScratchSpace::new,
+            |scratch, &i| {
+                evaluate_pushdown(
+                    index,
+                    prev,
+                    &candidates[i as usize],
+                    scratch,
+                    want.min_esup,
+                    want.min_count,
+                )
+            },
+        );
+        for (&i, (m, vector)) in misses.iter().zip(results) {
+            moments[i as usize] = Some(m);
+            if let Some(vector) = vector {
                 self.current
                     .insert(candidates[i as usize].items().to_vec(), vector);
             }
-            for i in 0..candidates.len() as u32 {
-                let (esup, var, count) = match folded[i as usize] {
-                    Some(m) => m,
-                    None => fresh[&i],
-                };
-                record(&mut out, esup, var, count);
-            }
+        }
+        for m in moments {
+            let (esup, var, count) = m.expect("every candidate is folded or walked");
+            record(&mut out, esup, var, count);
         }
         self.note_memo_peak();
         stats.peak_structure_nodes = stats.peak_structure_nodes.max(self.peak_memo_units);
@@ -642,7 +551,6 @@ impl SupportEngine for VerticalEngine {
                         f.itemset.items().to_vec(),
                         PrevNode {
                             vector: v,
-                            mass: f.expected_support,
                             moments: Some(moments),
                             stamp: self.stamp,
                         },
@@ -662,7 +570,6 @@ impl SupportEngine for VerticalEngine {
                     f.itemset.items().to_vec(),
                     PrevNode {
                         vector: v,
-                        mass: f.expected_support,
                         moments: None,
                         stamp: 0,
                     },
@@ -720,7 +627,6 @@ impl SupportEngine for VerticalEngine {
                 }
                 node.vector.apply_tid_delta(&updates);
                 moments.refresh(&node.vector, &touched_block_keys(&updates));
-                node.mass = moments.fold().0;
                 stats.memo_patched += 1;
                 true
             });
@@ -1365,24 +1271,34 @@ fn vector_for(
     }
 }
 
-/// [`vector_for`] fused with its statistics, run through a per-worker
-/// scratch: one `intersect_into` pass yields `(vector, esup, var, count)`
-/// with a single exactly-sized allocation (the export) — the hot path of
-/// [`VerticalEngine::evaluate`]. Falls back to the allocating fold for
-/// cold prefixes (direct trait users), like [`vector_for`].
-fn evaluate_with(
+/// One visit of a candidate — the hot path of
+/// [`VerticalEngine::evaluate`]: a single fused
+/// [`ProbVector::intersect_into`] walk through the per-worker scratch
+/// yields its moments and, in the scratch, its vector. Returns the moments
+/// plus the exported (exactly-sized) memo vector when every pushdown
+/// threshold keeps the candidate alive — with no thresholds, always.
+/// Pruned candidates pay no allocation. Falls back to the allocating fold
+/// for cold prefixes (direct trait users), like [`vector_for`].
+fn evaluate_pushdown(
     index: &VerticalIndex,
     prev: &FxHashMap<Vec<ItemId>, PrevNode>,
     candidate: &Itemset,
     scratch: &mut ScratchSpace,
-) -> (ProbVector, f64, f64, usize) {
+    min_esup: Option<f64>,
+    min_count: Option<u64>,
+) -> ((f64, f64, usize), Option<ProbVector>) {
+    let survives = |m: &(f64, f64, usize)| {
+        !(min_esup.is_some_and(|t| m.0 < t) || min_count.is_some_and(|t| (m.2 as u64) < t))
+    };
     let items = candidate.items();
     match items.len() {
-        0 => (ProbVector::new(), 0.0, 0.0, 0),
+        0 => ((0.0, 0.0, 0), None),
         1 => {
             let postings = index.postings(items[0]);
             let (esup, var) = postings.moments();
-            (postings.clone(), esup, var, postings.len())
+            let m = (esup, var, postings.len());
+            let vector = survives(&m).then(|| postings.clone());
+            (m, vector)
         }
         k => {
             let (prefix, last) = (&items[..k - 1], items[k - 1]);
@@ -1394,105 +1310,17 @@ fn evaluate_with(
             };
             match base {
                 Some(v) => {
-                    let (esup, var, count) = v.intersect_into(last_postings, scratch);
-                    (scratch.export(), esup, var, count)
+                    let m = v.intersect_into(last_postings, scratch);
+                    let vector = survives(&m).then(|| scratch.export());
+                    (m, vector)
                 }
-                None => {
-                    let mut v = index.prob_vector(items);
-                    v.shrink_to_fit(); // it enters the memo; drop fold slack
-                    let (esup, var) = v.moments();
-                    let count = v.len();
-                    (v, esup, var, count)
-                }
-            }
-        }
-    }
-}
-
-/// One pushdown visit of a candidate. Returns its moments, the exported
-/// memo vector when every threshold keeps it alive, and whether a *second*
-/// intersection walk was spent on it (for the work counter).
-///
-/// Two deterministic shapes, chosen by what is provable:
-///
-/// * **Bounded** (an `esup_bound` and a memoized prefix whose mass is on
-///   record): a stats-only [`ProbVector::intersect_stats_bounded`] walk
-///   first — hopeless candidates stop at the first summation block that
-///   rules them out and touch no output buffers at all, which is what
-///   makes candidate-heavy final levels cheap — then, only for survivors,
-///   an immediate stats-free [`ProbVector::intersect_materialize_into`]
-///   over the operands the stats walk just streamed (still cache-hot).
-/// * **Unbounded** (no threshold, or a singleton prefix with no recorded
-///   mass — the pair level): one fused [`ProbVector::intersect_into`] walk
-///   yields moments and vector together; only survivors pay the export.
-///
-/// `fused` forces bounded candidates onto the unbounded single-walk shape
-/// too — the caller's survival pilot sets it on levels where most
-/// candidates live, so the stats-first shape's second walk per survivor is
-/// not worth the early bails it buys. The two shapes return bit-identical
-/// moments and vectors for every surviving candidate.
-///
-/// Falls back to the allocating fold for cold prefixes, like
-/// [`vector_for`].
-#[allow(clippy::too_many_arguments)]
-fn evaluate_pushdown(
-    index: &VerticalIndex,
-    prev: &FxHashMap<Vec<ItemId>, PrevNode>,
-    candidate: &Itemset,
-    scratch: &mut ScratchSpace,
-    esup_bound: Option<f64>,
-    min_esup: Option<f64>,
-    min_count: Option<u64>,
-    fused: bool,
-) -> ((f64, f64, usize), Option<ProbVector>, bool) {
-    let survives = |m: &(f64, f64, usize)| {
-        !(min_esup.is_some_and(|t| m.0 < t) || min_count.is_some_and(|t| (m.2 as u64) < t))
-    };
-    let items = candidate.items();
-    match items.len() {
-        0 => ((0.0, 0.0, 0), None, false),
-        1 => {
-            let postings = index.postings(items[0]);
-            let (esup, var) = postings.moments();
-            let m = (esup, var, postings.len());
-            let vector = survives(&m).then(|| postings.clone());
-            (m, vector, false)
-        }
-        k => {
-            let (prefix, last) = (&items[..k - 1], items[k - 1]);
-            let last_postings = index.postings(last);
-            // Memoized prefixes carry their own expected support — the
-            // bounded kernel's mass; a singleton prefix resolves from the
-            // index but has no recorded mass, so it runs unbounded.
-            let base = if prefix.len() == 1 {
-                Some((index.postings(prefix[0]), None))
-            } else {
-                prev.get(prefix).map(|n| (&n.vector, Some(n.mass)))
-            };
-            match base {
-                Some((v, mass)) => match (esup_bound, mass) {
-                    (Some(t), Some(mass)) if !fused => {
-                        let m = v.intersect_stats_bounded(last_postings, mass, t);
-                        let vector = survives(&m).then(|| {
-                            v.intersect_materialize_into(last_postings, scratch);
-                            scratch.export()
-                        });
-                        let double_walked = vector.is_some();
-                        (m, vector, double_walked)
-                    }
-                    _ => {
-                        let m = v.intersect_into(last_postings, scratch);
-                        let vector = survives(&m).then(|| scratch.export());
-                        (m, vector, false)
-                    }
-                },
                 None => {
                     let mut v = index.prob_vector(items);
                     v.shrink_to_fit(); // it enters the memo; drop fold slack
                     let (esup, var) = v.moments();
                     let m = (esup, var, v.len());
                     let vector = survives(&m).then_some(v);
-                    (m, vector, false)
+                    (m, vector)
                 }
             }
         }
@@ -1616,7 +1444,7 @@ mod tests {
         assert_eq!(stats.intersections, p.len() as u64);
         assert_eq!(engine.current.len(), p.len());
 
-        // …or nothing does (the walk just bails early and exports nothing).
+        // …or nothing does (the walk exports nothing).
         let mut engine = VerticalEngine::new(&db);
         let mut stats = MinerStats::default();
         engine.evaluate(&singletons, StatRequest::ESUP, &mut stats);
@@ -1624,6 +1452,45 @@ mod tests {
         engine.evaluate(&p, StatRequest::ESUP.with_min_esup(1e9), &mut stats);
         assert_eq!(stats.intersections, p.len() as u64);
         assert!(engine.current.is_empty());
+    }
+
+    /// A level past the pairs — memoized multi-item prefixes — under an
+    /// esup threshold that keeps some candidates and prunes the rest: every
+    /// multi-item candidate costs exactly one walk, survivors included.
+    #[test]
+    fn vertical_threshold_level_walks_each_candidate_once() {
+        let db = paper_table1();
+        let mut engine = VerticalEngine::new(&db);
+        let mut stats = MinerStats::default();
+        let singletons: Vec<Itemset> = (0..6).map(Itemset::singleton).collect();
+        engine.evaluate(&singletons, StatRequest::ESUP, &mut stats);
+        engine.finish_level(&as_frequent(&singletons));
+        let p = pairs();
+        engine.evaluate(&p, StatRequest::ESUP, &mut stats);
+        engine.finish_level(&as_frequent(&p));
+        let mut triples = Vec::new();
+        for a in 0..6u32 {
+            for b in a + 1..6u32 {
+                for c in b + 1..6u32 {
+                    triples.push(Itemset::from_items([a, b, c]));
+                }
+            }
+        }
+        // The largest triple esup: only the maximal triples survive it.
+        let threshold = triples
+            .iter()
+            .map(|t| db.expected_support(t.items()))
+            .fold(0.0f64, f64::max);
+        let mut stats = MinerStats::default();
+        let sup = engine.evaluate(
+            &triples,
+            StatRequest::ESUP.with_min_esup(threshold),
+            &mut stats,
+        );
+        let survivors = sup.esup.iter().filter(|&&e| e >= threshold).count();
+        assert!(survivors > 0 && survivors < triples.len(), "mixed level");
+        assert_eq!(engine.current.len(), survivors);
+        assert_eq!(stats.intersections, triples.len() as u64);
     }
 
     #[test]

@@ -45,18 +45,17 @@
 //! [`MinerStats::border_rejudged`] accounting for the rest.
 //!
 //! One deliberate deviation from the batch evaluator: the incremental
-//! [`StatRequest`] carries **no pushdown thresholds**. The engines'
-//! threshold pushdown reports decision-equivalent (not value-equivalent)
-//! partial sums for candidates it rules out, which would poison the
-//! tracker's maintained upper bounds; exact moments keep every cached
-//! bound sound. Kept records are bit-identical either way.
+//! [`StatRequest`] carries **no pushdown thresholds**. The tracker caches
+//! each evaluated candidate's exact moments as its upper bounds, and
+//! thresholds only decide which vectors an engine keeps for the level, so
+//! kept records are bit-identical either way.
 
 use super::apriori::generate_candidates;
 use super::engine::{DiffsetEngine, HorizontalScan, StatRequest, SupportEngine, VerticalEngine};
 use super::measure::{CandidateStats, FrequentnessMeasure, Screen, ShardPlan};
 use ufim_core::{
-    EngineKind, FrequentItemset, FxHashMap, ItemId, Itemset, MinerStats, MiningResult, StepProbe,
-    Transaction, UncertainDatabase, WindowStep, WindowedDatabase,
+    CoreError, EngineKind, FrequentItemset, FxHashMap, ItemId, Itemset, MinerStats, MiningResult,
+    StepProbe, Transaction, UncertainDatabase, WindowStep, WindowedDatabase,
 };
 
 /// Cached verdict of one tracked itemset (see [`BorderTracker`]).
@@ -373,7 +372,9 @@ fn owned_engine(kind: EngineKind, db: &UncertainDatabase) -> Option<Box<dyn Supp
 /// let mut miner =
 ///     IncrementalMiner::new(window, ExpectedSupport::new(1.0), EngineKind::Vertical);
 /// for i in 0..6u32 {
-///     miner.append(Transaction::new([(i % 4, 0.9), ((i + 1) % 4, 0.6)]).unwrap());
+///     miner
+///         .append(Transaction::new([(i % 4, 0.9), ((i + 1) % 4, 0.6)]).unwrap())
+///         .unwrap();
 /// }
 /// miner.refresh();
 /// let batch = mine_level_wise(
@@ -431,7 +432,12 @@ impl<M: FrequentnessMeasure> IncrementalMiner<M> {
 
     /// Appends a transaction ([`WindowedDatabase::append`]); the change
     /// takes effect at the next [`IncrementalMiner::refresh`].
-    pub fn append(&mut self, t: Transaction) -> u32 {
+    ///
+    /// # Errors
+    /// [`CoreError::ItemOutOfVocabulary`] if the transaction references an
+    /// item outside the window's vocabulary; the window is left untouched,
+    /// so the next refresh is exactly as if the call never happened.
+    pub fn append(&mut self, t: Transaction) -> Result<u32, CoreError> {
         self.window.append(t)
     }
 
@@ -574,12 +580,12 @@ mod tests {
             match round % 4 {
                 0 | 1 => {
                     for _ in 0..3 {
-                        miner.append(tx(&mut rng, 6, 0.6));
+                        miner.append(tx(&mut rng, 6, 0.6)).unwrap();
                     }
                 }
                 2 => {
                     miner.expire_oldest(2);
-                    miner.append(tx(&mut rng, 6, 0.6));
+                    miner.append(tx(&mut rng, 6, 0.6)).unwrap();
                 }
                 _ => {
                     miner.expire_oldest(1);
@@ -635,7 +641,9 @@ mod tests {
         let mut miner =
             IncrementalMiner::new(window, ExpectedSupport::new(4.0), EngineKind::Vertical);
         for _ in 0..4 {
-            miner.append(Transaction::new([(0, 0.9), (1, 0.8), (5, 0.01)]).unwrap());
+            miner
+                .append(Transaction::new([(0, 0.9), (1, 0.8), (5, 0.01)]).unwrap())
+                .unwrap();
             miner.refresh();
         }
         let stats = &miner.result().stats;
@@ -658,8 +666,12 @@ mod tests {
         let window = WindowedDatabase::new(8, 4);
         let mut miner =
             IncrementalMiner::new(window, ExpectedSupport::new(1.0), EngineKind::Diffset);
-        miner.append(Transaction::new([(0, 0.9), (1, 0.8)]).unwrap());
-        miner.append(Transaction::new([(0, 0.7), (2, 0.6)]).unwrap());
+        miner
+            .append(Transaction::new([(0, 0.9), (1, 0.8)]).unwrap())
+            .unwrap();
+        miner
+            .append(Transaction::new([(0, 0.7), (2, 0.6)]).unwrap())
+            .unwrap();
         miner.refresh();
         let first = miner.result().itemsets.clone();
         assert!(miner.result().stats.candidates_evaluated > 0);
@@ -671,7 +683,9 @@ mod tests {
     #[test]
     fn pending_mutations_at_construction_are_not_double_applied() {
         let mut window = WindowedDatabase::new(4, 3);
-        window.append(Transaction::new([(0, 0.9), (1, 0.9)]).unwrap());
+        window
+            .append(Transaction::new([(0, 0.9), (1, 0.9)]).unwrap())
+            .unwrap();
         // `window` has a pending step; the miner must fold it into the
         // engine baseline instead of replaying it.
         let mut miner =
@@ -691,7 +705,9 @@ mod tests {
         let mut miner =
             IncrementalMiner::new(window, ExpectedSupport::new(0.5), EngineKind::Vertical);
         for _ in 0..8 {
-            miner.append(Transaction::new([(0, 0.9), (1, 0.8)]).unwrap());
+            miner
+                .append(Transaction::new([(0, 0.9), (1, 0.8)]).unwrap())
+                .unwrap();
         }
         miner.refresh();
         assert!(!miner.result().is_empty());
@@ -707,13 +723,69 @@ mod tests {
         assert_eq!(miner.result().itemsets, batch.itemsets);
     }
 
+    /// Warm-refreshes two miners over the same stream; between refreshes
+    /// one of them is also offered an out-of-vocabulary transaction. The
+    /// append must be refused with a typed error before it touches the
+    /// window, so the next refresh equals the clean miner's — records,
+    /// counters and window alike.
+    fn assert_rejected_append_is_invisible(kind: EngineKind) {
+        let measure = ExpectedSupport::with_variance(1.0);
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut miner = IncrementalMiner::new(WindowedDatabase::new(8, 4), measure, kind);
+        let mut clean = IncrementalMiner::new(WindowedDatabase::new(8, 4), measure, kind);
+        for round in 0..3 {
+            for _ in 0..5 {
+                let t = tx(&mut rng, 4, 0.7);
+                miner.append(t.clone()).unwrap();
+                clean.append(t).unwrap();
+            }
+            if round > 0 {
+                let stray = Transaction::new([(1, 0.9), (4, 0.5)]).unwrap();
+                assert_eq!(
+                    miner.append(stray),
+                    Err(CoreError::ItemOutOfVocabulary {
+                        item: 4,
+                        num_items: 4
+                    }),
+                    "{kind}"
+                );
+            }
+            miner.refresh();
+            clean.refresh();
+            assert_eq!(miner.result().itemsets, clean.result().itemsets, "{kind}");
+            assert_eq!(miner.result().stats, clean.result().stats, "{kind}");
+            assert_eq!(
+                miner.window().snapshot().transactions(),
+                clean.window().snapshot().transactions(),
+                "{kind}"
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_vocabulary_append_is_rejected_horizontal() {
+        assert_rejected_append_is_invisible(EngineKind::Horizontal);
+    }
+
+    #[test]
+    fn out_of_vocabulary_append_is_rejected_vertical() {
+        assert_rejected_append_is_invisible(EngineKind::Vertical);
+    }
+
+    #[test]
+    fn out_of_vocabulary_append_is_rejected_diffset() {
+        assert_rejected_append_is_invisible(EngineKind::Diffset);
+    }
+
     #[test]
     fn tracker_retires_entries_that_leave_the_stream() {
         let window = WindowedDatabase::new(8, 4);
         let mut miner =
             IncrementalMiner::new(window, ExpectedSupport::new(1.5), EngineKind::Vertical);
         for _ in 0..4 {
-            miner.append(Transaction::new([(0, 0.9), (1, 0.9), (2, 0.9)]).unwrap());
+            miner
+                .append(Transaction::new([(0, 0.9), (1, 0.9), (2, 0.9)]).unwrap())
+                .unwrap();
         }
         miner.refresh();
         let deep = miner.tracker().len();

@@ -74,7 +74,9 @@ fn main() {
 
     // Phase 1 — fill the window, then mine it once from cold.
     for _ in 0..CAPACITY {
-        miner.append(reading(&mut rng));
+        miner
+            .append(reading(&mut rng))
+            .expect("readings use only the SENSORS event ids");
     }
     let t0 = Instant::now();
     miner.refresh();
@@ -97,7 +99,9 @@ fn main() {
     for _ in 0..STREAM / BATCH {
         miner.expire_oldest(BATCH);
         for _ in 0..BATCH {
-            miner.append(reading(&mut rng));
+            miner
+                .append(reading(&mut rng))
+                .expect("readings use only the SENSORS event ids");
         }
         let stats = &miner.refresh().stats;
         evaluated += stats.candidates_evaluated;
@@ -163,7 +167,9 @@ fn main() {
         EngineKind::Vertical,
     );
     for _ in 0..CAPACITY {
-        monitor.append(reading(&mut rng));
+        monitor
+            .append(reading(&mut rng))
+            .expect("readings use only the SENSORS event ids");
     }
     monitor.refresh();
     let (mut patched, mut rebuilt) = (0u64, 0u64);
@@ -171,7 +177,9 @@ fn main() {
     for _ in 0..STREAM / BATCH {
         monitor.expire_oldest(BATCH);
         for _ in 0..BATCH {
-            monitor.append(reading(&mut rng));
+            monitor
+                .append(reading(&mut rng))
+                .expect("readings use only the SENSORS event ids");
         }
         let stats = &monitor.refresh().stats;
         patched += stats.memo_patched;

@@ -278,7 +278,9 @@ fn drive_incremental<M: FrequentnessMeasure + Copy>(
     for (i, op) in ops.iter().enumerate() {
         match op {
             StreamOp::Append(units) => {
-                miner.append(Transaction::new(units.iter().copied()).unwrap());
+                miner
+                    .append(Transaction::new(units.iter().copied()).unwrap())
+                    .unwrap();
             }
             StreamOp::Expire(n) => {
                 miner.expire_oldest(*n);
@@ -306,7 +308,7 @@ fn drive_incremental<M: FrequentnessMeasure + Copy>(
             // Cold re-mine: same window contents through a fresh miner.
             let mut cold = IncrementalMiner::new(WindowedDatabase::new(capacity, 6), measure, kind);
             for t in snapshot.transactions() {
-                cold.append(t.clone());
+                cold.append(t.clone()).unwrap();
             }
             let cold_stats = cold.refresh().stats.clone();
             prop_assert_eq!(
@@ -410,7 +412,9 @@ fn window_delta_edge_cases_match_batch() {
         // 2. Fill past the first chunk boundary: dirty slots of one step
         //    land in different chunks.
         for i in 0..100u32 {
-            miner.append(Transaction::new([(i % 6, 0.9), ((i + 1) % 6, 0.7)]).unwrap());
+            miner
+                .append(Transaction::new([(i % 6, 0.9), ((i + 1) % 6, 0.7)]).unwrap())
+                .unwrap();
         }
         check(&mut miner, "fill across chunk boundary");
         // 3. Warm churn on the now-retained memo: a second refresh whose
@@ -419,7 +423,9 @@ fn window_delta_edge_cases_match_batch() {
         //    counter has to actually engage here.
         miner.expire_oldest(5);
         for i in 0..5u32 {
-            miner.append(Transaction::new([(i % 6, 0.85), ((i + 3) % 6, 0.65)]).unwrap());
+            miner
+                .append(Transaction::new([(i % 6, 0.85), ((i + 3) % 6, 0.65)]).unwrap())
+                .unwrap();
         }
         let warm = check(&mut miner, "churn on a retained memo");
         if kind != EngineKind::Horizontal {
@@ -436,7 +442,9 @@ fn window_delta_edge_cases_match_batch() {
         //    its freshly-filled slot nets back to vacant, and the step
         //    also empties the whole window (full-window expiry).
         let live = miner.window().len();
-        miner.append(Transaction::new([(2, 0.8), (3, 0.8)]).unwrap());
+        miner
+            .append(Transaction::new([(2, 0.8), (3, 0.8)]).unwrap())
+            .unwrap();
         assert_eq!(miner.expire_oldest(live + 1), live + 1);
         check(
             &mut miner,
@@ -446,7 +454,9 @@ fn window_delta_edge_cases_match_batch() {
         // 5. Refill after total expiry: the tracker must not resurrect
         //    verdicts from the expired generation.
         for i in 0..40u32 {
-            miner.append(Transaction::new([(i % 6, 0.6), ((i + 2) % 6, 0.95)]).unwrap());
+            miner
+                .append(Transaction::new([(i % 6, 0.6), ((i + 2) % 6, 0.95)]).unwrap())
+                .unwrap();
         }
         check(&mut miner, "refill after empty");
     }

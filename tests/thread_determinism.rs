@@ -314,12 +314,12 @@ fn incremental_refresh_is_bit_identical_across_pool_sizes() {
                 IncrementalMiner::new(window, ExpectedSupport::with_variance(threshold), engine);
             let mut stream = script.iter().cloned();
             for t in stream.by_ref().take(8_000) {
-                miner.append(t);
+                miner.append(t).unwrap();
             }
             let mut refreshes = vec![miner.refresh().clone()];
             for _ in 0..3 {
                 for t in stream.by_ref().take(200) {
-                    miner.append(t);
+                    miner.append(t).unwrap();
                 }
                 miner.expire_oldest(100);
                 refreshes.push(miner.refresh().clone());
