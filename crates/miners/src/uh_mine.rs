@@ -4,10 +4,11 @@
 //! All frequent-item-filtered transactions are materialized once into a flat
 //! arena of `(item, probability)` cells, sorted per transaction by global
 //! frequency rank (the paper's Figure 2). Mining is depth-first: a *head
-//! table* for prefix `P` holds, per extension item `y`, the projected rows —
-//! pointers into the arena plus the accumulated prefix multiplier
-//! `m_t = Π_{x∈P} p_t(x)` — and the running expected support
-//! `Σ_t m_t · p_t(y)` (Figure 3). Recursing on `y` just advances each row's
+//! table* for prefix `P` holds, per extension item `y`, the running
+//! expected support `Σ_t m_t · p_t(y)` over the projected rows — pointers
+//! into the arena plus the accumulated prefix multiplier
+//! `m_t = Π_{x∈P} p_t(x)` — and, for the extensions that are expanded, those
+//! rows themselves (Figure 3). Recursing on `y` just advances each row's
 //! pointer and multiplies in `p_t(y)`; no structure is ever copied, which is
 //! why UH-Mine shines exactly where UFP-growth drowns (sparse data, low
 //! thresholds).
@@ -21,6 +22,24 @@
 //! UH-Mine, the paper's novel NDUH-Mine (§3.3.3), and the previously
 //! unbuildable exact-DP/DC-on-UH-Mine cells of the matrix.
 //!
+//! ## Head tables in two passes
+//!
+//! A head table is built in two passes over the projected rows, into a
+//! per-task `HeadScratch`. **Pass 1** folds each extension's moments
+//! (expected support, variance, nonzero count) into dense per-rank arrays,
+//! in row order — the order in which a per-extension row list would be
+//! summed. Ranks cover only the selected frequent items, so the arrays
+//! stay small; they are reset through the list of ranks the pass touched.
+//! The level's screen and judgment then run on those moments, and
+//! **pass 2** fills row buffers only for the extensions that will be
+//! expanded: an infrequent extension never gets rows. The exact measures
+//! are the one exception, since they judge the multipliers themselves:
+//! their screen survivors get rows first, and a rejected extension's
+//! buffer goes straight back. Row buffers come from the scratch's free
+//! list and return there once the subtree below them is mined, so a head
+//! table allocates nothing in steady state; what a mine still allocates
+//! grows with the itemsets it emits.
+//!
 //! ## Parallelism
 //!
 //! The walk decomposes **recursively**: at every level of the depth-first
@@ -31,16 +50,18 @@
 //! recurse inline. The arena is shared read-only — subtrees never touch
 //! each other's rows — so a single dominant first-level subtree (deep
 //! skew) splits again below the root instead of serializing on one
-//! worker. Each task mines into its own [`MiningResult`] and pushes it
-//! into an [`OrderedSink`] under a spawn-order key; the sink merges in
-//! key order. Because the spawn decisions are a pure function of the
-//! input (sizes and depths — identical for every pool size > 1, and pool
-//! size 1 runs everything inline), every float is computed within exactly
-//! one task and merged counters are integer sums/maxes, output records
-//! *and* [`MinerStats`] are bit-identical for every `UFIM_THREADS`.
+//! worker. A spawned task takes over the scratch of a finished one. Each
+//! task mines into its own [`MiningResult`] and pushes it into an
+//! [`OrderedSink`] under a spawn-order key; the sink merges in key order.
+//! Because the spawn decisions are a pure function of the input (sizes and
+//! depths — identical for every pool size > 1, and pool size 1 runs
+//! everything inline), every float is computed within exactly one task
+//! and merged counters are integer sums/maxes, output records *and*
+//! [`MinerStats`] are bit-identical for every `UFIM_THREADS`.
 
-use crate::common::measure::{select_items, CandidateStats, FrequentnessMeasure, Screen};
+use crate::common::measure::{select_items, CandidateStats, FrequentnessMeasure, Judgment, Screen};
 use crate::common::order::FrequencyOrder;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use ufim_core::parallel::{child_key, scope, OrderedSink, Scope};
 use ufim_core::prelude::*;
 
@@ -54,6 +75,9 @@ const SPAWN_MIN_ROWS: usize = 1 << 10;
 /// backstop bounding task bookkeeping on pathologically deep lattices
 /// (row counts shrink monotonically, so this is rarely the binding cut).
 const SPAWN_MAX_DEPTH: usize = 24;
+
+/// "No row buffer": the slot of a rank that pass 2 skips.
+const NO_SLOT: u32 = u32::MAX;
 
 /// The UH-Mine miner.
 #[derive(Clone, Debug, Default)]
@@ -95,7 +119,7 @@ struct Cell {
 /// A projected transaction row: the cells still ahead of the prefix, plus
 /// the prefix containment probability.
 #[derive(Clone, Copy)]
-pub(crate) struct Row {
+struct Row {
     /// Arena index of the first remaining cell.
     next: u32,
     /// Arena index one past the transaction's last cell.
@@ -104,19 +128,75 @@ pub(crate) struct Row {
     mult: f64,
 }
 
+/// One task's reusable head-table buffers (see the module docs). Between
+/// head tables the moment arrays are zero and every slot is [`NO_SLOT`];
+/// every buffer keeps its capacity. Scratch contents never influence
+/// results.
+struct HeadScratch {
+    /// Per-rank expected support, variance and nonzero count of the head
+    /// table being built.
+    esup: Vec<f64>,
+    var: Vec<f64>,
+    count: Vec<u32>,
+    /// The ranks pass 1 touched; sorted ascending before judging.
+    touched: Vec<u32>,
+    /// Rank → index into `kept` of the buffer pass 2 fills.
+    slot: Vec<u32>,
+    /// Kept extensions and their rows, for every head table on the task's
+    /// recursion path: each level appends its own and truncates them when
+    /// it has expanded them.
+    kept: Vec<(u32, Vec<Row>)>,
+    /// Emptied row buffers.
+    free: Vec<Vec<Row>>,
+    /// The multipliers an exact measure judges, gathered from the rows.
+    probs: Vec<f64>,
+}
+
+impl HeadScratch {
+    fn new(num_ranks: usize) -> Self {
+        HeadScratch {
+            esup: vec![0.0; num_ranks],
+            var: vec![0.0; num_ranks],
+            count: vec![0; num_ranks],
+            touched: Vec::new(),
+            slot: vec![NO_SLOT; num_ranks],
+            kept: Vec::new(),
+            free: Vec::new(),
+            probs: Vec::new(),
+        }
+    }
+
+    /// Appends an empty row buffer for `rank` to `kept`, sized for `rows`
+    /// rows, and points `rank`'s slot at it.
+    fn give_rows(&mut self, rank: u32, rows: u32) {
+        let mut buf = self.free.pop().unwrap_or_default();
+        buf.reserve(rows as usize);
+        self.slot[rank as usize] = self.kept.len() as u32;
+        self.kept.push((rank, buf));
+    }
+
+    /// Returns a row buffer to the free list.
+    fn recycle(&mut self, mut rows: Vec<Row>) {
+        rows.clear();
+        self.free.push(rows);
+    }
+}
+
 /// The shared mining engine. The measure decides whether an extension is
 /// output *and* expanded — every measure in the matrix is anti-monotone
 /// under its own semantics (the approximations by construction), so a
 /// failing prefix never hides a passing extension.
-pub(crate) struct UhEngine<'a, M: FrequentnessMeasure> {
+struct UhEngine<'a, M: FrequentnessMeasure> {
     arena: Vec<Cell>,
     order: &'a FrequencyOrder,
     measure: &'a M,
+    /// Scratch spaces of finished spawned tasks, taken over by the next.
+    scratch: Mutex<Vec<HeadScratch>>,
 }
 
 impl<'a, M: FrequentnessMeasure> UhEngine<'a, M> {
     /// Builds the UH-Struct and returns the engine plus the initial rows.
-    pub(crate) fn build(
+    fn build(
         db: &UncertainDatabase,
         order: &'a FrequencyOrder,
         measure: &'a M,
@@ -124,8 +204,9 @@ impl<'a, M: FrequentnessMeasure> UhEngine<'a, M> {
     ) -> (Self, Vec<Row>) {
         let mut arena = Vec::new();
         let mut rows = Vec::new();
+        let mut proj = Vec::new();
         for t in db.transactions() {
-            let proj = order.project(t.items(), t.probs());
+            order.project_into(t.items(), t.probs(), &mut proj);
             if proj.is_empty() {
                 continue;
             }
@@ -144,91 +225,148 @@ impl<'a, M: FrequentnessMeasure> UhEngine<'a, M> {
                 arena,
                 order,
                 measure,
+                scratch: Mutex::new(Vec::new()),
             },
             rows,
         )
     }
 
-    /// Builds the head table for `rows` — per extension rank, the
-    /// accumulated `(esup, var)` and the projected rows — returned in
-    /// ascending-rank order (descending global esup), and charges the pass
-    /// as one projection scan.
-    fn head_table(&self, rows: &[Row], out: &mut MiningResult) -> Vec<(u32, f64, f64, Vec<Row>)> {
+    /// Takes a finished task's scratch, or makes a fresh one.
+    fn take_scratch(&self) -> HeadScratch {
+        self.scratch_pool()
+            .pop()
+            .unwrap_or_else(|| HeadScratch::new(self.order.len()))
+    }
+
+    fn scratch_pool(&self) -> MutexGuard<'_, Vec<HeadScratch>> {
+        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Builds, judges and charges (one projection scan) the head table of
+    /// `prefix` over `rows`, in the two passes of the module docs. Emits
+    /// the record of every kept extension and appends the kept extensions,
+    /// in ascending rank (descending global esup) with their projected
+    /// rows, to `scratch.kept`; returns the index of the first.
+    fn head_table(
+        &self,
+        rows: &[Row],
+        prefix: &mut Vec<ItemId>,
+        scratch: &mut HeadScratch,
+        out: &mut MiningResult,
+    ) -> usize {
         let needs = self.measure.needs();
-        // Rank-keyed dense storage would waste memory on wide
-        // vocabularies, so use a hash table (the paper's head tables are
-        // equally per-prefix structures).
-        let mut head: FxHashMap<u32, (f64, f64, Vec<Row>)> = FxHashMap::default();
+        // Pass 1: moments per rank, each folded in row order.
         for row in rows {
-            let mut pos = row.next;
-            while pos < row.end {
-                let cell = self.arena[pos as usize];
+            for cell in &self.arena[row.next as usize..row.end as usize] {
+                let r = cell.rank as usize;
                 let q = row.mult * cell.prob;
-                let entry = head
-                    .entry(cell.rank)
-                    .or_insert_with(|| (0.0, 0.0, Vec::new()));
-                entry.0 += q;
-                if needs.variance {
-                    entry.1 += q * (1.0 - q);
+                if scratch.count[r] == 0 {
+                    scratch.touched.push(cell.rank);
                 }
-                entry.2.push(Row {
-                    next: pos + 1,
-                    end: row.end,
-                    mult: q,
-                });
-                pos += 1;
+                scratch.count[r] += 1;
+                scratch.esup[r] += q;
+                if needs.variance {
+                    scratch.var[r] += q * (1.0 - q);
+                }
             }
         }
         out.stats.scans += 1;
-        let mut entries: Vec<(u32, f64, f64, Vec<Row>)> = head
-            .into_iter()
-            .map(|(rank, (esup, var, rows))| (rank, esup, var, rows))
-            .collect();
-        entries.sort_unstable_by_key(|&(rank, ..)| rank);
-        entries
-    }
 
-    /// Judges one head-table entry. On keep, pushes `order.item(rank)`
-    /// onto `prefix`, emits the record, and returns `true` — the caller
-    /// recurses into the entry's rows and pops afterwards.
-    fn judge_entry(
-        &self,
-        prefix: &mut Vec<ItemId>,
-        rank: u32,
-        esup: f64,
-        var: f64,
-        next_rows: &[Row],
-        out: &mut MiningResult,
-    ) -> bool {
-        out.stats.candidates_evaluated += 1;
-        match self.measure.screen(esup, next_rows.len() as u64) {
-            Screen::Keep => {}
-            Screen::PruneCount => {
-                out.stats.candidates_pruned_count += 1;
-                return false;
+        // Screen every extension; judge the moment measures outright.
+        scratch.touched.sort_unstable();
+        let start = scratch.kept.len();
+        for i in 0..scratch.touched.len() {
+            let rank = scratch.touched[i];
+            let r = rank as usize;
+            let count = scratch.count[r];
+            out.stats.candidates_evaluated += 1;
+            match self.measure.screen(scratch.esup[r], u64::from(count)) {
+                Screen::Keep => {}
+                Screen::PruneCount => {
+                    out.stats.candidates_pruned_count += 1;
+                    continue;
+                }
+                Screen::PruneBound => {
+                    out.stats.candidates_pruned_chernoff += 1;
+                    continue;
+                }
             }
-            Screen::PruneBound => {
-                out.stats.candidates_pruned_chernoff += 1;
-                return false;
+            if !needs.prob_vector {
+                let c = CandidateStats {
+                    esup: scratch.esup[r],
+                    variance: scratch.var[r],
+                    count: u64::from(count),
+                    probs: None,
+                };
+                let Some(j) = self.measure.judge(&c, &mut out.stats) else {
+                    continue;
+                };
+                self.emit(prefix, rank, j, out);
+            }
+            scratch.give_rows(rank, count);
+        }
+
+        // Pass 2: rows for the extensions given a buffer, in row order.
+        if scratch.kept.len() > start {
+            for row in rows {
+                let cells = &self.arena[row.next as usize..row.end as usize];
+                for (pos, cell) in (row.next..).zip(cells) {
+                    let slot = scratch.slot[cell.rank as usize];
+                    if slot != NO_SLOT {
+                        scratch.kept[slot as usize].1.push(Row {
+                            next: pos + 1,
+                            end: row.end,
+                            mult: row.mult * cell.prob,
+                        });
+                    }
+                }
             }
         }
-        // Each projected row's multiplier is exactly the candidate's
-        // containment probability in that transaction, in transaction
-        // order — the exact kernels' input, gathered for free.
-        let qs: Option<Vec<f64>> = self
-            .measure
-            .needs()
-            .prob_vector
-            .then(|| next_rows.iter().map(|r| r.mult).collect());
-        let c = CandidateStats {
-            esup,
-            variance: var,
-            count: next_rows.len() as u64,
-            probs: qs.as_deref(),
-        };
-        let Some(j) = self.measure.judge(&c, &mut out.stats) else {
-            return false;
-        };
+        for (rank, _) in &scratch.kept[start..] {
+            scratch.slot[*rank as usize] = NO_SLOT;
+        }
+
+        // Exact measures: each projected row's multiplier is exactly the
+        // candidate's containment probability in that transaction, in
+        // transaction order — the exact kernels' input.
+        if needs.prob_vector {
+            let mut kept = start;
+            for i in start..scratch.kept.len() {
+                let rank = scratch.kept[i].0;
+                let r = rank as usize;
+                let rows = &scratch.kept[i].1;
+                scratch.probs.clear();
+                scratch.probs.extend(rows.iter().map(|row| row.mult));
+                let c = CandidateStats {
+                    esup: scratch.esup[r],
+                    variance: scratch.var[r],
+                    count: rows.len() as u64,
+                    probs: Some(&scratch.probs),
+                };
+                if let Some(j) = self.measure.judge(&c, &mut out.stats) {
+                    self.emit(prefix, rank, j, out);
+                    scratch.kept.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            for (_, mut rows) in scratch.kept.drain(kept..) {
+                rows.clear();
+                scratch.free.push(rows);
+            }
+        }
+
+        for &rank in &scratch.touched {
+            let r = rank as usize;
+            scratch.esup[r] = 0.0;
+            scratch.var[r] = 0.0;
+            scratch.count[r] = 0;
+        }
+        scratch.touched.clear();
+        start
+    }
+
+    /// Emits the record of kept extension `prefix ∪ {item(rank)}`.
+    fn emit(&self, prefix: &mut Vec<ItemId>, rank: u32, j: Judgment, out: &mut MiningResult) {
         prefix.push(self.order.item(rank));
         out.itemsets.push(FrequentItemset {
             itemset: Itemset::from_items(prefix.iter().copied()),
@@ -236,13 +374,13 @@ impl<'a, M: FrequentnessMeasure> UhEngine<'a, M> {
             variance: j.variance,
             frequent_prob: j.frequent_prob,
         });
-        true
+        prefix.pop();
     }
 
-    /// Depth-first expansion of `prefix` over `rows` — one head-table
-    /// pass, then [`UhEngine::expand_entries`] over its output.
+    /// Depth-first expansion of `prefix` over `rows` — one head table,
+    /// then [`UhEngine::expand`] over its kept extensions.
     #[allow(clippy::too_many_arguments)] // one recursion context, kept flat like the sequential original
-    pub(crate) fn mine_scoped<'env>(
+    fn mine_scoped<'env>(
         &'env self,
         s: &Scope<'env>,
         sink: &'env OrderedSink<MiningResult>,
@@ -250,17 +388,19 @@ impl<'a, M: FrequentnessMeasure> UhEngine<'a, M> {
         spawn_seq: &mut u32,
         prefix: &mut Vec<ItemId>,
         rows: &[Row],
+        scratch: &mut HeadScratch,
         out: &mut MiningResult,
     ) {
-        let entries = self.head_table(rows, out);
-        self.expand_entries(s, sink, task_key, spawn_seq, prefix, entries, out);
+        let start = self.head_table(rows, prefix, scratch, out);
+        self.expand(s, sink, task_key, spawn_seq, prefix, start, scratch, out);
     }
 
-    /// Judges and expands one level's head-table entries, re-spawning
-    /// large subtrees as nested pool tasks (see the module docs on the
-    /// cutoffs and the determinism argument). Split from
+    /// Expands the kept extensions `scratch.kept[start..]` of one head
+    /// table in ascending rank, re-spawning large subtrees as nested pool
+    /// tasks (see the module docs on the cutoffs and the determinism
+    /// argument), and truncates them off `scratch.kept`. Split from
     /// [`UhEngine::mine_scoped`] so the root level can free its row
-    /// projection between the head-table pass and the expansion.
+    /// projection between the head table and the expansion.
     ///
     /// `task_key`/`spawn_seq` identify the enclosing task and its running
     /// spawn ordinal: a spawned child gets `child_key(task_key,
@@ -269,45 +409,50 @@ impl<'a, M: FrequentnessMeasure> UhEngine<'a, M> {
     /// `out` under the same key/counter. Results merged in key order
     /// reproduce the sequential spawn order exactly.
     #[allow(clippy::too_many_arguments)] // one recursion context, kept flat like the sequential original
-    fn expand_entries<'env>(
+    fn expand<'env>(
         &'env self,
         s: &Scope<'env>,
         sink: &'env OrderedSink<MiningResult>,
         task_key: &[u32],
         spawn_seq: &mut u32,
         prefix: &mut Vec<ItemId>,
-        entries: Vec<(u32, f64, f64, Vec<Row>)>,
+        start: usize,
+        scratch: &mut HeadScratch,
         out: &mut MiningResult,
     ) {
-        for (rank, esup, var, next_rows) in entries {
-            if self.judge_entry(prefix, rank, esup, var, &next_rows, out) {
-                if s.threads() > 1
-                    && prefix.len() < SPAWN_MAX_DEPTH
-                    && next_rows.len() >= SPAWN_MIN_ROWS
-                {
-                    let key = child_key(task_key, spawn_seq);
-                    let child_prefix = prefix.clone();
-                    s.spawn(move |s| {
-                        let mut local = MiningResult::default();
-                        let mut child_prefix = child_prefix;
-                        let mut child_seq = 0;
-                        self.mine_scoped(
-                            s,
-                            sink,
-                            &key,
-                            &mut child_seq,
-                            &mut child_prefix,
-                            &next_rows,
-                            &mut local,
-                        );
-                        sink.push(key, local);
-                    });
-                } else {
-                    self.mine_scoped(s, sink, task_key, spawn_seq, prefix, &next_rows, out);
-                }
-                prefix.pop();
+        for i in start..scratch.kept.len() {
+            let rank = scratch.kept[i].0;
+            let rows = std::mem::take(&mut scratch.kept[i].1);
+            prefix.push(self.order.item(rank));
+            if s.threads() > 1 && prefix.len() < SPAWN_MAX_DEPTH && rows.len() >= SPAWN_MIN_ROWS {
+                let key = child_key(task_key, spawn_seq);
+                let child_prefix = prefix.clone();
+                s.spawn(move |s| {
+                    let mut local = MiningResult::default();
+                    let mut child_prefix = child_prefix;
+                    let mut child_seq = 0;
+                    let mut scratch = self.take_scratch();
+                    self.mine_scoped(
+                        s,
+                        sink,
+                        &key,
+                        &mut child_seq,
+                        &mut child_prefix,
+                        &rows,
+                        &mut scratch,
+                        &mut local,
+                    );
+                    scratch.recycle(rows);
+                    self.scratch_pool().push(scratch);
+                    sink.push(key, local);
+                });
+            } else {
+                self.mine_scoped(s, sink, task_key, spawn_seq, prefix, &rows, scratch, out);
+                scratch.recycle(rows);
             }
+            prefix.pop();
         }
+        scratch.kept.truncate(start);
     }
 }
 
@@ -342,22 +487,23 @@ pub(crate) fn mine_hyper<M: FrequentnessMeasure>(
     // mines into `result` directly (key ε), spawned subtrees push their
     // local results into the sink, and the sink merges in spawn-key order
     // once the scope has drained — bit-identical for every pool size.
-    // The root projection is freed right after the root head-table pass
-    // (the entries own their projected rows), so it never overlaps the
+    // The root projection is freed right after the root head table (the
+    // kept extensions own their projected rows), so it never overlaps the
     // subtree mining — peak_bytes is a tracked, baselined metric.
     let sink = OrderedSink::new();
     scope(|s| {
-        let entries = engine.head_table(&rows, &mut result);
-        drop(rows);
+        let mut scratch = HeadScratch::new(order.len());
         let mut prefix = Vec::new();
-        let mut spawn_seq = 0;
-        engine.expand_entries(
+        let start = engine.head_table(&rows, &mut prefix, &mut scratch, &mut result);
+        drop(rows);
+        engine.expand(
             s,
             &sink,
             &[],
-            &mut spawn_seq,
+            &mut 0,
             &mut prefix,
-            entries,
+            start,
+            &mut scratch,
             &mut result,
         );
     });

@@ -11,14 +11,15 @@
 //! pools).
 //!
 //! [`TcpServer`] is the blocking front end: one accept loop, one thread
-//! per connection, one request line in → one response line out.
+//! per connection (at most [`MAX_CONNECTIONS`] at once), one request line
+//! in → one response line out.
 
 use crate::memo::{MemoKey, MemoOutcome, ResidentMemo};
 use crate::proto::{record_json, Json, Request};
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use ufim_core::parallel::with_thread_override;
 use ufim_core::prelude::*;
@@ -80,14 +81,21 @@ impl ServeCore {
             std::fs::create_dir_all(parent)?;
         }
         let file = std::fs::File::create(path)?;
-        *self.log.lock().expect("log lock poisoned") = Some(file);
+        *self.log_file() = Some(file);
         Ok(())
     }
 
     fn log_line(&self, line: &str) {
-        if let Some(file) = self.log.lock().expect("log lock poisoned").as_mut() {
+        if let Some(file) = self.log_file().as_mut() {
             let _ = writeln!(file, "{line}");
         }
+    }
+
+    /// The request log. A thread that panicked while holding it leaves
+    /// at worst a partial line behind, so a poisoned lock is taken over
+    /// rather than failing every later request.
+    fn log_file(&self) -> MutexGuard<'_, Option<std::fs::File>> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Registers `db` as resident dataset `name`, building its columnar
@@ -535,6 +543,8 @@ impl TcpServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
     /// the accept loop on a background thread. One thread per connection;
     /// each reads request lines and writes one response line per request.
+    /// Past [`MAX_CONNECTIONS`] open connections, a new one is sent one
+    /// error line and closed.
     ///
     /// # Errors
     /// Propagates bind failure.
@@ -545,10 +555,18 @@ impl TcpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let accept_thread = std::thread::spawn(move || {
-            let mut connections = Vec::new();
+            let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
             loop {
                 match listener.accept() {
-                    Ok((stream, _)) => {
+                    Ok((mut stream, _)) => {
+                        connections.retain(|c| !c.is_finished());
+                        if connections.len() >= MAX_CONNECTIONS {
+                            let refusal = err_json(&format!(
+                                "too many connections (at most {MAX_CONNECTIONS})"
+                            ));
+                            let _ = writeln!(stream, "{}", refusal.to_line());
+                            continue;
+                        }
                         let core = Arc::clone(&core);
                         let stop = Arc::clone(&stop2);
                         connections.push(std::thread::spawn(move || {
@@ -599,6 +617,10 @@ impl Drop for TcpServer {
         self.shutdown();
     }
 }
+
+/// Most connections the TCP front end serves at once; finished ones are
+/// reaped on every accept.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Longest request line, newline excluded, that the TCP front end
 /// buffers. A longer line is answered with one error response; the rest
@@ -932,6 +954,74 @@ mod tests {
         assert_eq!(second.get("op").unwrap().as_str(), Some("stats"));
         drop(writer);
         drop(reader);
+        server.stop();
+    }
+
+    #[test]
+    fn log_writes_survive_a_poisoned_lock() {
+        let core = core_with_table1();
+        let dir = std::env::temp_dir().join(format!("ufim-serve-log-{}", std::process::id()));
+        let path = dir.join("serve.log");
+        core.log_to(&path).unwrap();
+        let poisoner = Arc::clone(&core);
+        let panicked = std::thread::spawn(move || {
+            let _guard = poisoner.log.lock().unwrap();
+            panic!("poison the request log");
+        })
+        .join();
+        assert!(panicked.is_err() && core.log.is_poisoned());
+        let v = Json::parse(&core.handle_line(r#"{"op":"stats"}"#)).unwrap();
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+        let log = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(log.starts_with("op=stats ok=true"), "{log}");
+    }
+
+    #[test]
+    fn tcp_connections_past_the_cap_are_refused_until_one_closes() {
+        let core = core_with_table1();
+        let Ok(server) = TcpServer::start(Arc::clone(&core), "127.0.0.1:0") else {
+            return; // binding forbidden; see tcp_roundtrip_matches_in_process
+        };
+        let addr = server.local_addr();
+        // One stats round trip; a refused connection answers without one.
+        let request = |stream: &TcpStream| {
+            let mut writer = stream.try_clone().unwrap();
+            let _ = writer.write_all(b"{\"op\":\"stats\"}\n");
+            let mut got = String::new();
+            BufReader::new(stream.try_clone().unwrap())
+                .read_line(&mut got)
+                .unwrap();
+            Json::parse(got.trim_end()).unwrap()
+        };
+        let mut open: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let stream = TcpStream::connect(addr).unwrap();
+                assert_eq!(request(&stream).get("op").unwrap().as_str(), Some("stats"));
+                stream
+            })
+            .collect();
+        let refused = request(&TcpStream::connect(addr).unwrap());
+        assert_eq!(refused.get("ok").unwrap().as_bool(), Some(false));
+        assert!(refused
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("too many connections"));
+        // Once a connection closes its thread is reaped and a new client
+        // is served (retried while the closed thread winds down).
+        drop(open.pop());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let v = request(&TcpStream::connect(addr).unwrap());
+            if v.get("ok").unwrap().as_bool() == Some(true) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "no connection slot came free");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        drop(open);
         server.stop();
     }
 
