@@ -649,8 +649,16 @@ impl ProbVector {
     /// the exact DP / divide-and-conquer kernels take.
     pub fn nonzero_probs(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.nnz);
-        self.for_each_nonzero(|_, q| out.push(q));
+        self.nonzero_probs_into(&mut out);
         out
+    }
+
+    /// [`ProbVector::nonzero_probs`] into a caller-owned buffer: `out` is
+    /// cleared and refilled, keeping its capacity.
+    pub fn nonzero_probs_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.reserve(self.nnz);
+        self.for_each_nonzero(|_, q| out.push(q));
     }
 
     /// Visits every nonzero `(tid, prob)` in ascending tid order.

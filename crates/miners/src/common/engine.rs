@@ -140,13 +140,37 @@ pub struct LevelSupport {
     pub count: Option<Vec<u64>>,
 }
 
+/// Per-worker buffers for [`SupportEngine::read_vector`]: the vector just
+/// read, plus the diffset backend's reconstruction buffer. Contents never
+/// influence results.
+#[derive(Default)]
+pub struct VectorScratch {
+    probs: Vec<f64>,
+    child: ProbVector,
+}
+
+impl VectorScratch {
+    /// Empty buffers (they grow on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The nonzero probabilities of the last [`SupportEngine::read_vector`],
+    /// in transaction order.
+    pub fn probs(&self) -> &[f64] {
+        &self.probs
+    }
+}
+
 /// A support-computation backend, instantiated once per mining run.
 ///
 /// The level-wise protocol is: `evaluate` once per level with all the
-/// level's candidates, optionally `prob_vectors` for a subset that needs
-/// exact distributions, then `finish_level` with the survivors so memoizing
-/// backends can retain exactly the state the next level will extend.
-pub trait SupportEngine {
+/// level's candidates; for measures that judge exact distributions,
+/// `gather_vectors` over the screen survivors and then `read_vector` per
+/// survivor (through `&self`, so reads can run on the worker pool); then
+/// `finish_level` with the frequent itemsets so memoizing backends can
+/// retain exactly the state the next level will extend.
+pub trait SupportEngine: Sync {
     /// Backend name (matches [`EngineKind::name`]).
     fn name(&self) -> &'static str;
 
@@ -159,11 +183,29 @@ pub trait SupportEngine {
         stats: &mut MinerStats,
     ) -> LevelSupport;
 
-    /// The nonzero containment-probability vectors (transaction order) of
-    /// `candidates` — the exact DP/DC kernels' input. Candidates must come
-    /// from the current level's `evaluate` call (memoizing backends serve
-    /// them from memo; the horizontal backend re-gathers in one scan).
-    fn prob_vectors(&mut self, candidates: &[Itemset], stats: &mut MinerStats) -> Vec<Vec<f64>>;
+    /// Readies [`read_vector`](Self::read_vector) for the survivors
+    /// `candidates[survivors[slot]]` of the current level's `evaluate`
+    /// call. The horizontal backend gathers their vectors here in one scan;
+    /// the diffset backend resolves each delta node's prefix once; the
+    /// vertical backend reads straight from its memo and does nothing.
+    fn gather_vectors(
+        &mut self,
+        candidates: &[Itemset],
+        survivors: &[u32],
+        stats: &mut MinerStats,
+    ) {
+        let _ = (candidates, survivors, stats);
+    }
+
+    /// Writes the nonzero containment-probability vector (transaction
+    /// order) of survivor `slot` of the last
+    /// [`gather_vectors`](Self::gather_vectors) call — whose itemset is
+    /// `candidate` — into `scratch`: the exact DP/DC kernels' input.
+    /// Returns the intersection-equivalent work the read performed (cold
+    /// folds, delta steps), which the caller charges to
+    /// [`MinerStats::intersections`]. Reads are independent of each other,
+    /// so they may run on any worker in any order.
+    fn read_vector(&self, slot: usize, candidate: &Itemset, scratch: &mut VectorScratch) -> u64;
 
     /// Declares which itemsets of the current level are frequent. Memoizing
     /// backends keep exactly these as prefixes for the next level.
@@ -225,15 +267,21 @@ pub fn build_engine(kind: EngineKind, db: &UncertainDatabase) -> Box<dyn Support
 /// The reference backend: trie-guided horizontal scans (see [`LevelScan`]).
 pub struct HorizontalScan<'a> {
     db: &'a UncertainDatabase,
-    /// The current level's scan state, so `prob_vectors` on the same
+    /// The current level's scan state, so `gather_vectors` on the same
     /// candidate list reuses the already-built trie.
     current: Option<(Vec<Itemset>, LevelScan<'a>)>,
+    /// The survivors' vectors from the last `gather_vectors` scan, by slot.
+    gathered: Vec<Vec<f64>>,
 }
 
 impl<'a> HorizontalScan<'a> {
     /// New backend over `db`.
     pub fn new(db: &'a UncertainDatabase) -> Self {
-        HorizontalScan { db, current: None }
+        HorizontalScan {
+            db,
+            current: None,
+            gathered: Vec::new(),
+        }
     }
 
     fn scan_for(&mut self, candidates: &[Itemset]) -> &LevelScan<'a> {
@@ -241,8 +289,8 @@ impl<'a> HorizontalScan<'a> {
         // level, small next to the scan it guards, and immune to the
         // address-reuse hazards a pointer-based key would have for direct
         // trait users who skip `finish_level`. The comparison short-circuits
-        // on length, so the Chernoff miners' survivor-subset `prob_vectors`
-        // call costs O(1) before rebuilding.
+        // on length, so the Chernoff miners' survivor-subset gather costs
+        // O(1) before rebuilding.
         let reusable = matches!(&self.current, Some((c, _)) if c.as_slice() == candidates);
         if !reusable {
             self.current = Some((candidates.to_vec(), LevelScan::new(self.db, candidates)));
@@ -272,12 +320,34 @@ impl SupportEngine for HorizontalScan<'_> {
         }
     }
 
-    fn prob_vectors(&mut self, candidates: &[Itemset], stats: &mut MinerStats) -> Vec<Vec<f64>> {
-        self.scan_for(candidates).prob_vectors(stats)
+    fn gather_vectors(
+        &mut self,
+        candidates: &[Itemset],
+        survivors: &[u32],
+        stats: &mut MinerStats,
+    ) {
+        // One scan gathers every survivor's vector: this layout has no memo
+        // to read them from.
+        self.gathered = if survivors.len() == candidates.len() {
+            self.scan_for(candidates).prob_vectors(stats)
+        } else {
+            let sets: Vec<Itemset> = survivors
+                .iter()
+                .map(|&i| candidates[i as usize].clone())
+                .collect();
+            self.scan_for(&sets).prob_vectors(stats)
+        };
+    }
+
+    fn read_vector(&self, slot: usize, _candidate: &Itemset, scratch: &mut VectorScratch) -> u64 {
+        scratch.probs.clear();
+        scratch.probs.extend_from_slice(&self.gathered[slot]);
+        0
     }
 
     fn finish_level(&mut self, _frequent: &[FrequentItemset]) {
         self.current = None;
+        self.gathered = Vec::new();
     }
 }
 
@@ -370,14 +440,6 @@ impl VerticalEngine {
             streaming: false,
             stamp: 0,
         }
-    }
-
-    /// The candidate's prob-vector via the U-Eclat recurrence: prefix memo
-    /// (or postings, for singleton prefixes) intersected with the last
-    /// item's postings. Falls back to a from-scratch postings fold for
-    /// candidates whose prefix was never evaluated (direct trait users).
-    fn vector_for(&self, candidate: &Itemset) -> ProbVector {
-        vector_for(&self.index, &self.prev, candidate)
     }
 
     fn note_memo_peak(&mut self) {
@@ -523,19 +585,20 @@ impl SupportEngine for VerticalEngine {
         out
     }
 
-    fn prob_vectors(&mut self, candidates: &[Itemset], stats: &mut MinerStats) -> Vec<Vec<f64>> {
-        candidates
-            .iter()
-            .map(|c| match self.current.get(c.items()) {
-                Some(v) => v.nonzero_probs(),
-                None => {
-                    // Cold path (direct trait users): a from-scratch fold
-                    // costs `len − 1` intersections; charge them.
-                    stats.intersections += c.len().saturating_sub(1) as u64;
-                    self.vector_for(c).nonzero_probs()
-                }
-            })
-            .collect()
+    fn read_vector(&self, _slot: usize, candidate: &Itemset, scratch: &mut VectorScratch) -> u64 {
+        match self.current.get(candidate.items()) {
+            Some(v) => {
+                v.nonzero_probs_into(&mut scratch.probs);
+                0
+            }
+            None => {
+                // Cold path (direct trait users): a from-scratch fold
+                // costs `len − 1` intersections; charge them.
+                vector_for(&self.index, &self.prev, candidate)
+                    .nonzero_probs_into(&mut scratch.probs);
+                candidate.len().saturating_sub(1) as u64
+            }
+        }
     }
 
     fn finish_level(&mut self, frequent: &[FrequentItemset]) {
@@ -690,6 +753,9 @@ pub struct DiffsetEngine {
     memo: FxHashMap<Vec<ItemId>, MemoNode>,
     /// Nodes for the current level's candidates, pending `finish_level`.
     current: FxHashMap<Vec<ItemId>, MemoNode>,
+    /// Delta-chain prefixes `gather_vectors` reconstructed for the current
+    /// level's reads, pending `finish_level`.
+    resolved: FxHashMap<Vec<ItemId>, ProbVector>,
     /// Whether the one-time index build has been charged to `stats.scans`.
     scan_charged: bool,
     /// Peak memo bytes ([`SupportEngine::peak_memo_bytes`]).
@@ -769,6 +835,7 @@ impl DiffsetEngine {
             index: VerticalIndex::build(db),
             memo: FxHashMap::default(),
             current: FxHashMap::default(),
+            resolved: FxHashMap::default(),
             scan_charged: false,
             peak_memo_bytes: 0,
             peak_memo_units: 0,
@@ -1009,50 +1076,79 @@ impl SupportEngine for DiffsetEngine {
         out
     }
 
-    fn prob_vectors(&mut self, candidates: &[Itemset], stats: &mut MinerStats) -> Vec<Vec<f64>> {
-        let mut extra = 0u64;
-        // Candidates arrive sorted, so same-prefix runs are contiguous: a
-        // one-entry cache amortizes the chain walk per prefix group like
-        // `evaluate` does, instead of re-resolving it per candidate.
-        let mut cached: Option<(Vec<ItemId>, ProbVector)> = None;
-        // Reused across candidates: each reconstruction overwrites it
-        // (capacity retained), so only the returned probs are allocated.
-        let mut child = ProbVector::new();
-        let out = candidates
-            .iter()
-            .map(|c| match self.current.get(c.items()) {
-                Some(node) => match &node.repr {
-                    NodeRepr::Tidset(v) => v.nonzero_probs(),
-                    NodeRepr::Diff(d) => {
-                        let k = c.len();
-                        let prefix_items = &c.items()[..k - 1];
-                        if cached.as_ref().is_none_or(|(p, _)| p != prefix_items) {
-                            let resolved =
-                                resolve(&self.index, &self.memo, prefix_items, &mut extra)
-                                    .get()
-                                    .clone();
-                            cached = Some((prefix_items.to_vec(), resolved));
-                        }
-                        let (_, prefix) = cached.as_ref().expect("just cached");
-                        extra += 1;
-                        prefix.apply_diff_into(
-                            d,
-                            self.index.postings(c.items()[k - 1]),
-                            &mut child,
-                        );
-                        child.nonzero_probs()
+    fn gather_vectors(
+        &mut self,
+        candidates: &[Itemset],
+        survivors: &[u32],
+        stats: &mut MinerStats,
+    ) {
+        // Reconstruct each delta survivor's prefix once, ahead of the
+        // reads. Survivors arrive sorted, so same-prefix runs are
+        // contiguous and each chain is walked (and charged) once per run.
+        // Prefixes held whole — postings or tidset nodes — are borrowed at
+        // read time instead.
+        self.resolved = FxHashMap::default();
+        let mut work = 0u64;
+        let mut last: Option<&[ItemId]> = None;
+        for &i in survivors {
+            let items = candidates[i as usize].items();
+            let Some(MemoNode {
+                repr: NodeRepr::Diff(_),
+                ..
+            }) = self.current.get(items)
+            else {
+                continue;
+            };
+            let prefix = &items[..items.len() - 1];
+            if last == Some(prefix) {
+                continue;
+            }
+            last = Some(prefix);
+            if let Resolved::Owned(v) = resolve(&self.index, &self.memo, prefix, &mut work) {
+                self.resolved.insert(prefix.to_vec(), v);
+            }
+        }
+        stats.intersections += work;
+    }
+
+    fn read_vector(&self, _slot: usize, candidate: &Itemset, scratch: &mut VectorScratch) -> u64 {
+        let Some(node) = self.current.get(candidate.items()) else {
+            // Cold path (singletons, direct trait users): a from-scratch
+            // fold costs `len − 1` intersections; charge them.
+            self.index
+                .prob_vector(candidate.items())
+                .nonzero_probs_into(&mut scratch.probs);
+            return candidate.len().saturating_sub(1) as u64;
+        };
+        match &node.repr {
+            NodeRepr::Tidset(v) => {
+                v.nonzero_probs_into(&mut scratch.probs);
+                0
+            }
+            NodeRepr::Diff(d) => {
+                // The prefix comes from `gather_vectors` when its chain
+                // needed reconstructing; otherwise it is borrowed for free.
+                let mut work = 0u64;
+                let k = candidate.len();
+                let prefix_items = &candidate.items()[..k - 1];
+                let resolved;
+                let prefix = match self.resolved.get(prefix_items) {
+                    Some(v) => v,
+                    None => {
+                        resolved = resolve(&self.index, &self.memo, prefix_items, &mut work);
+                        resolved.get()
                     }
-                },
-                None => {
-                    // Cold path (direct trait users): a from-scratch fold
-                    // costs `len − 1` intersections; charge them.
-                    extra += c.len().saturating_sub(1) as u64;
-                    self.index.prob_vector(c.items()).nonzero_probs()
-                }
-            })
-            .collect();
-        stats.intersections += extra;
-        out
+                };
+                work += 1;
+                prefix.apply_diff_into(
+                    d,
+                    self.index.postings(candidate.items()[k - 1]),
+                    &mut scratch.child,
+                );
+                scratch.child.nonzero_probs_into(&mut scratch.probs);
+                work
+            }
+        }
     }
 
     fn finish_level(&mut self, frequent: &[FrequentItemset]) {
@@ -1073,6 +1169,7 @@ impl SupportEngine for DiffsetEngine {
             }
         }
         self.current = FxHashMap::default();
+        self.resolved = FxHashMap::default();
         if self.streaming {
             self.note_memo_peak();
         }
@@ -1349,6 +1446,26 @@ mod tests {
             .collect()
     }
 
+    /// Every candidate's vector through `gather_vectors` + `read_vector`,
+    /// with the reads' work charged to `stats.intersections`.
+    fn read_all(
+        engine: &mut dyn SupportEngine,
+        candidates: &[Itemset],
+        stats: &mut MinerStats,
+    ) -> Vec<Vec<f64>> {
+        let survivors: Vec<u32> = (0..candidates.len() as u32).collect();
+        engine.gather_vectors(candidates, &survivors, stats);
+        let mut scratch = VectorScratch::new();
+        candidates
+            .iter()
+            .enumerate()
+            .map(|(slot, c)| {
+                stats.intersections += engine.read_vector(slot, c, &mut scratch);
+                scratch.probs().to_vec()
+            })
+            .collect()
+    }
+
     #[test]
     fn backends_agree_on_every_statistic() {
         let db = paper_table1();
@@ -1368,7 +1485,7 @@ mod tests {
             );
             engine.finish_level(&as_frequent(&singletons));
             let l2 = engine.evaluate(&pairs(), StatRequest::WITH_COUNT, &mut stats);
-            let qvecs = engine.prob_vectors(&pairs(), &mut stats);
+            let qvecs = read_all(engine.as_mut(), &pairs(), &mut stats);
             for (i, c) in singletons.iter().enumerate() {
                 let (we, wv) = db.support_moments(c.items());
                 assert!((l1.esup[i] - we).abs() < 1e-12, "{kind:?} {c}");
@@ -1518,8 +1635,8 @@ mod tests {
                 assert_eq!(lv.count.as_ref().unwrap()[i], ld.count.as_ref().unwrap()[i]);
             }
             assert_eq!(
-                v.prob_vectors(&level, &mut vs),
-                d.prob_vectors(&level, &mut ds)
+                read_all(&mut v, &level, &mut vs),
+                read_all(&mut d, &level, &mut ds)
             );
             v.finish_level(&as_frequent(&level));
             d.finish_level(&as_frequent(&level));
@@ -1531,8 +1648,8 @@ mod tests {
         assert_eq!(lv.esup[0].to_bits(), ld.esup[0].to_bits());
         assert!((ld.esup[0] - db.expected_support(&[0, 2, 4])).abs() < 1e-12);
         assert_eq!(
-            v.prob_vectors(&triple, &mut vs),
-            d.prob_vectors(&triple, &mut ds)
+            read_all(&mut v, &triple, &mut vs),
+            read_all(&mut d, &triple, &mut ds)
         );
     }
 
@@ -1622,7 +1739,7 @@ mod tests {
         let mut stats = MinerStats::default();
         let p = pairs();
         engine.evaluate(&p, StatRequest::WITH_COUNT, &mut stats);
-        let qvecs = engine.prob_vectors(&p, &mut stats);
+        let qvecs = read_all(&mut engine, &p, &mut stats);
         // Two passes (stats + vectors), one trie build.
         assert_eq!(stats.scans, 2);
         for (i, c) in p.iter().enumerate() {

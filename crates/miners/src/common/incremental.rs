@@ -52,7 +52,7 @@
 
 use super::apriori::generate_candidates;
 use super::engine::{DiffsetEngine, HorizontalScan, StatRequest, SupportEngine, VerticalEngine};
-use super::measure::{CandidateStats, FrequentnessMeasure, Screen, ShardPlan};
+use super::measure::{judge_level, FrequentnessMeasure, ShardPlan};
 use ufim_core::{
     CoreError, EngineKind, FrequentItemset, FxHashMap, ItemId, Itemset, MinerStats, MiningResult,
     StepProbe, Transaction, UncertainDatabase, WindowStep, WindowedDatabase,
@@ -242,52 +242,22 @@ fn evaluate_level<M: FrequentnessMeasure>(
         }
     }
 
-    // The fresh subset runs through the measure exactly as the batch
-    // evaluator would run the whole level (screen → prob-vectors → judge).
+    // The fresh subset runs through `judge_level`, the batch evaluator's
+    // judge, exactly as a batch mine would run the whole level.
     // Reused prefixes may be absent from the engine's memo; every backend
     // falls back to a bit-identical from-scratch fold for cold prefixes.
     let mut fresh_records: Vec<Option<FrequentItemset>> = vec![None; fresh.len()];
     if !fresh.is_empty() {
         stats.candidates_evaluated += fresh.len() as u64;
         let sup = engine.evaluate(&fresh, want, stats);
-
-        let mut survivors: Vec<u32> = Vec::with_capacity(fresh.len());
-        for idx in 0..fresh.len() {
-            let count = sup.count.as_ref().map_or(0, |c| c[idx]);
-            match measure.screen(sup.esup[idx], count) {
-                Screen::Keep => survivors.push(idx as u32),
-                Screen::PruneCount => stats.candidates_pruned_count += 1,
-                Screen::PruneBound => stats.candidates_pruned_chernoff += 1,
-            }
-        }
-
-        let qvecs: Option<Vec<Vec<f64>>> = if needs.prob_vector && !survivors.is_empty() {
-            let sets: Vec<Itemset> = survivors
-                .iter()
-                .map(|&i| fresh[i as usize].clone())
-                .collect();
-            Some(engine.prob_vectors(&sets, stats))
-        } else {
-            None
-        };
-
-        for (slot, &idx) in survivors.iter().enumerate() {
-            let i = idx as usize;
-            let c = CandidateStats {
-                esup: sup.esup[i],
-                variance: sup.variance.as_ref().map_or(0.0, |v| v[i]),
-                count: sup.count.as_ref().map_or(0, |c| c[i]),
-                probs: qvecs.as_ref().map(|q| q[slot].as_slice()),
-            };
-            if let Some(j) = measure.judge(&c, stats) {
-                fresh_records[i] = Some(FrequentItemset {
-                    itemset: fresh[i].clone(),
-                    expected_support: j.expected_support,
-                    variance: j.variance,
-                    frequent_prob: j.frequent_prob,
-                });
-            }
-        }
+        judge_level(measure, engine, &fresh, &sup, false, stats, |i, j, _| {
+            fresh_records[i] = Some(FrequentItemset {
+                itemset: fresh[i].clone(),
+                expected_support: j.expected_support,
+                variance: j.variance,
+                frequent_prob: j.frequent_prob,
+            });
+        });
 
         for (i, set) in fresh.iter().enumerate() {
             let verdict = match &fresh_records[i] {

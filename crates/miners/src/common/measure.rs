@@ -25,7 +25,8 @@
 //! miners run before paying for a kernel evaluation.
 
 use super::apriori::LevelEvaluator;
-use super::engine::{StatRequest, SupportEngine};
+use super::engine::{LevelSupport, StatRequest, SupportEngine, VectorScratch};
+use ufim_core::parallel::{par_map_min_len_with, DEFAULT_MIN_WORK};
 use ufim_core::prelude::*;
 use ufim_stats::chernoff::chernoff_prunable;
 use ufim_stats::normal::{normal_esup_lower_bound, normal_survival_with_continuity};
@@ -527,51 +528,23 @@ impl<M: FrequentnessMeasure> LevelEvaluator for MeasureEvaluator<'_, M> {
             min_count: self.measure.min_count_bound(),
         };
         let sup = self.engine.evaluate(candidates, want, stats);
-
-        // Phase A: the cheap screen over the moments.
-        let mut survivors: Vec<u32> = Vec::with_capacity(candidates.len());
-        for idx in 0..candidates.len() {
-            let count = sup.count.as_ref().map_or(0, |c| c[idx]);
-            match self.measure.screen(sup.esup[idx], count) {
-                Screen::Keep => survivors.push(idx as u32),
-                Screen::PruneCount => stats.candidates_pruned_count += 1,
-                Screen::PruneBound => stats.candidates_pruned_chernoff += 1,
-            }
-        }
-
-        // Phase B: gather probability vectors only when the measure judges
-        // on exact distributions, and only for screen survivors.
-        let qvecs: Option<Vec<Vec<f64>>> = if needs.prob_vector {
-            if survivors.is_empty() {
-                self.engine.finish_level(&[]);
-                return Vec::new();
-            }
-            let sets: Vec<Itemset> = survivors
-                .iter()
-                .map(|&i| candidates[i as usize].clone())
-                .collect();
-            Some(self.engine.prob_vectors(&sets, stats))
-        } else {
-            None
-        };
-
-        let mut out = Vec::with_capacity(survivors.len());
-        for (slot, &idx) in survivors.iter().enumerate() {
-            let i = idx as usize;
-            let c = CandidateStats {
-                esup: sup.esup[i],
-                variance: sup.variance.as_ref().map_or(0.0, |v| v[i]),
-                count: sup.count.as_ref().map_or(0, |c| c[i]),
-                probs: qvecs.as_ref().map(|q| q[slot].as_slice()),
-            };
-            if let Some(j) = self.measure.judge(&c, stats) {
-                if let Some(capture) = &mut self.capture {
+        let mut out = Vec::with_capacity(candidates.len());
+        let capture = &mut self.capture;
+        judge_level(
+            &self.measure,
+            self.engine.as_mut(),
+            candidates,
+            &sup,
+            capture.is_some(),
+            stats,
+            |i, j, probs| {
+                if let Some(capture) = capture.as_mut() {
                     capture.push(RetainedRecord {
                         itemset: candidates[i].clone(),
-                        esup: c.esup,
-                        variance: c.variance,
-                        count: c.count,
-                        probs: c.probs.map(<[f64]>::to_vec),
+                        esup: sup.esup[i],
+                        variance: sup.variance.as_ref().map_or(0.0, |v| v[i]),
+                        count: sup.count.as_ref().map_or(0, |c| c[i]),
+                        probs,
                     });
                 }
                 out.push(FrequentItemset {
@@ -580,10 +553,100 @@ impl<M: FrequentnessMeasure> LevelEvaluator for MeasureEvaluator<'_, M> {
                     variance: j.variance,
                     frequent_prob: j.frequent_prob,
                 });
-            }
-        }
+            },
+        );
         self.engine.finish_level(&out);
         out
+    }
+}
+
+/// Screens and judges one evaluated level: calls `emit(index, judgment,
+/// probs)` for every kept candidate, in candidate order — the one judge
+/// path of the batch evaluator and the incremental refresh.
+///
+/// Measures that judge on moments alone run screen and judge in one
+/// sequential pass. Measures that judge exact distributions screen first,
+/// then judge the survivors on the worker pool: each task reads one
+/// survivor's vector through [`SupportEngine::read_vector`] into its
+/// worker's scratch, runs the kernel and keeps only the judgment (plus a
+/// copy of the vector when `retain_probs`). No level-wide list of vectors
+/// is built. Survivors are scheduled longest vector first, and the map
+/// stays sequential below [`DEFAULT_MIN_WORK`] vector entries. Every
+/// kernel runs in exactly one task and results merge in survivor order, so
+/// records and counters are identical at every pool size.
+pub(crate) fn judge_level<M: FrequentnessMeasure>(
+    measure: &M,
+    engine: &mut dyn SupportEngine,
+    candidates: &[Itemset],
+    sup: &LevelSupport,
+    retain_probs: bool,
+    stats: &mut MinerStats,
+    mut emit: impl FnMut(usize, Judgment, Option<Vec<f64>>),
+) {
+    let moments = |i: usize| CandidateStats {
+        esup: sup.esup[i],
+        variance: sup.variance.as_ref().map_or(0.0, |v| v[i]),
+        count: sup.count.as_ref().map_or(0, |c| c[i]),
+        probs: None,
+    };
+    let vectors = measure.needs().prob_vector;
+    let mut survivors: Vec<u32> = Vec::new();
+    for i in 0..candidates.len() {
+        let c = moments(i);
+        match measure.screen(c.esup, c.count) {
+            Screen::Keep if vectors => survivors.push(i as u32),
+            Screen::Keep => {
+                if let Some(j) = measure.judge(&c, stats) {
+                    emit(i, j, None);
+                }
+            }
+            Screen::PruneCount => stats.candidates_pruned_count += 1,
+            Screen::PruneBound => stats.candidates_pruned_chernoff += 1,
+        }
+    }
+    if survivors.is_empty() {
+        return;
+    }
+
+    engine.gather_vectors(candidates, &survivors, stats);
+    let engine: &dyn SupportEngine = engine;
+    // A kernel's cost grows with its vector's length (the count).
+    let len = |slot: u32| moments(survivors[slot as usize] as usize).count;
+    let mut order: Vec<u32> = (0..survivors.len() as u32).collect();
+    order.sort_by_key(|&slot| std::cmp::Reverse(len(slot)));
+    let total: u64 = order.iter().map(|&slot| len(slot)).sum();
+    let mean_len = usize::try_from(total.div_ceil(order.len() as u64)).unwrap_or(usize::MAX);
+    let judged = par_map_min_len_with(
+        &order,
+        mean_len,
+        DEFAULT_MIN_WORK,
+        VectorScratch::new,
+        |scratch, &slot| {
+            let i = survivors[slot as usize] as usize;
+            let mut local = MinerStats {
+                intersections: engine.read_vector(slot as usize, &candidates[i], scratch),
+                ..MinerStats::default()
+            };
+            let c = CandidateStats {
+                probs: Some(scratch.probs()),
+                ..moments(i)
+            };
+            let kept = measure.judge(&c, &mut local).map(|j| {
+                let probs = retain_probs.then(|| scratch.probs().to_vec());
+                (j, probs)
+            });
+            (local, kept)
+        },
+    );
+    let mut by_slot: Vec<Option<(Judgment, Option<Vec<f64>>)>> = vec![None; survivors.len()];
+    for (&slot, (local, kept)) in order.iter().zip(judged) {
+        stats.absorb(&local);
+        by_slot[slot as usize] = kept;
+    }
+    for (&i, kept) in survivors.iter().zip(by_slot) {
+        if let Some((j, probs)) = kept {
+            emit(i as usize, j, probs);
+        }
     }
 }
 

@@ -11,7 +11,8 @@ pub mod trie;
 
 pub use apriori::{run_apriori, LevelEvaluator};
 pub use engine::{
-    build_engine, HorizontalScan, LevelSupport, StatRequest, SupportEngine, VerticalEngine,
+    build_engine, HorizontalScan, LevelSupport, StatRequest, SupportEngine, VectorScratch,
+    VerticalEngine,
 };
 pub use incremental::{BorderTracker, IncrementalMiner};
 pub use measure::{

@@ -215,7 +215,8 @@ impl<'a> LevelScan<'a> {
     }
 
     /// Gathers each candidate's nonzero containment-probability vector (in
-    /// transaction order) in one pass — the exact miners' phase-B input.
+    /// transaction order) in one pass — the horizontal backend's
+    /// `gather_vectors` for the exact miners.
     /// Parallel chunks concatenate in chunk order, preserving transaction
     /// order within each vector.
     pub fn prob_vectors(&self, stats: &mut MinerStats) -> Vec<Vec<f64>> {

@@ -513,7 +513,7 @@ impl Request {
                     .iter()
                     .map(|v| {
                         v.as_u64()
-                            .map(|n| n as ItemId)
+                            .and_then(|n| ItemId::try_from(n).ok())
                             .ok_or("itemset entries must be item ids".to_string())
                     })
                     .collect::<Result<Vec<ItemId>, String>>()?;

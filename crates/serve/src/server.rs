@@ -119,7 +119,7 @@ impl ServeCore {
     /// `scale`/`seed`).
     ///
     /// # Errors
-    /// An unknown benchmark name.
+    /// An unknown benchmark name, or a generator `scale` outside `(0, 1]`.
     pub fn load_benchmark(
         &self,
         name: &str,
@@ -127,14 +127,21 @@ impl ServeCore {
         scale: f64,
         seed: u64,
     ) -> Result<(), String> {
-        let db = match benchmark.to_ascii_lowercase().as_str() {
-            "table1" => ufim_core::examples::paper_table1(),
-            "connect" => Benchmark::Connect.generate(scale, seed),
-            "accident" => Benchmark::Accident.generate(scale, seed),
-            "kosarak" => Benchmark::Kosarak.generate(scale, seed),
-            "gazelle" => Benchmark::Gazelle.generate(scale, seed),
-            "t25i15d320k" => Benchmark::T25I15D320k.generate(scale, seed),
+        let generator = match benchmark.to_ascii_lowercase().as_str() {
+            "table1" => None,
+            "connect" => Some(Benchmark::Connect),
+            "accident" => Some(Benchmark::Accident),
+            "kosarak" => Some(Benchmark::Kosarak),
+            "gazelle" => Some(Benchmark::Gazelle),
+            "t25i15d320k" => Some(Benchmark::T25I15D320k),
             other => return Err(format!("unknown benchmark '{other}'")),
+        };
+        let db = match generator {
+            None => ufim_core::examples::paper_table1(),
+            Some(_) if !(scale > 0.0 && scale <= 1.0) => {
+                return Err(format!("scale must be in (0, 1], got {scale}"));
+            }
+            Some(b) => b.generate(scale, seed),
         };
         self.load_db(name, db);
         Ok(())
@@ -432,6 +439,12 @@ impl ServeCore {
         };
         if items.is_empty() {
             return err_json("probe itemset must be non-empty");
+        }
+        let num_items = ds.db.num_items();
+        if let Some(&item) = items.iter().find(|&&i| i >= num_items) {
+            return err_json(&format!(
+                "item {item} is outside dataset '{dataset}' ({num_items} items)"
+            ));
         }
         let itemset = Itemset::from_items(items.iter().copied());
         let n = ds.db.num_transactions();

@@ -10,7 +10,7 @@
 //!
 //! * the **exact** miners need its probability mass function or its survival
 //!   function `Pr{sup ≥ msup}` — computed here by dynamic programming
-//!   ([`pb::survival_dp`], `O(N·msup)`) or divide-and-conquer with FFT
+//!   ([`pb::survival_dp`], `O(N·msup − msup²)`) or divide-and-conquer with FFT
 //!   convolution ([`pb::pmf_divide_conquer`], `O(N log N)`);
 //! * the **approximate** miners need only its first two moments plus the
 //!   [Normal](normal) or [Poisson](poisson) approximation to the survival

@@ -7,7 +7,7 @@
 //!
 //! | method | complexity | used by |
 //! |---|---|---|
-//! | [`survival_dp`] (threshold-truncated DP) | `O(M · msup)` | DP algorithm (§3.2.1) |
+//! | [`survival_dp`] (threshold-truncated, live-band DP) | `O(M · msup − msup²)` | DP algorithm (§3.2.1) |
 //! | [`pmf_divide_conquer`] (+ FFT convolution) | `O(M log M)` | DC algorithm (§3.2.2) |
 //! | [`pmf_exact`] (dense DP) | `O(M²)` | brute-force oracle, tests |
 //!
@@ -47,12 +47,23 @@ pub fn pmf_exact(probs: &[f64]) -> Vec<f64> {
 }
 
 /// `Pr{sup ≥ msup}` by threshold-truncated dynamic programming,
-/// `O(M · msup)` time, `O(msup)` space — the kernel of the paper's DP
-/// algorithm.
+/// `O(M · msup − msup²)` time, `O(msup)` space — the kernel of the paper's
+/// DP algorithm.
 ///
 /// The state vector keeps `Pr{sup = k}` for `k < msup` and a saturating
 /// bucket `Pr{sup ≥ msup}` at index `msup`; mass that crosses the threshold
 /// never needs to be resolved further.
+///
+/// Only the *live band* of states is updated. Before Bernoulli `t`
+/// (0-based) every state above `t` is still exactly `+0.0`, so the update
+/// stops at `k = t + 1`; and with `r` Bernoullis left after it, a state
+/// below `msup − r` can no longer reach the saturating bucket, so the
+/// update starts there (state 0 stops once `r < msup`). Live states only
+/// ever read live states, so every live value — the bucket included — is
+/// computed by the same operations in the same order as the full-width
+/// recurrence, and the result is bit-identical to it. The middle steps,
+/// whose band is the full width, run a fixed-width loop with no per-step
+/// bounds.
 ///
 /// (The recurrence as printed in the paper has a typo — its first term reads
 /// `Pr≥i,j`; the correct term, implemented here, is `Pr≥i-1,j-1`.)
@@ -64,18 +75,50 @@ pub fn survival_dp(probs: &[f64], msup: usize) -> f64 {
         // Fewer Bernoulli trials than the threshold: impossible.
         return 0.0;
     }
-    let cap = msup;
+    let (m, cap) = (probs.len(), msup);
     let mut d = vec![0.0f64; cap + 1];
     d[0] = 1.0;
-    for &q in probs {
+    // One Bernoulli over the live band `lo..=hi` (see the docs above).
+    let band_step = |d: &mut [f64], t: usize, q: f64| {
+        let rest = m - t - 1;
+        let lo = cap.saturating_sub(rest).max(1);
+        let hi = (cap - 1).min(t + 1);
         // Saturating bucket first: mass entering from d[cap-1] stays forever.
         d[cap] += q * d[cap - 1];
-        for k in (1..cap).rev() {
-            d[k] = d[k] * (1.0 - q) + d[k - 1] * q;
+        if lo <= hi {
+            shift_step(&mut d[lo - 1..=hi], q);
         }
-        d[0] *= 1.0 - q;
+        if rest >= cap {
+            d[0] *= 1.0 - q;
+        }
+    };
+    // Steps `full_from..full_to` span the full width `1..cap`.
+    let full_from = cap.saturating_sub(2).min(m);
+    let full_to = (m + 1 - cap).max(full_from);
+    for (t, &q) in probs.iter().enumerate().take(full_from) {
+        band_step(&mut d, t, q);
+    }
+    for (t, &q) in probs.iter().enumerate().take(full_to).skip(full_from) {
+        d[cap] += q * d[cap - 1];
+        shift_step(&mut d[..cap], q);
+        if m - t > cap {
+            d[0] *= 1.0 - q;
+        }
+    }
+    for (t, &q) in probs.iter().enumerate().skip(full_to) {
+        band_step(&mut d, t, q);
     }
     d[cap].clamp(0.0, 1.0)
+}
+
+/// One Bernoulli `q` over the states `w[1..]`:
+/// `w[k] ← w[k]·(1−q) + w[k−1]·q`, backwards so `w[k−1]` is still the
+/// previous round's value (`w[0]` is read, not written).
+#[inline(always)]
+fn shift_step(w: &mut [f64], q: f64) {
+    for k in (1..w.len()).rev() {
+        w[k] = w[k] * (1.0 - q) + w[k - 1] * q;
+    }
 }
 
 /// Support PMF by divide-and-conquer with size-dispatched (naive/FFT)
@@ -237,6 +280,78 @@ mod tests {
                 (dp - reference).abs() < EPS,
                 "msup={msup}: dp={dp} ref={reference}"
             );
+        }
+    }
+
+    /// The full-width recurrence `survival_dp` trims to its live band:
+    /// every state `1..msup` updated at every step.
+    fn survival_dp_full_width(probs: &[f64], msup: usize) -> f64 {
+        if msup == 0 {
+            return 1.0;
+        }
+        if probs.len() < msup {
+            return 0.0;
+        }
+        let cap = msup;
+        let mut d = vec![0.0f64; cap + 1];
+        d[0] = 1.0;
+        for &q in probs {
+            d[cap] += q * d[cap - 1];
+            for k in (1..cap).rev() {
+                d[k] = d[k] * (1.0 - q) + d[k - 1] * q;
+            }
+            d[0] *= 1.0 - q;
+        }
+        d[cap].clamp(0.0, 1.0)
+    }
+
+    /// Seeded probabilities in `(0, 1]` (splitmix64), with every
+    /// `ones_every`-th entry exactly `1.0` when nonzero.
+    fn seeded_probs(seed: u64, len: usize, ones_every: usize) -> Vec<f64> {
+        let mut state = seed;
+        (0..len)
+            .map(|i| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^= z >> 31;
+                if ones_every > 0 && i % ones_every == 0 {
+                    1.0
+                } else {
+                    ((z >> 11) as f64 + 1.0) / (1u64 << 53) as f64
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn survival_dp_band_is_bit_identical_to_full_width() {
+        for seed in 0..4u64 {
+            for msup in [0usize, 1, 2, 3, 17, 64] {
+                // L < msup, L = msup, msup < L < 2·msup, L ≫ msup.
+                let lens = [
+                    msup.saturating_sub(1),
+                    msup,
+                    msup + 1,
+                    msup + msup / 2,
+                    (2 * msup).saturating_sub(1),
+                    2 * msup,
+                    20 * msup + 7,
+                ];
+                for len in lens {
+                    for ones_every in [0usize, 1, 3] {
+                        let probs = seeded_probs(seed * 1_000 + len as u64, len, ones_every);
+                        let band = survival_dp(&probs, msup);
+                        let full = survival_dp_full_width(&probs, msup);
+                        assert_eq!(
+                            band.to_bits(),
+                            full.to_bits(),
+                            "seed={seed} msup={msup} len={len} ones_every={ones_every}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -253,3 +253,119 @@ fn error_replies_escape_control_chars_and_unicode_escapes_decode() {
         );
     }
 }
+
+/// Well-formed requests of every op against the resident `t1`, with `{N}`
+/// marking the numeric fields the boundary proptest fills with hostile
+/// numbers before truncating or mutating the line.
+const BOUNDARY_TEMPLATES: [&str; 7] = [
+    r#"{"op":"sweep","dataset":"t1","measure":"esup","engine":"vertical","pft":{N},"thresholds":[{N},0.5],"records":true}"#,
+    r#"{"op":"topk","dataset":"t1","measure":"normal","engine":"diffset","min_sup":{N},"pft":0.5,"k":{N},"min_len":{N}}"#,
+    r#"{"op":"probe","dataset":"t1","measure":"exact-dp","engine":"horizontal","min_sup":0.5,"pft":0.7,"itemset":[{N},1]}"#,
+    r#"{"op":"mine","dataset":"t1","measure":"exact-dc","traversal":"hyper","min_sup":{N},"pft":0.7,"records":true,"threads":{N}}"#,
+    r#"{"op":"mine","dataset":"t1","measure":"esup","traversal":"tree","min_sup":0.25,"pft":{N},"records":true}"#,
+    r#"{"op":"load","name":"t2","benchmark":"gazelle","scale":{N},"seed":{N}}"#,
+    r#"{"op":"stats"}"#,
+];
+
+/// Numbers past every field's range: overflowing doubles, integers past
+/// `u32`/`u64`, negative zero, subnormals, out-of-range ratios.
+const HOSTILE_NUMBERS: [&str; 12] = [
+    "1e400",
+    "-1e400",
+    "1e308",
+    "-0",
+    "0",
+    "-1",
+    "2",
+    "4294967296",
+    "18446744073709551616",
+    "123456789012345678901234567890",
+    "1e-320",
+    "0.5",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    // The request boundary: whatever arrives on a line — random bytes, a
+    // truncated or byte-mutated request, deep nesting, numbers past every
+    // field's range — `handle_line` must not panic and must answer with
+    // exactly one line holding one well-formed JSON object whose `ok` is a
+    // bool (an `error` string when false).
+    #[test]
+    fn hostile_request_lines_get_exactly_one_json_reply(
+        shape in 0u8..7,
+        template in 0usize..BOUNDARY_TEMPLATES.len(),
+        number in 0usize..HOSTILE_NUMBERS.len(),
+        cut in 0usize..4096,
+        noise in vec(0u8..=255, 1..48),
+        depth in 1usize..4096,
+    ) {
+        let request = BOUNDARY_TEMPLATES[template].replace("{N}", HOSTILE_NUMBERS[number]);
+        let bytes = request.as_bytes();
+        let at = cut % (bytes.len() + 1);
+        let line: Vec<u8> = match shape {
+            // Random bytes.
+            0 => noise.clone(),
+            // The request itself: hostile numbers in well-formed JSON.
+            1 => bytes.to_vec(),
+            // A request cut short.
+            2 => bytes[..at].to_vec(),
+            // A request with one byte replaced.
+            3 => {
+                let mut b = bytes.to_vec();
+                if at < b.len() {
+                    b[at] = noise[0];
+                }
+                b
+            }
+            // Random bytes spliced into a request.
+            4 => [&bytes[..at], &noise[..], &bytes[at..]].concat(),
+            // Deep nesting inside an otherwise valid request.
+            5 => format!(
+                r#"{{"op":"stats","x":{}{}}}"#,
+                "[".repeat(depth),
+                "]".repeat(depth)
+            )
+            .into_bytes(),
+            // Unclosed nesting.
+            _ => "{\"a\":".repeat(depth).into_bytes(),
+        };
+        let core = ServeCore::new(1 << 20);
+        core.load_db("t1", uncertain_fim::core::examples::paper_table1());
+        let reply = core.handle_line(&String::from_utf8_lossy(&line));
+        prop_assert!(!reply.contains(['\n', '\r']), "multi-line reply {:?}", reply);
+        let parsed = Json::parse(&reply);
+        prop_assert!(parsed.is_ok(), "invalid JSON reply {:?}", reply);
+        let parsed = parsed.unwrap();
+        match parsed.get("ok") {
+            Some(Json::Bool(true)) => {}
+            Some(Json::Bool(false)) => prop_assert!(
+                parsed.get("error").and_then(Json::as_str).is_some(),
+                "error reply without a message: {}", reply
+            ),
+            _ => prop_assert!(false, "reply without a bool 'ok': {}", reply),
+        }
+    }
+}
+
+/// Regressions the boundary proptest found: a generator `scale` outside
+/// `(0, 1]` reached the generator's assertion, and a probe item id past
+/// the dataset's vocabulary indexed past its postings. Both now answer
+/// `{"ok":false}`.
+#[test]
+fn out_of_range_scale_and_probe_item_are_refused() {
+    let core = ServeCore::new(1 << 20);
+    core.load_db("t1", uncertain_fim::core::examples::paper_table1());
+    for line in [
+        r#"{"op":"load","name":"x","benchmark":"connect","scale":2}"#,
+        r#"{"op":"load","name":"x","benchmark":"kosarak","scale":0}"#,
+        r#"{"op":"load","name":"x","benchmark":"gazelle","scale":-1}"#,
+        r#"{"op":"load","name":"x","benchmark":"accident","scale":1e400}"#,
+        r#"{"op":"probe","dataset":"t1","measure":"esup","min_sup":0.5,"pft":0.7,"itemset":[99]}"#,
+        r#"{"op":"probe","dataset":"t1","measure":"exact-dp","engine":"vertical","min_sup":0.5,"pft":0.7,"itemset":[0,4294967296]}"#,
+    ] {
+        let reply = Json::parse(&core.handle_line(line)).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{line}");
+    }
+}

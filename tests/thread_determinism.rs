@@ -347,15 +347,24 @@ fn incremental_refresh_is_bit_identical_across_pool_sizes() {
 
 /// The level-wise column on every backend rides the same merge machinery;
 /// sweep it too so the whole matrix is pinned (the issue's "every
-/// hyper/tree cell" plus the engine seam the scratch spaces changed).
+/// hyper/tree cell" plus the engine seam the scratch spaces changed). The
+/// exact measures add the parallel judge: on this database their pair
+/// level's screen survivors clear its parallelism gate, so pool sizes > 1
+/// run the DP/DC kernels as separate tasks.
 #[test]
 fn level_wise_backends_are_bit_identical_across_pool_sizes() {
     let db = big_db();
-    for engine in EngineKind::ALL {
-        let cell = MatrixMiner::new(MeasureKind::ExpectedSupport, TraversalKind::LevelWise);
-        sweep_pools(&format!("esup×level-wise/{engine}"), || {
-            let params = MiningParams::new(0.05, 0.5).unwrap().with_engine(engine);
-            cell.mine_probabilistic(&db, params).unwrap()
-        });
+    for measure in [
+        MeasureKind::ExpectedSupport,
+        MeasureKind::ExactDp,
+        MeasureKind::ExactDc,
+    ] {
+        for engine in EngineKind::ALL {
+            let cell = MatrixMiner::new(measure, TraversalKind::LevelWise);
+            sweep_pools(&format!("{measure}×level-wise/{engine}"), || {
+                let params = MiningParams::new(0.05, 0.5).unwrap().with_engine(engine);
+                cell.mine_probabilistic(&db, params).unwrap()
+            });
+        }
     }
 }
