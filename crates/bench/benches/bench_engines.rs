@@ -6,8 +6,9 @@
 
 use ufim_bench::harness::{dense_db, Harness};
 use ufim_bench::json::JsonRun;
+use ufim_bench::NO_PFT;
 use ufim_core::prelude::*;
-use ufim_miners::{DcMiner, UApriori};
+use ufim_miners::Algorithm;
 
 fn main() {
     let mut h = Harness::from_env();
@@ -16,11 +17,11 @@ fn main() {
     // min_esup = 0.02 (threshold 400) keeps 3–4 levels alive.
     let db = dense_db(20_000, 24, 0.4, 7);
     for engine in EngineKind::ALL {
-        let miner = UApriori::with_engine(engine);
+        let params = MiningParams::new(0.02, NO_PFT).unwrap().with_engine(engine);
         let run = JsonRun::new("N=20k,I=24,d=0.4", "UApriori", engine.name());
         h.mine("engines_uapriori_dense", run, || {
-            miner
-                .mine_expected_ratio(std::hint::black_box(&db), 0.02)
+            Algorithm::UApriori
+                .mine_probabilistic(std::hint::black_box(&db), params)
                 .unwrap()
         });
     }
@@ -28,11 +29,10 @@ fn main() {
     let db = dense_db(4_000, 16, 0.4, 11);
     let params = MiningParams::new(0.05, 0.5).unwrap();
     for engine in EngineKind::ALL {
-        let miner = DcMiner::with_pruning();
         let params = params.with_engine(engine);
         let run = JsonRun::new("N=4k,I=16,d=0.4", "DCB", engine.name());
         h.mine("engines_dcb_dense", run, || {
-            miner
+            Algorithm::DCB
                 .mine_probabilistic(std::hint::black_box(&db), params)
                 .unwrap()
         });
@@ -43,8 +43,9 @@ fn main() {
     h.guard("engines_guard/results_identical", || {
         let db = dense_db(2_000, 16, 0.4, 7);
         let mine = |engine| {
-            UApriori::with_engine(engine)
-                .mine_expected_ratio(&db, 0.02)
+            let params = MiningParams::new(0.02, NO_PFT).unwrap().with_engine(engine);
+            Algorithm::UApriori
+                .mine_probabilistic(&db, params)
                 .unwrap()
                 .sorted_itemsets()
         };

@@ -14,9 +14,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ufim_bench::harness::{dense_db, Harness};
 use ufim_bench::json::JsonRun;
+use ufim_bench::NO_PFT;
 use ufim_core::prelude::*;
 use ufim_core::{ProbVector, ScratchSpace};
-use ufim_miners::UApriori;
+use ufim_miners::Algorithm;
 
 const SEED: u64 = 7;
 const GROUP: &str = "kernels";
@@ -113,11 +114,13 @@ fn main() {
 
     // The ROADMAP anchor: dense UApriori, vertical engine (the
     // `bench_engines` workload).
-    let miner = UApriori::with_engine(EngineKind::Vertical);
+    let params = MiningParams::new(0.02, NO_PFT)
+        .unwrap()
+        .with_engine(EngineKind::Vertical);
     let run = JsonRun::new("N=20k,I=24,d=0.4", "UApriori", "vertical");
     h.mine(GROUP, run, || {
-        miner
-            .mine_expected_ratio(std::hint::black_box(&db), 0.02)
+        Algorithm::UApriori
+            .mine_probabilistic(std::hint::black_box(&db), params)
             .unwrap()
     });
 

@@ -21,8 +21,9 @@
 use std::time::Instant;
 use ufim_bench::harness::{dense_db, Harness};
 use ufim_bench::json::JsonRun;
+use ufim_bench::NO_PFT;
 use ufim_core::prelude::*;
-use ufim_miners::UApriori;
+use ufim_miners::Algorithm;
 
 /// The paper's memory metric needs a counting allocator installed in the
 /// process that runs the miners; each bench is its own binary, so this
@@ -36,10 +37,12 @@ fn measure(db: &UncertainDatabase, workload: &str, min_esup: f64) -> Vec<(Engine
     EngineKind::ALL
         .into_iter()
         .map(|engine| {
-            let miner = UApriori::with_engine(engine);
+            let params = MiningParams::new(min_esup, NO_PFT)
+                .unwrap()
+                .with_engine(engine);
             let start = Instant::now();
             let (result, alloc_peak) = ufim_metrics::alloc::measure_peak(|| {
-                miner.mine_expected_ratio(db, min_esup).unwrap()
+                Algorithm::UApriori.mine_probabilistic(db, params).unwrap()
             });
             let run = JsonRun {
                 wall_ms: start.elapsed().as_secs_f64() * 1e3,

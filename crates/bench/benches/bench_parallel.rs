@@ -24,9 +24,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ufim_bench::harness::{dense_db, Harness};
 use ufim_bench::json::JsonRun;
+use ufim_bench::NO_PFT;
 use ufim_core::parallel::with_thread_override;
 use ufim_core::prelude::*;
-use ufim_miners::{NDUHMine, UApriori, UFPGrowth, UHMine};
+use ufim_miners::Algorithm;
 
 /// Sparser mixed database — the depth-first miners' home regime.
 fn sparse_db(transactions: usize, items: u32, seed: u64) -> UncertainDatabase {
@@ -81,7 +82,9 @@ fn main() {
     let mut h = Harness::from_env();
 
     let dense = dense_db(20_000, 24, 0.4, 7);
-    let miner = UApriori::with_engine(EngineKind::Vertical);
+    let params = MiningParams::new(0.02, NO_PFT)
+        .unwrap()
+        .with_engine(EngineKind::Vertical);
     sweep(
         &mut h,
         "parallel_uapriori_dense",
@@ -89,8 +92,8 @@ fn main() {
         "UApriori",
         "vertical",
         || {
-            miner
-                .mine_expected_ratio(std::hint::black_box(&dense), 0.02)
+            Algorithm::UApriori
+                .mine_probabilistic(std::hint::black_box(&dense), params)
                 .unwrap()
         },
     );
@@ -103,7 +106,7 @@ fn main() {
         "NDUH-Mine",
         "n/a",
         || {
-            NDUHMine::new()
+            Algorithm::NDUHMine
                 .mine_probabilistic_raw(std::hint::black_box(&sparse), 0.05, 0.5)
                 .unwrap()
         },
@@ -117,7 +120,7 @@ fn main() {
         "UFP-growth",
         "n/a",
         || {
-            UFPGrowth::new()
+            Algorithm::UFPGrowth
                 .mine_expected_ratio(std::hint::black_box(&dense), 0.05)
                 .unwrap()
         },
@@ -135,7 +138,7 @@ fn main() {
         "UH-Mine",
         "n/a",
         || {
-            UHMine::new()
+            Algorithm::UHMine
                 .mine_expected_ratio(std::hint::black_box(&skewed), 0.05)
                 .unwrap()
         },
@@ -147,7 +150,7 @@ fn main() {
         "UFP-growth",
         "n/a",
         || {
-            UFPGrowth::new()
+            Algorithm::UFPGrowth
                 .mine_expected_ratio(std::hint::black_box(&skewed), 0.05)
                 .unwrap()
         },
@@ -163,25 +166,31 @@ fn main() {
         let skewed = deep_skew_db(12_000, 16, 4242);
         let mines: [(&str, &dyn Fn() -> MiningResult); 5] = [
             ("UApriori", &|| {
-                UApriori::with_engine(EngineKind::Vertical)
-                    .mine_expected_ratio(&dense, 0.02)
+                Algorithm::UApriori
+                    .mine_probabilistic(&dense, params)
                     .unwrap()
             }),
             ("NDUH-Mine", &|| {
-                NDUHMine::new()
+                Algorithm::NDUHMine
                     .mine_probabilistic_raw(&sparse, 0.05, 0.5)
                     .unwrap()
             }),
             ("UFP-growth", &|| {
-                UFPGrowth::new().mine_expected_ratio(&dense, 0.05).unwrap()
+                Algorithm::UFPGrowth
+                    .mine_expected_ratio(&dense, 0.05)
+                    .unwrap()
             }),
             // Deep skew: these runs take the nested-spawn path, so the
             // guard pins nested bit-identity in CI, not just locally.
             ("deep-skew UH-Mine", &|| {
-                UHMine::new().mine_expected_ratio(&skewed, 0.05).unwrap()
+                Algorithm::UHMine
+                    .mine_expected_ratio(&skewed, 0.05)
+                    .unwrap()
             }),
             ("deep-skew UFP-growth", &|| {
-                UFPGrowth::new().mine_expected_ratio(&skewed, 0.05).unwrap()
+                Algorithm::UFPGrowth
+                    .mine_expected_ratio(&skewed, 0.05)
+                    .unwrap()
             }),
         ];
         for (name, mine) in mines {

@@ -3,6 +3,7 @@
 
 use ufim_bench::harness::Harness;
 use ufim_bench::json::JsonRun;
+use ufim_core::ProbabilisticMiner;
 use ufim_data::Benchmark;
 use ufim_miners::Algorithm;
 
@@ -18,7 +19,6 @@ fn main() {
             _ => (0.0025, 0.9),
         };
         for algo in Algorithm::APPROXIMATE {
-            let miner = algo.probabilistic_miner().unwrap();
             let engine = if algo.supports_engine_selection() {
                 "horizontal"
             } else {
@@ -26,8 +26,7 @@ fn main() {
             };
             let run = JsonRun::new(bench.name(), algo.name(), engine);
             h.mine("fig6_approx_prob", run, || {
-                miner
-                    .mine_probabilistic_raw(std::hint::black_box(&db), min_sup, pft)
+                algo.mine_probabilistic_raw(std::hint::black_box(&db), min_sup, pft)
                     .unwrap()
             });
         }

@@ -1,5 +1,5 @@
 //! Substrate benchmarks: the Poisson-Binomial kernels that differentiate
-//! the exact miners, and the two ablations DESIGN.md calls out:
+//! the exact miners, and two ablations:
 //!
 //! * **A-1 (FFT crossover)** — naive vs FFT convolution across output sizes,
 //!   justifying `ufim_stats::conv::FFT_CROSSOVER`;

@@ -10,7 +10,7 @@
 
 use super::{engine_algos, engine_tag, fmt_x, Sweep};
 use crate::config::HarnessConfig;
-use crate::runner::run_expected_with;
+use crate::runner;
 use ufim_data::{Benchmark, ProbabilityModel};
 use ufim_miners::Algorithm;
 
@@ -78,7 +78,7 @@ pub fn run(cfg: &HarnessConfig, panel: Fig4Panel) {
                     &algos,
                     &labels,
                     cfg,
-                    |algo, xi| run_expected_with(algo, &db, xs[xi], engine),
+                    |algo, xi| runner::run(algo, &db, xs[xi], runner::NO_PFT, engine),
                 );
                 sweep.report(
                     cfg,
@@ -113,7 +113,7 @@ pub fn run(cfg: &HarnessConfig, panel: Fig4Panel) {
                 cfg,
                 |algo, xi| {
                     let db = full.truncated(xs[xi]);
-                    run_expected_with(algo, &db, min_esup, engine)
+                    runner::run(algo, &db, min_esup, runner::NO_PFT, engine)
                 },
             );
             sweep.report(cfg, &format!("fig4_scalability{ftag}"), engine);
@@ -142,7 +142,7 @@ pub fn run(cfg: &HarnessConfig, panel: Fig4Panel) {
                 &algos,
                 &labels,
                 cfg,
-                |algo, xi| run_expected_with(algo, &dbs[xi], ZIPF_MIN_ESUP, engine),
+                |algo, xi| runner::run(algo, &dbs[xi], ZIPF_MIN_ESUP, runner::NO_PFT, engine),
             );
             sweep.report(cfg, &format!("fig4_zipf{ftag}"), engine);
         }

@@ -9,7 +9,7 @@
 
 use super::{engine_tag, fmt_x, Sweep};
 use crate::config::HarnessConfig;
-use crate::runner::run_probabilistic_with;
+use crate::runner;
 use ufim_data::{Benchmark, ProbabilityModel};
 use ufim_miners::Algorithm;
 
@@ -76,7 +76,7 @@ pub fn run(cfg: &HarnessConfig, panel: Fig5Panel) {
                     &algos,
                     &labels,
                     cfg,
-                    |algo, xi| run_probabilistic_with(algo, &db, xs[xi], pft, engine),
+                    |algo, xi| runner::run(algo, &db, xs[xi], pft, engine),
                 );
                 sweep.report(
                     cfg,
@@ -107,7 +107,7 @@ pub fn run(cfg: &HarnessConfig, panel: Fig5Panel) {
                     &algos,
                     &labels,
                     cfg,
-                    |algo, xi| run_probabilistic_with(algo, &db, min_sup, PFT_AXIS[xi], engine),
+                    |algo, xi| runner::run(algo, &db, min_sup, PFT_AXIS[xi], engine),
                 );
                 sweep.report(
                     cfg,
@@ -140,7 +140,7 @@ pub fn run(cfg: &HarnessConfig, panel: Fig5Panel) {
                 cfg,
                 |algo, xi| {
                     let db = full.truncated(xs[xi]);
-                    run_probabilistic_with(algo, &db, d.min_sup, d.pft, engine)
+                    runner::run(algo, &db, d.min_sup, d.pft, engine)
                 },
             );
             sweep.report(cfg, &format!("fig5_scalability{ftag}"), engine);
@@ -167,7 +167,7 @@ pub fn run(cfg: &HarnessConfig, panel: Fig5Panel) {
             &algos,
             &labels,
             cfg,
-            |algo, xi| run_probabilistic_with(algo, &dbs[xi], ZIPF_MIN_SUP, pft, engine),
+            |algo, xi| runner::run(algo, &dbs[xi], ZIPF_MIN_SUP, pft, engine),
         );
             sweep.report(cfg, &format!("fig5_zipf{ftag}"), engine);
         }

@@ -16,7 +16,7 @@
 //! check on real generated data.
 
 use crate::config::HarnessConfig;
-use crate::runner::run_matrix;
+use crate::runner;
 use ufim_core::{MeasureKind, TraversalKind};
 use ufim_data::Benchmark;
 use ufim_metrics::table::{fmt_mb, fmt_secs, Table};
@@ -93,7 +93,7 @@ pub fn run(
                     continue;
                 }
                 let cell = MatrixMiner::new(measure, traversal);
-                let m = run_matrix(cell, &db, d.min_sup, d.pft, engine);
+                let m = runner::run(cell, &db, d.min_sup, d.pft, engine);
                 counts.push(m.num_itemsets);
                 let tag = match Algorithm::from_cell(measure, traversal) {
                     Some(a) => format!(" [{}]", a.name()),

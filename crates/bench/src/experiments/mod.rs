@@ -251,7 +251,7 @@ pub fn fmt_x(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_expected;
+    use crate::runner::{run, NO_PFT};
     use ufim_core::examples::paper_table1;
 
     #[test]
@@ -267,7 +267,7 @@ mod tests {
             &cfg,
             |algo, xi| {
                 let x = if xi == 0 { 0.5 } else { 0.25 };
-                run_expected(algo, &db, x)
+                run(algo, &db, x, NO_PFT, EngineKind::default())
             },
         );
         assert_eq!(sweep.points.len(), 2);
@@ -285,7 +285,7 @@ mod tests {
         };
         let xs: Vec<String> = ["a", "b"].iter().map(|s| s.to_string()).collect();
         let sweep = Sweep::execute("t", "x", &[Algorithm::UApriori], &xs, &cfg, |algo, _| {
-            run_expected(algo, &db, 0.5)
+            run(algo, &db, 0.5, NO_PFT, EngineKind::default())
         });
         // First point ran (then tripped the 0-second budget), second skipped.
         assert!(sweep.points[0].1[0].is_some());

@@ -3,12 +3,12 @@
 //! accuracy (Tables 8–9), and the winner summary (Table 10).
 
 use crate::config::HarnessConfig;
-use crate::runner::{run_expected, run_probabilistic};
+use crate::runner;
 use ufim_core::prelude::*;
 use ufim_data::Benchmark;
 use ufim_metrics::accuracy::precision_recall;
 use ufim_metrics::table::Table;
-use ufim_miners::{Algorithm, DcMiner, UApriori};
+use ufim_miners::Algorithm;
 
 /// Prints the worked micro-example: Table 1's database, Example 1's
 /// expected-support mining, and the Example 2-style probabilistic run.
@@ -25,7 +25,7 @@ pub fn table1_example() {
     }
 
     println!("\n=== Example 1: expected-support-based frequent itemsets (min_esup = 0.5) ===");
-    let r = UApriori::new().mine_expected_ratio(&db, 0.5).unwrap();
+    let r = Algorithm::UApriori.mine_expected_ratio(&db, 0.5).unwrap();
     for fi in &r.itemsets {
         let label: Vec<&str> = fi
             .itemset
@@ -39,7 +39,7 @@ pub fn table1_example() {
     println!(
         "\n=== Example 2 style: probabilistic frequent itemsets (min_sup = 0.5, pft = 0.7) ==="
     );
-    let r = DcMiner::with_pruning()
+    let r = Algorithm::DCB
         .mine_probabilistic_raw(&db, 0.5, 0.7)
         .unwrap();
     for fi in &r.itemsets {
@@ -157,7 +157,7 @@ pub fn accuracy_table(cfg: &HarnessConfig, b: Benchmark, min_sups: &[f64], csv: 
     ]);
     let mut rows = Vec::new();
     for &ms in min_sups {
-        let exact = DcMiner::with_pruning()
+        let exact = Algorithm::DCB
             .mine_probabilistic_raw(&db, ms, pft)
             .expect("valid params");
         let mut row = vec![super::fmt_x(ms)];
@@ -168,8 +168,6 @@ pub fn accuracy_table(cfg: &HarnessConfig, b: Benchmark, min_sups: &[f64], csv: 
             Algorithm::NDUHMine,
         ] {
             let approx = algo
-                .probabilistic_miner()
-                .unwrap()
                 .mine_probabilistic_raw(&db, ms, pft)
                 .expect("valid params");
             let acc = precision_recall(&approx, &exact);
@@ -250,7 +248,11 @@ pub fn table10(cfg: &HarnessConfig) {
     ] {
         let runs = Algorithm::EXPECTED_SUPPORT
             .iter()
-            .map(|&a| best_of(REPS, || run_expected(a, db, min_esup)))
+            .map(|&a| {
+                best_of(REPS, || {
+                    runner::run(a, db, min_esup, runner::NO_PFT, EngineKind::default())
+                })
+            })
             .collect();
         report(case, runs);
     }
@@ -262,7 +264,11 @@ pub fn table10(cfg: &HarnessConfig) {
     ] {
         let runs = Algorithm::EXACT_PROBABILISTIC
             .iter()
-            .map(|&a| best_of(REPS, || run_probabilistic(a, db, min_sup, pft)))
+            .map(|&a| {
+                best_of(REPS, || {
+                    runner::run(a, db, min_sup, pft, EngineKind::default())
+                })
+            })
             .collect();
         report(case, runs);
     }
@@ -275,7 +281,11 @@ pub fn table10(cfg: &HarnessConfig) {
     ] {
         let runs = super::fig6::APPROX_ONLY
             .iter()
-            .map(|&a| best_of(REPS, || run_probabilistic(a, db, min_sup, pft)))
+            .map(|&a| {
+                best_of(REPS, || {
+                    runner::run(a, db, min_sup, pft, EngineKind::default())
+                })
+            })
             .collect();
         report(case, runs);
     }

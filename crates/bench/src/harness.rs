@@ -286,8 +286,11 @@ mod tests {
         h.guard("kept/guard", || guarded = true);
         assert!(guarded);
         h.mine("g", JsonRun::new("w", "kept", "vertical"), || {
-            ufim_miners::UApriori::with_engine(EngineKind::Vertical)
-                .mine_expected_ratio(&db, 0.1)
+            let params = MiningParams::new(0.1, crate::NO_PFT)
+                .unwrap()
+                .with_engine(EngineKind::Vertical);
+            ufim_miners::Algorithm::UApriori
+                .mine_probabilistic(&db, params)
                 .unwrap()
         });
         let mined = &h.runs[1];

@@ -57,4 +57,4 @@ pub mod json;
 pub mod runner;
 
 pub use config::HarnessConfig;
-pub use runner::{run_expected, run_matrix, run_probabilistic, MeasuredRun};
+pub use runner::{run, MeasuredRun, NO_PFT};

@@ -4,7 +4,6 @@ use ufim_core::traits::ProbabilisticMiner;
 use ufim_core::{EngineKind, MinerStats, MiningParams, UncertainDatabase};
 use ufim_metrics::alloc::measure_peak;
 use ufim_metrics::time::Stopwatch;
-use ufim_miners::{Algorithm, MatrixMiner};
 
 /// The measurements of a single `(algorithm, database, parameters)` run —
 /// one point of one curve in the paper's figures.
@@ -25,67 +24,28 @@ pub struct MeasuredRun {
     pub max_len: usize,
 }
 
-/// Runs an expected-support algorithm (Definition 2) measured.
+/// The `pft` of an expected-support run: Definition 2 has no probability
+/// threshold, and the expected-support measure never reads it.
+pub const NO_PFT: f64 = 1.0;
+
+/// Runs `miner` once, measured — a registry
+/// [`Algorithm`](ufim_miners::Algorithm) or any
+/// [`MatrixMiner`](ufim_miners::MatrixMiner) cell. The expected-support
+/// miners read `min_sup` as Definition 2's `min_esup` and ignore `pft`;
+/// `engine` reaches the level-wise traversal only.
 ///
 /// # Panics
-/// Panics if `algo` is not an expected-support miner or parameters are
-/// invalid — the harness constructs both from trusted tables.
-pub fn run_expected(algo: Algorithm, db: &UncertainDatabase, min_esup: f64) -> MeasuredRun {
-    run_expected_with(algo, db, min_esup, EngineKind::default())
-}
-
-/// [`run_expected`] on an explicit support backend (ignored by miners
-/// outside the Apriori framework).
-pub fn run_expected_with(
-    algo: Algorithm,
-    db: &UncertainDatabase,
-    min_esup: f64,
-    engine: EngineKind,
-) -> MeasuredRun {
-    let miner = algo
-        .expected_support_miner_with(engine)
-        .unwrap_or_else(|| panic!("{} is not an expected-support miner", algo.name()));
-    let sw = Stopwatch::start();
-    let (result, peak) = measure_peak(|| {
-        miner
-            .mine_expected_ratio(db, min_esup)
-            .expect("valid parameters")
-    });
-    MeasuredRun {
-        algorithm: algo.name(),
-        time_secs: sw.elapsed_secs(),
-        peak_bytes: peak,
-        num_itemsets: result.len(),
-        max_len: result.max_len(),
-        stats: result.stats,
-    }
-}
-
-/// Runs a probabilistic algorithm (Definition 4) measured.
-///
-/// # Panics
-/// Panics if `algo` is not a probabilistic miner or parameters are invalid.
-pub fn run_probabilistic(
-    algo: Algorithm,
-    db: &UncertainDatabase,
-    min_sup: f64,
-    pft: f64,
-) -> MeasuredRun {
-    run_probabilistic_with(algo, db, min_sup, pft, EngineKind::default())
-}
-
-/// [`run_probabilistic`] on an explicit support backend (the backend rides
-/// in [`MiningParams::engine`]; non-Apriori-framework miners ignore it).
-pub fn run_probabilistic_with(
-    algo: Algorithm,
+/// Panics on an unsupported matrix cell (exact × tree) or invalid
+/// parameters — the harness builds both from trusted tables and filters
+/// cells through
+/// [`MatrixMiner::supported`](ufim_miners::MatrixMiner::supported).
+pub fn run(
+    miner: impl ProbabilisticMiner,
     db: &UncertainDatabase,
     min_sup: f64,
     pft: f64,
     engine: EngineKind,
 ) -> MeasuredRun {
-    let miner = algo
-        .probabilistic_miner()
-        .unwrap_or_else(|| panic!("{} is not a probabilistic miner", algo.name()));
     let params = MiningParams::new(min_sup, pft)
         .expect("valid parameters")
         .with_engine(engine);
@@ -93,42 +53,10 @@ pub fn run_probabilistic_with(
     let (result, peak) = measure_peak(|| {
         miner
             .mine_probabilistic(db, params)
-            .expect("valid parameters")
+            .expect("valid parameters and a supported cell")
     });
     MeasuredRun {
-        algorithm: algo.name(),
-        time_secs: sw.elapsed_secs(),
-        peak_bytes: peak,
-        num_itemsets: result.len(),
-        max_len: result.max_len(),
-        stats: result.stats,
-    }
-}
-
-/// Runs one measure × traversal × engine matrix cell measured.
-///
-/// # Panics
-/// Panics on unsupported cells (exact × tree) or invalid parameters — the
-/// harness filters cells through [`MatrixMiner::supported`] first.
-pub fn run_matrix(
-    cell: MatrixMiner,
-    db: &UncertainDatabase,
-    min_sup: f64,
-    pft: f64,
-    engine: EngineKind,
-) -> MeasuredRun {
-    // The cell itself selects measure and traversal; the params only need
-    // to carry the thresholds and the support backend.
-    let params = MiningParams::new(min_sup, pft)
-        .expect("valid parameters")
-        .with_engine(engine);
-    let sw = Stopwatch::start();
-    let (result, peak) = measure_peak(|| {
-        cell.mine_probabilistic(db, params)
-            .expect("supported matrix cell")
-    });
-    MeasuredRun {
-        algorithm: ufim_core::traits::MinerInfo::name(&cell),
+        algorithm: miner.name(),
         time_secs: sw.elapsed_secs(),
         peak_bytes: peak,
         num_itemsets: result.len(),
@@ -141,11 +69,12 @@ pub fn run_matrix(
 mod tests {
     use super::*;
     use ufim_core::examples::paper_table1;
+    use ufim_miners::{Algorithm, MatrixMiner};
 
     #[test]
     fn expected_run_measures() {
         let db = paper_table1();
-        let run = run_expected(Algorithm::UApriori, &db, 0.5);
+        let run = run(Algorithm::UApriori, &db, 0.5, NO_PFT, EngineKind::default());
         assert_eq!(run.algorithm, "UApriori");
         assert_eq!(run.num_itemsets, 2);
         assert_eq!(run.max_len, 1);
@@ -155,16 +84,9 @@ mod tests {
     #[test]
     fn probabilistic_run_measures() {
         let db = paper_table1();
-        let run = run_probabilistic(Algorithm::DCB, &db, 0.5, 0.7);
+        let run = run(Algorithm::DCB, &db, 0.5, 0.7, EngineKind::Vertical);
         assert_eq!(run.algorithm, "DCB");
         assert!(run.num_itemsets >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not an expected-support miner")]
-    fn wrong_interface_panics() {
-        let db = paper_table1();
-        run_expected(Algorithm::DCB, &db, 0.5);
     }
 
     #[test]
@@ -172,7 +94,7 @@ mod tests {
         use ufim_core::{MeasureKind, TraversalKind};
         let db = paper_table1();
         let cell = MatrixMiner::new(MeasureKind::ExactDp, TraversalKind::HyperStructure);
-        let run = run_matrix(cell, &db, 0.5, 0.7, EngineKind::default());
+        let run = run(cell, &db, 0.5, 0.7, EngineKind::default());
         assert_eq!(run.algorithm, "exact-dp×hyper");
         assert!(run.num_itemsets >= 1);
         assert!(run.time_secs >= 0.0);

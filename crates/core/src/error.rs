@@ -54,6 +54,12 @@ pub enum CoreError {
         /// The traversal's stable name.
         traversal: &'static str,
     },
+    /// An algorithm that judges by frequent probability (Definition 4) was
+    /// asked for expected-support itemsets (Definition 2).
+    NotExpectedSupport {
+        /// The algorithm's paper name.
+        algorithm: &'static str,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -79,6 +85,12 @@ impl fmt::Display for CoreError {
                 write!(
                     f,
                     "the {measure} measure cannot run on the {traversal} traversal"
+                )
+            }
+            CoreError::NotExpectedSupport { algorithm } => {
+                write!(
+                    f,
+                    "{algorithm} does not mine expected-support itemsets (Definition 2)"
                 )
             }
         }
@@ -119,6 +131,8 @@ mod tests {
         };
         assert!(e.to_string().contains("exact-dp"));
         assert!(e.to_string().contains("tree"));
+        let e = CoreError::NotExpectedSupport { algorithm: "DCB" };
+        assert!(e.to_string().contains("DCB"));
     }
 
     #[test]

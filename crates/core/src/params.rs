@@ -258,11 +258,11 @@ pub struct MiningParams {
     /// [`EngineKind::Horizontal`], the reference backend).
     pub engine: EngineKind,
     /// Frequentness-measure override for matrix-aware entry points (the
-    /// miners crate's `MatrixMiner`); the paper's named miners carry their
-    /// measure in their identity and ignore this field.
+    /// miners crate's `MatrixMiner::from_params`); a named algorithm or
+    /// cell carries its measure in its identity and ignores this field.
     pub measure: Option<MeasureKind>,
-    /// Traversal override for matrix-aware entry points; ignored by the
-    /// paper's named miners, like [`MiningParams::measure`].
+    /// Traversal override for matrix-aware entry points; ignored by named
+    /// algorithms and cells, like [`MiningParams::measure`].
     pub traversal: Option<TraversalKind>,
 }
 

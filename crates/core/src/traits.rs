@@ -21,8 +21,9 @@ pub trait MinerInfo {
 /// An algorithm mining **expected-support-based frequent itemsets**
 /// (Definition 2): all `X` with `esup(X) ≥ N · min_esup`.
 ///
-/// Implementors in this workspace: `UApriori`, `UFPGrowth`, `UHMine`
-/// (paper §3.1).
+/// Implementors in this workspace: the miners crate's `Algorithm` for
+/// UApriori, UFP-growth and UH-Mine (paper §3.1), and the brute-force
+/// oracle.
 pub trait ExpectedSupportMiner: MinerInfo {
     /// Mines all expected-support-based frequent itemsets.
     ///
@@ -48,8 +49,10 @@ pub trait ExpectedSupportMiner: MinerInfo {
 /// An algorithm mining **probabilistic frequent itemsets** (Definition 4):
 /// all `X` with `Pr{sup(X) ≥ ⌈N·min_sup⌉} > pft`.
 ///
-/// Implementors: the exact miners `DP`/`DC` (±Chernoff pruning, §3.2) and the
-/// approximate miners `PDUApriori`, `NDUApriori`, `NDUHMine` (§3.3).
+/// Implementors: the miners crate's `Algorithm` — the exact miners DP/DC
+/// (±Chernoff pruning, §3.2) and the approximate miners PDUApriori,
+/// NDUApriori and NDUH-Mine (§3.3) — its `MatrixMiner` cells, and the
+/// brute-force oracle.
 pub trait ProbabilisticMiner: MinerInfo {
     /// Mines all probabilistic frequent itemsets under `params`.
     ///

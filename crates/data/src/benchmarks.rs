@@ -4,7 +4,7 @@
 //! count, vocabulary size, average length, density — and the qualitative
 //! item-popularity profile that drives the relative behaviour of the mining
 //! algorithms (long shared prefixes for dense data, power-law tails for
-//! sparse data). See DESIGN.md §4 for the substitution rationale.
+//! sparse data). The [crate docs](crate) give the substitution rationale.
 //!
 //! All generators take a `scale ∈ (0, 1]` factor applied to the transaction
 //! count (vocabulary stays fixed so density is preserved) and an explicit

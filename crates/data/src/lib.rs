@@ -13,8 +13,7 @@
 //! (dense game-state grid for Connect, mixed popularity for Accident,
 //! power-law clickstream for Kosarak, short sparse baskets for Gazelle).
 //! The substitution preserves exactly the properties the paper's conclusions
-//! depend on — density, scale, probability distribution — and is documented
-//! in `DESIGN.md` §4.
+//! depend on — density, scale, probability distribution.
 //!
 //! Contents:
 //!

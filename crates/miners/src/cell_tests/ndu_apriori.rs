@@ -1,69 +1,17 @@
-//! **NDUApriori** — Normal-approximation probabilistic mining in the
-//! Apriori framework (Calders, Garboni, Goethals 2010; paper §3.3.2).
-//!
-//! By the Lyapunov CLT, `sup(X) → N(esup, Var)` as the database grows; one
-//! counting pass that accumulates the variance alongside the expected
-//! support therefore yields the (approximate) frequent probability
-//!
-//! `Pr(X) ≈ 1 − Φ((msup − 0.5 − esup)/√Var)`
-//!
-//! at expected-support cost — the paper's "bridge" between the two frequent
-//! itemset definitions. Unlike PDUApriori, NDUApriori *does* report
-//! per-itemset frequent probabilities.
+//! NDUApriori — Normal (CLT) approximation × level-wise (paper §3.3.2).
 
-use crate::common::measure::{mine_level_wise, NormalApprox};
-use ufim_core::prelude::*;
-
-/// The NDUApriori miner.
-#[derive(Clone, Debug, Default)]
-pub struct NDUApriori {
-    _private: (),
-}
-
-impl NDUApriori {
-    /// Creates the miner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl MinerInfo for NDUApriori {
-    fn name(&self) -> &'static str {
-        "NDUApriori"
-    }
-    fn description(&self) -> &'static str {
-        "Normal (CLT) approximation of the frequent probability; Apriori framework"
-    }
-}
-
-impl ProbabilisticMiner for NDUApriori {
-    fn mine_probabilistic(
-        &self,
-        db: &UncertainDatabase,
-        params: MiningParams,
-    ) -> Result<MiningResult, CoreError> {
-        if db.is_empty() {
-            return Ok(MiningResult::default());
-        }
-        // The measure carries the Normal-tail min_esup bound, so the
-        // engine-level threshold pushdown fires for this miner too.
-        let measure = NormalApprox::new(params.msup(db.num_transactions()), params.pft.get());
-        Ok(mine_level_wise(db, measure, params.engine))
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::brute::BruteForce;
+    use crate::registry::Algorithm;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use ufim_core::examples::paper_table1;
+    use ufim_core::prelude::*;
 
     #[test]
     fn reports_probabilities_and_moments() {
         let db = paper_table1();
-        let r = NDUApriori::new()
+        let r = Algorithm::NDUApriori
             .mine_probabilistic_raw(&db, 0.25, 0.5)
             .unwrap();
         assert!(!r.is_empty());
@@ -98,7 +46,7 @@ mod tests {
             })
             .collect();
         let db = UncertainDatabase::with_num_items(transactions, 4);
-        let approx = NDUApriori::new()
+        let approx = Algorithm::NDUApriori
             .mine_probabilistic_raw(&db, 0.4, 0.9)
             .unwrap();
         let exact = BruteForce::new()
@@ -132,7 +80,7 @@ mod tests {
             .map(|_| Transaction::new([(0u32, rng.gen_range(0.3..0.9))]).unwrap())
             .collect();
         let db = UncertainDatabase::with_num_items(transactions, 1);
-        let approx = NDUApriori::new()
+        let approx = Algorithm::NDUApriori
             .mine_probabilistic_raw(&db, 0.55, 0.1)
             .unwrap();
         if let Some(fi) = approx.get(&Itemset::singleton(0)) {
@@ -149,7 +97,7 @@ mod tests {
     #[test]
     fn empty_db() {
         let db = UncertainDatabase::from_transactions(vec![]);
-        assert!(NDUApriori::new()
+        assert!(Algorithm::NDUApriori
             .mine_probabilistic_raw(&db, 0.5, 0.9)
             .unwrap()
             .is_empty());

@@ -1,71 +1,18 @@
-//! **NDUH-Mine** — the paper's own contribution (§3.3.3): UH-Mine's
-//! hyper-structure married to the Normal approximation.
-//!
-//! UH-Mine dominates the expected-support miners on sparse data; the Normal
-//! approximation turns `(esup, Var)` into a frequent probability at no extra
-//! asymptotic cost. NDUH-Mine therefore runs the UH-Mine depth-first walk
-//! with variance accumulation switched on and judges each extension by
-//! `Pr(X) ≈ 1 − Φ((msup − 0.5 − esup)/√Var) > pft` — "a win-win partnership
-//! in sparse uncertain databases".
-//!
-//! Implementation note: this module is intentionally thin. The whole
-//! algorithm is the depth-first hyper-structure traversal judged by the
-//! [`NormalApprox`] measure — literally `DepthFirst<NormalApprox>`, exactly
-//! as the paper derives it from UH-Mine.
+//! NDUH-Mine — Normal (CLT) approximation × hyper-structure, the paper's
+//! own algorithm (§3.3.3).
 
-use crate::common::measure::NormalApprox;
-use crate::uh_mine::mine_hyper;
-use ufim_core::prelude::*;
-
-/// The NDUH-Mine miner.
-#[derive(Clone, Debug, Default)]
-pub struct NDUHMine {
-    _private: (),
-}
-
-impl NDUHMine {
-    /// Creates the miner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl MinerInfo for NDUHMine {
-    fn name(&self) -> &'static str {
-        "NDUH-Mine"
-    }
-    fn description(&self) -> &'static str {
-        "UH-Mine hyper-structure + Normal (CLT) frequent-probability judgment (the paper's novel algorithm)"
-    }
-}
-
-impl ProbabilisticMiner for NDUHMine {
-    fn mine_probabilistic(
-        &self,
-        db: &UncertainDatabase,
-        params: MiningParams,
-    ) -> Result<MiningResult, CoreError> {
-        if db.is_empty() {
-            return Ok(MiningResult::default());
-        }
-        let measure = NormalApprox::new(params.msup(db.num_transactions()), params.pft.get());
-        Ok(mine_hyper(db, &measure))
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::brute::BruteForce;
-    use crate::ndu_apriori::NDUApriori;
+    use crate::registry::Algorithm;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use ufim_core::examples::paper_table1;
+    use ufim_core::prelude::*;
 
     #[test]
     fn reports_probabilities() {
         let db = paper_table1();
-        let r = NDUHMine::new()
+        let r = Algorithm::NDUHMine
             .mine_probabilistic_raw(&db, 0.25, 0.5)
             .unwrap();
         assert!(!r.is_empty());
@@ -96,10 +43,10 @@ mod tests {
             .collect();
         let db = UncertainDatabase::with_num_items(transactions, 5);
         for (min_sup, pft) in [(0.3, 0.9), (0.2, 0.5), (0.45, 0.7)] {
-            let a = NDUHMine::new()
+            let a = Algorithm::NDUHMine
                 .mine_probabilistic_raw(&db, min_sup, pft)
                 .unwrap();
-            let b = NDUApriori::new()
+            let b = Algorithm::NDUApriori
                 .mine_probabilistic_raw(&db, min_sup, pft)
                 .unwrap();
             assert_eq!(
@@ -136,7 +83,7 @@ mod tests {
             })
             .collect();
         let db = UncertainDatabase::with_num_items(transactions, 4);
-        let approx = NDUHMine::new()
+        let approx = Algorithm::NDUHMine
             .mine_probabilistic_raw(&db, 0.4, 0.9)
             .unwrap();
         let exact_loose = BruteForce::new()
@@ -153,7 +100,7 @@ mod tests {
     #[test]
     fn empty_db() {
         let db = UncertainDatabase::from_transactions(vec![]);
-        assert!(NDUHMine::new()
+        assert!(Algorithm::NDUHMine
             .mine_probabilistic_raw(&db, 0.5, 0.9)
             .unwrap()
             .is_empty());

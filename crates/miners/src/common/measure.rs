@@ -194,7 +194,7 @@ impl ExpectedSupport {
     }
 
     /// Expected-support judgment that also records each kept itemset's
-    /// support variance (UApriori's variance mode).
+    /// support variance.
     pub fn with_variance(threshold: f64) -> Self {
         ExpectedSupport {
             threshold,
@@ -241,12 +241,13 @@ pub struct PoissonApprox {
 
 impl PoissonApprox {
     /// Solves `Pr{Poisson(λ*) ≥ msup} = pft` for the database size and
-    /// parameters, exactly as PDUApriori does. Returns `Ok(None)` when
-    /// `λ*` exceeds the transaction count — no itemset can qualify.
+    /// parameters — PDUApriori's one-time threshold inversion. Returns
+    /// `Ok(None)` when `λ*` exceeds the transaction count — no itemset can
+    /// qualify.
     ///
     /// # Errors
-    /// Propagates ratio validation of the derived threshold (unreachable
-    /// for in-range parameters; kept for parity with PDUApriori).
+    /// Propagates ratio validation of the derived `λ*/N` (unreachable for
+    /// in-range parameters).
     pub fn from_params(n: usize, params: &MiningParams) -> Result<Option<Self>, CoreError> {
         let msup = params.msup(n);
         let pft = params.pft.get();
@@ -260,8 +261,8 @@ impl PoissonApprox {
             // esup(X) ≤ N for every itemset: nothing can qualify.
             return Ok(None);
         }
-        // Round-trip through Ratio so the threshold is bit-identical to
-        // PDUApriori's historical delegation to UApriori at λ*/N.
+        // Round-trip through Ratio so the threshold is bit-identical to an
+        // expected-support mine at min_esup = λ*/N.
         let min_esup = Ratio::new("min_esup(λ*/N)", lambda / n as f64)?;
         Ok(Some(PoissonApprox {
             threshold: min_esup.threshold_real(n),

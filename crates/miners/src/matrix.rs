@@ -171,34 +171,77 @@ impl ProbabilisticMiner for MatrixMiner {
         if db.is_empty() {
             return Ok(MiningResult::default());
         }
-        let n = db.num_transactions();
-        let engine = params.engine;
-        Ok(match self.measure {
-            MeasureKind::ExpectedSupport => self.dispatch(
-                db,
-                ExpectedSupport::new(params.min_sup.threshold_real(n)),
-                engine,
-            ),
-            MeasureKind::Poisson => match PoissonApprox::from_params(n, &params)? {
-                None => MiningResult::default(),
-                Some(measure) => self.dispatch(db, measure, engine),
+        let mine = Mine {
+            cell: self,
+            db,
+            engine: params.engine,
+        };
+        Ok(self
+            .with_measure(db.num_transactions(), &params, mine)?
+            .unwrap_or_default())
+    }
+}
+
+/// What to do with the measure a cell builds from its parameters (see
+/// [`MatrixMiner::with_measure`]): called once, monomorphised per measure.
+pub(crate) trait MeasureUse {
+    /// What the use produces.
+    type Output;
+    /// Consumes the built measure.
+    fn apply<M: FrequentnessMeasure + Send + Sync + 'static>(self, measure: M) -> Self::Output;
+}
+
+/// Mines a cell with its measure.
+struct Mine<'a> {
+    cell: &'a MatrixMiner,
+    db: &'a UncertainDatabase,
+    engine: EngineKind,
+}
+
+impl MeasureUse for Mine<'_> {
+    type Output = MiningResult;
+    fn apply<M: FrequentnessMeasure + Send + Sync + 'static>(self, measure: M) -> MiningResult {
+        self.cell.dispatch(self.db, measure, self.engine)
+    }
+}
+
+impl MatrixMiner {
+    /// Builds the cell's measure for a database of `n` transactions at
+    /// `params` — the one place parameters become a measure — and hands it
+    /// to `f`. [`MeasureKind::ExpectedSupport`] reads `params.min_sup` as
+    /// `min_esup`. `Ok(None)` is the Poisson-infeasible case: `λ* > n`, so
+    /// nothing can qualify and there is nothing to judge with.
+    ///
+    /// # Errors
+    /// Propagates parameter validation from the measure constructors.
+    pub(crate) fn with_measure<U: MeasureUse>(
+        &self,
+        n: usize,
+        params: &MiningParams,
+        f: U,
+    ) -> Result<Option<U::Output>, CoreError> {
+        Ok(Some(match self.measure {
+            MeasureKind::ExpectedSupport => {
+                f.apply(ExpectedSupport::new(params.min_sup.threshold_real(n)))
+            }
+            MeasureKind::Poisson => match PoissonApprox::from_params(n, params)? {
+                None => return Ok(None),
+                Some(measure) => f.apply(measure),
             },
-            MeasureKind::Normal => self.dispatch(
-                db,
-                NormalApprox::new(params.msup(n), params.pft.get()),
-                engine,
-            ),
-            MeasureKind::ExactDp => self.dispatch(
-                db,
-                ExactMeasure::new(ExactKernel::DynamicProgramming, self.chernoff, n, &params),
-                engine,
-            ),
-            MeasureKind::ExactDc => self.dispatch(
-                db,
-                ExactMeasure::new(ExactKernel::DivideConquer, self.chernoff, n, &params),
-                engine,
-            ),
-        })
+            MeasureKind::Normal => f.apply(NormalApprox::new(params.msup(n), params.pft.get())),
+            MeasureKind::ExactDp => f.apply(ExactMeasure::new(
+                ExactKernel::DynamicProgramming,
+                self.chernoff,
+                n,
+                params,
+            )),
+            MeasureKind::ExactDc => f.apply(ExactMeasure::new(
+                ExactKernel::DivideConquer,
+                self.chernoff,
+                n,
+                params,
+            )),
+        }))
     }
 }
 
@@ -249,8 +292,8 @@ mod tests {
         let db = paper_table1();
         let params = MiningParams::new(0.5, 0.7).unwrap();
 
-        // Expected support row ↔ UApriori / UH-Mine / UFP-growth at the
-        // matching min_esup.
+        // Expected support row ↔ UApriori / UH-Mine / UFP-growth through
+        // Definition 2's interface at the matching min_esup.
         for (traversal, algo) in [
             (TraversalKind::LevelWise, Algorithm::UApriori),
             (TraversalKind::HyperStructure, Algorithm::UHMine),
@@ -259,65 +302,16 @@ mod tests {
             let cell = MatrixMiner::new(MeasureKind::ExpectedSupport, traversal)
                 .mine_probabilistic(&db, params)
                 .unwrap();
-            let named = algo
-                .expected_support_miner()
-                .unwrap()
-                .mine_expected_ratio(&db, 0.5)
-                .unwrap();
-            assert_eq!(cell.sorted_itemsets(), named.sorted_itemsets());
+            let named = algo.mine_expected_ratio(&db, 0.5).unwrap();
+            assert_eq!(cell.itemsets, named.itemsets, "{}", algo.name());
             assert_eq!(cell.stats, named.stats, "{}", algo.name());
         }
 
-        // Probabilistic cells ↔ their named miners (bit-identical records).
-        for (cell, algo) in [
-            (
-                MatrixMiner::new(MeasureKind::Poisson, TraversalKind::LevelWise),
-                Algorithm::PDUApriori,
-            ),
-            (
-                MatrixMiner::new(MeasureKind::Normal, TraversalKind::LevelWise),
-                Algorithm::NDUApriori,
-            ),
-            (
-                MatrixMiner::new(MeasureKind::Normal, TraversalKind::HyperStructure),
-                Algorithm::NDUHMine,
-            ),
-            (
-                MatrixMiner::new(MeasureKind::ExactDp, TraversalKind::LevelWise),
-                Algorithm::DPB,
-            ),
-            (
-                MatrixMiner::new(MeasureKind::ExactDc, TraversalKind::LevelWise),
-                Algorithm::DCB,
-            ),
-            (
-                MatrixMiner::new(MeasureKind::ExactDp, TraversalKind::LevelWise).without_chernoff(),
-                Algorithm::DPNB,
-            ),
-            (
-                MatrixMiner::new(MeasureKind::ExactDc, TraversalKind::LevelWise).without_chernoff(),
-                Algorithm::DCNB,
-            ),
-        ] {
-            let got = cell.mine_probabilistic(&db, params).unwrap();
-            let want = algo
-                .probabilistic_miner()
-                .unwrap()
-                .mine_probabilistic(&db, params)
-                .unwrap();
-            assert_eq!(
-                got.sorted_itemsets(),
-                want.sorted_itemsets(),
-                "{}",
-                algo.name()
-            );
-            for fi in &got.itemsets {
-                let w = want.get(&fi.itemset).unwrap();
-                assert_eq!(fi.expected_support, w.expected_support, "{}", algo.name());
-                assert_eq!(fi.frequent_prob, w.frequent_prob, "{}", algo.name());
-                assert_eq!(fi.variance, w.variance, "{}", algo.name());
+        // Every named cell sits where the registry says it does.
+        for cell in MatrixMiner::all_supported() {
+            if let Some(algo) = Algorithm::from_cell(cell.measure, cell.traversal) {
+                assert_eq!(algo.matrix_cell(), Some(cell), "{}", algo.name());
             }
-            assert_eq!(got.stats, want.stats, "{}", algo.name());
         }
     }
 

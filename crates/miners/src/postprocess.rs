@@ -121,13 +121,13 @@ pub fn containing<'a>(result: &'a MiningResult, anchor: &[ItemId]) -> Vec<&'a Fr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::uapriori::UApriori;
+    use crate::registry::Algorithm;
     use ufim_core::examples::paper_table1;
     use ufim_core::prelude::*;
 
     fn result() -> MiningResult {
         // min_esup = 0.25 on Table 1: six singletons + {A,C} + {C,E}.
-        UApriori::new()
+        Algorithm::UApriori
             .mine_expected_ratio(&paper_table1(), 0.25)
             .unwrap()
     }
@@ -176,7 +176,7 @@ mod tests {
                 .unwrap();
             4
         ]);
-        let r2 = UApriori::new().mine_expected_ratio(&db, 0.25).unwrap();
+        let r2 = Algorithm::UApriori.mine_expected_ratio(&db, 0.25).unwrap();
         let c2: Vec<_> = closed(&r2, 1e-9)
             .iter()
             .map(|f| f.itemset.clone())

@@ -4,12 +4,9 @@
 //! expected-support miners" or "all approximate miners" exactly as the
 //! paper's Section 4 groups them.
 
+use crate::brute::BruteForce;
 use crate::matrix::MatrixMiner;
-use crate::{
-    BruteForce, DcMiner, DpMiner, NDUApriori, NDUHMine, PDUApriori, UApriori, UFPGrowth, UHMine,
-};
-use ufim_core::traits::{ExpectedSupportMiner, ProbabilisticMiner};
-use ufim_core::{EngineKind, MeasureKind, TraversalKind};
+use ufim_core::prelude::*;
 
 /// The paper's three algorithm groups (§3), plus the testing oracle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -50,20 +47,69 @@ impl AlgorithmGroup {
 }
 
 /// Every algorithm in the study (the eight of Table 10, the un-pruned exact
-/// variants, and the oracle).
+/// variants, and the oracle). Each paper algorithm is one named cell of the
+/// measure × traversal × engine matrix: it implements [`ProbabilisticMiner`]
+/// (and, for the expected-support group, [`ExpectedSupportMiner`]) by
+/// forwarding to its [`matrix_cell`](Algorithm::matrix_cell), with the
+/// support backend riding in [`MiningParams::engine`].
+///
+/// ```
+/// use ufim_miners::prelude::*;
+///
+/// let db = ufim_core::examples::paper_table1();
+/// let r = Algorithm::UApriori.mine_expected_ratio(&db, 0.5).unwrap();
+/// assert_eq!(r.len(), 2); // Example 1: {A} and {C}
+/// let r = Algorithm::DCB.mine_probabilistic_raw(&db, 0.5, 0.7).unwrap();
+/// assert!(!r.is_empty());
+/// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[allow(missing_docs)] // variant names are the algorithm names
 pub enum Algorithm {
+    /// Expected support, level-wise (Chui et al. 2007; §3.1.1): the
+    /// uncertain Apriori. A level's candidates are counted in one pass and
+    /// an itemset is frequent iff `esup ≥ N · min_esup`; downward closure
+    /// carries over, so classical join + subset pruning applies unchanged.
     UApriori,
+    /// Expected support over a UFP-tree (Leung et al. 2008; §3.1.2): nodes
+    /// are shared only on equal item *and* probability (see
+    /// [`crate::ufp_growth`]).
     UFPGrowth,
+    /// Expected support over the UH-Struct hyper-structure (Aggarwal et al.
+    /// 2009; §3.1.3; see [`crate::uh_mine`]).
     UHMine,
+    /// Exact frequent probability by `O(N·msup)` dynamic programming
+    /// (§3.2.1), level-wise, with the Chernoff + count screen (§3.2.3).
+    /// Frequent probability is anti-monotone (Bernecker et al. 2009), so
+    /// downward closure justifies level-wise candidate generation.
     DPB,
+    /// [`Algorithm::DPB`] without the screen: every candidate pays the
+    /// exact kernel.
     DPNB,
+    /// Exact frequent probability by divide-and-conquer PMF construction
+    /// with FFT convolution, `O(N log N)` per itemset (§3.2.2), with the
+    /// screen: a cheap pass (expected support + nonzero count) drops a
+    /// candidate whose Chernoff bound (Lemma 1) already fails `pft`, or with
+    /// fewer nonzero transactions than `msup`, before any kernel runs.
     DCB,
+    /// [`Algorithm::DCB`] without the screen.
     DCNB,
+    /// Poisson approximation (Wang et al. 2010; §3.3.1). The Poisson
+    /// survival function increases in `λ`, so `Pr{Poisson(esup) ≥ msup} >
+    /// pft` collapses to one expected-support threshold `esup > λ*`
+    /// ([`PoissonApprox`](crate::common::measure::PoissonApprox)); it runs
+    /// at expected-support speed and reports membership only, no frequent
+    /// probabilities.
     PDUApriori,
+    /// Normal (CLT) approximation, level-wise (Calders et al. 2010; §3.3.2):
+    /// one pass accumulates `(esup, Var)` and `Pr(X) ≈ 1 − Φ((msup − 0.5 −
+    /// esup)/√Var)`, at expected-support cost and with per-itemset
+    /// frequent probabilities.
     NDUApriori,
+    /// The paper's own algorithm (§3.3.3): UH-Mine's hyper-structure judged
+    /// by the Normal approximation — "a win-win partnership in sparse
+    /// uncertain databases".
     NDUHMine,
+    /// The definition-level oracle ([`BruteForce`]): test ground truth, not
+    /// a paper algorithm, and the one variant outside the matrix.
     BruteForce,
 }
 
@@ -150,8 +196,7 @@ impl Algorithm {
     }
 
     /// The algorithm's cell in the measure × traversal matrix (`None` for
-    /// the oracle). The returned [`MatrixMiner`] produces identical results
-    /// to the named miner — the registry test pins this.
+    /// the oracle) — what every mining call on the algorithm runs.
     pub fn matrix_cell(self) -> Option<MatrixMiner> {
         let mut cell = MatrixMiner::new(self.measure()?, self.traversal()?);
         if self.chernoff() == Some(false) {
@@ -187,60 +232,12 @@ impl Algorithm {
         }
     }
 
-    /// Instantiates the miner as an expected-support miner, if it is one
-    /// (default backend).
-    pub fn expected_support_miner(self) -> Option<Box<dyn ExpectedSupportMiner>> {
-        self.expected_support_miner_with(EngineKind::default())
-    }
-
-    /// Instantiates an expected-support miner on the given support backend.
-    ///
-    /// Only the Apriori-framework miners are backend-parameterized; the
-    /// depth-first miners (UFP-growth, UH-Mine) and the oracle carry their
-    /// own data structures and ignore the selection.
-    pub fn expected_support_miner_with(
-        self,
-        engine: EngineKind,
-    ) -> Option<Box<dyn ExpectedSupportMiner>> {
-        match self {
-            Algorithm::UApriori => Some(Box::new(UApriori::with_engine(engine))),
-            Algorithm::UFPGrowth => Some(Box::new(UFPGrowth::new())),
-            Algorithm::UHMine => Some(Box::new(UHMine::new())),
-            Algorithm::BruteForce => Some(Box::new(BruteForce::new())),
-            _ => None,
-        }
-    }
-
     /// True when the algorithm's support computation runs over the
-    /// pluggable [`EngineKind`] seam (Apriori-framework miners). For the
-    /// probabilistic ones the backend travels in
-    /// [`ufim_core::MiningParams::engine`].
+    /// pluggable [`EngineKind`] seam — exactly the
+    /// level-wise traversal's algorithms. The backend travels in
+    /// [`MiningParams::engine`]; every other algorithm ignores it.
     pub fn supports_engine_selection(self) -> bool {
-        matches!(
-            self,
-            Algorithm::UApriori
-                | Algorithm::PDUApriori
-                | Algorithm::NDUApriori
-                | Algorithm::DPB
-                | Algorithm::DPNB
-                | Algorithm::DCB
-                | Algorithm::DCNB
-        )
-    }
-
-    /// Instantiates the miner as a probabilistic miner, if it is one.
-    pub fn probabilistic_miner(self) -> Option<Box<dyn ProbabilisticMiner>> {
-        match self {
-            Algorithm::DPB => Some(Box::new(DpMiner::with_pruning())),
-            Algorithm::DPNB => Some(Box::new(DpMiner::without_pruning())),
-            Algorithm::DCB => Some(Box::new(DcMiner::with_pruning())),
-            Algorithm::DCNB => Some(Box::new(DcMiner::without_pruning())),
-            Algorithm::PDUApriori => Some(Box::new(PDUApriori::new())),
-            Algorithm::NDUApriori => Some(Box::new(NDUApriori::new())),
-            Algorithm::NDUHMine => Some(Box::new(NDUHMine::new())),
-            Algorithm::BruteForce => Some(Box::new(BruteForce::new())),
-            _ => None,
-        }
+        self.traversal() == Some(TraversalKind::LevelWise)
     }
 
     /// Parses a paper-style name (case-insensitive, dashes optional).
@@ -267,6 +264,85 @@ impl Algorithm {
     }
 }
 
+impl MinerInfo for Algorithm {
+    fn name(&self) -> &'static str {
+        Algorithm::name(*self)
+    }
+
+    fn description(&self) -> &'static str {
+        match self {
+            Algorithm::UApriori => {
+                "breadth-first generate-and-test on expected support (Table 3: no auxiliary structure)"
+            }
+            Algorithm::UFPGrowth => {
+                "depth-first divide-and-conquer over a UFP-tree (nodes shared only on equal item AND probability)"
+            }
+            Algorithm::UHMine => {
+                "depth-first search over the UH-Struct (head tables + pointer arena)"
+            }
+            Algorithm::DPB | Algorithm::DPNB => {
+                "exact frequent probability via O(N·msup) dynamic programming (Apriori framework)"
+            }
+            Algorithm::DCB | Algorithm::DCNB => {
+                "exact frequent probability via divide-and-conquer + FFT convolution (Apriori framework)"
+            }
+            Algorithm::PDUApriori => {
+                "Poisson approximation folded into an expected-support threshold; UApriori framework"
+            }
+            Algorithm::NDUApriori => {
+                "Normal (CLT) approximation of the frequent probability; Apriori framework"
+            }
+            Algorithm::NDUHMine => {
+                "UH-Mine hyper-structure + Normal (CLT) frequent-probability judgment (the paper's novel algorithm)"
+            }
+            Algorithm::BruteForce => {
+                "definition-level oracle (test ground truth, not a paper algorithm)"
+            }
+        }
+    }
+}
+
+impl ProbabilisticMiner for Algorithm {
+    /// Mines the algorithm's matrix cell (the oracle mines Definition 4
+    /// directly). The expected-support group reads `params.min_sup` as
+    /// Definition 2's `min_esup` and ignores `pft`, as every
+    /// [`MatrixMiner`] expected-support cell does.
+    fn mine_probabilistic(
+        &self,
+        db: &UncertainDatabase,
+        params: MiningParams,
+    ) -> Result<MiningResult, CoreError> {
+        match self.matrix_cell() {
+            Some(cell) => cell.mine_probabilistic(db, params),
+            None => BruteForce::new().mine_probabilistic(db, params),
+        }
+    }
+}
+
+impl ExpectedSupportMiner for Algorithm {
+    /// Mines Definition 2 on the default support backend.
+    ///
+    /// # Errors
+    /// [`CoreError::NotExpectedSupport`] for an algorithm outside the
+    /// expected-support group (the oracle speaks both definitions).
+    fn mine_expected(
+        &self,
+        db: &UncertainDatabase,
+        min_esup: Ratio,
+    ) -> Result<MiningResult, CoreError> {
+        match self.group() {
+            // `min_sup` carries `min_esup`; the measure never reads `pft`.
+            AlgorithmGroup::ExpectedSupport => {
+                self.mine_probabilistic(db, MiningParams::new(min_esup.get(), 1.0)?)
+            }
+            AlgorithmGroup::Oracle => BruteForce::new().mine_expected(db, min_esup),
+            _ => Err(CoreError::NotExpectedSupport {
+                algorithm: self.name(),
+            }),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,15 +350,19 @@ mod tests {
 
     #[test]
     fn groups_partition_the_algorithms() {
+        let db = paper_table1();
         for a in Algorithm::EXPECTED_SUPPORT {
             assert_eq!(a.group(), AlgorithmGroup::ExpectedSupport);
-            assert!(a.expected_support_miner().is_some());
-            assert!(a.probabilistic_miner().is_none());
+            assert!(a.mine_expected_ratio(&db, 0.5).is_ok());
         }
         for a in Algorithm::EXACT_PROBABILISTIC {
             assert_eq!(a.group(), AlgorithmGroup::ExactProbabilistic);
-            assert!(a.probabilistic_miner().is_some());
-            assert!(a.expected_support_miner().is_none());
+            assert_eq!(
+                a.mine_expected_ratio(&db, 0.5).unwrap_err(),
+                CoreError::NotExpectedSupport {
+                    algorithm: a.name()
+                }
+            );
         }
         for a in [
             Algorithm::PDUApriori,
@@ -290,28 +370,18 @@ mod tests {
             Algorithm::NDUHMine,
         ] {
             assert_eq!(a.group(), AlgorithmGroup::ApproximateProbabilistic);
-            assert!(a.probabilistic_miner().is_some());
+            assert!(a.mine_expected_ratio(&db, 0.5).is_err());
         }
         // The oracle speaks both interfaces.
-        assert!(Algorithm::BruteForce.expected_support_miner().is_some());
-        assert!(Algorithm::BruteForce.probabilistic_miner().is_some());
+        assert!(Algorithm::BruteForce.mine_expected_ratio(&db, 0.5).is_ok());
+        assert!(Algorithm::BruteForce
+            .mine_probabilistic_raw(&db, 0.5, 0.7)
+            .is_ok());
     }
 
     #[test]
     fn parse_roundtrip() {
-        for a in [
-            Algorithm::UApriori,
-            Algorithm::UFPGrowth,
-            Algorithm::UHMine,
-            Algorithm::DPB,
-            Algorithm::DPNB,
-            Algorithm::DCB,
-            Algorithm::DCNB,
-            Algorithm::PDUApriori,
-            Algorithm::NDUApriori,
-            Algorithm::NDUHMine,
-            Algorithm::BruteForce,
-        ] {
+        for a in ALL {
             assert_eq!(Algorithm::parse(a.name()), Some(a), "{}", a.name());
         }
         assert_eq!(Algorithm::parse("ufp-GROWTH"), Some(Algorithm::UFPGrowth));
@@ -321,17 +391,12 @@ mod tests {
     #[test]
     fn engine_selection_reaches_apriori_framework_miners() {
         let db = paper_table1();
+        let params = MiningParams::new(0.25, 0.7).unwrap();
         for algo in [Algorithm::UApriori, Algorithm::UFPGrowth, Algorithm::UHMine] {
-            let h = algo
-                .expected_support_miner_with(EngineKind::Horizontal)
-                .unwrap()
-                .mine_expected_ratio(&db, 0.25)
-                .unwrap();
+            let h = algo.mine_probabilistic(&db, params).unwrap();
             for engine in [EngineKind::Vertical, EngineKind::Diffset] {
                 let v = algo
-                    .expected_support_miner_with(engine)
-                    .unwrap()
-                    .mine_expected_ratio(&db, 0.25)
+                    .mine_probabilistic(&db, params.with_engine(engine))
                     .unwrap();
                 assert_eq!(
                     h.sorted_itemsets(),
@@ -351,14 +416,16 @@ mod tests {
     fn boxed_miners_run() {
         let db = paper_table1();
         for a in Algorithm::EXPECTED_SUPPORT {
-            let m = a.expected_support_miner().unwrap();
+            let m: Box<dyn ExpectedSupportMiner> = Box::new(a);
             let r = m.mine_expected_ratio(&db, 0.5).unwrap();
             assert_eq!(r.len(), 2, "{}", a.name());
+            assert_eq!(m.name(), a.name());
         }
         for a in Algorithm::EXACT_PROBABILISTIC {
-            let m = a.probabilistic_miner().unwrap();
+            let m: Box<dyn ProbabilisticMiner> = Box::new(a);
             let r = m.mine_probabilistic_raw(&db, 0.5, 0.7).unwrap();
             assert!(!r.is_empty(), "{}", a.name());
+            assert!(!m.description().is_empty());
         }
     }
 
@@ -424,23 +491,17 @@ mod tests {
 
     #[test]
     fn matrix_cells_reproduce_named_probabilistic_miners() {
+        // Every named algorithm is its cell: the same records and counters
+        // through either entry point.
         let db = paper_table1();
-        let params = ufim_core::MiningParams::new(0.5, 0.7).unwrap();
+        let params = MiningParams::new(0.5, 0.7).unwrap();
         for a in ALL {
-            let (Some(cell), Some(miner)) = (a.matrix_cell(), a.probabilistic_miner()) else {
+            let Some(cell) = a.matrix_cell() else {
                 continue;
             };
-            if a.measure() == Some(MeasureKind::ExpectedSupport) {
-                continue; // named interface is ExpectedSupportMiner
-            }
             let got = cell.mine_probabilistic(&db, params).unwrap();
-            let want = miner.mine_probabilistic(&db, params).unwrap();
-            assert_eq!(
-                got.sorted_itemsets(),
-                want.sorted_itemsets(),
-                "{}",
-                a.name()
-            );
+            let want = a.mine_probabilistic(&db, params).unwrap();
+            assert_eq!(got.itemsets, want.itemsets, "{}", a.name());
             assert_eq!(got.stats, want.stats, "{}", a.name());
         }
     }

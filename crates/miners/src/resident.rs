@@ -9,10 +9,10 @@
 //! *parameter* axis), any query whose parameters are **covered** by the
 //! basis — `t' ≥ t₀` in the measure's own threshold geometry — is answered
 //! by re-judging the retained records: zero database scans, zero tid-list
-//! intersections, and records **bit-identical** to a cold
-//! [`MatrixMiner`](crate::matrix::MatrixMiner) run at the query parameters
-//! (the engine statistics of a candidate do not depend on the threshold,
-//! and `judge` is a pure function of those statistics).
+//! intersections, and records **bit-identical** to a cold [`MatrixMiner`]
+//! run at the query parameters (the engine statistics of a candidate do not
+//! depend on the threshold, and `judge` is a pure function of those
+//! statistics).
 //!
 //! Coverage per measure kind (same dataset, `n` transactions):
 //!
@@ -30,9 +30,9 @@
 //! queries trivially safe.
 
 use crate::common::measure::{
-    mine_level_wise_captured, ExactKernel, ExactMeasure, ExpectedSupport, FrequentnessMeasure,
-    NormalApprox, PoissonApprox, RetainedRecord,
+    mine_level_wise_captured, FrequentnessMeasure, PoissonApprox, RetainedRecord,
 };
+use crate::matrix::{MatrixMiner, MeasureUse};
 use ufim_core::prelude::*;
 
 /// The basis threshold of a resident lattice, in the owning measure's own
@@ -57,10 +57,10 @@ pub struct ResidentLattice {
     bytes: u64,
 }
 
-/// Builds the measure for one `(kind, params)` cell exactly as
-/// [`MatrixMiner`](crate::matrix::MatrixMiner) does (Chernoff screening on
-/// — the default `B` variants). `Ok(None)` is the Poisson-infeasible case:
-/// the cold answer is empty without mining anything.
+/// Builds the measure for one `(kind, params)` cell through
+/// [`MatrixMiner`]'s own constructor (Chernoff screening on — the default
+/// `B` variants). `Ok(None)` is the Poisson-infeasible case: the cold
+/// answer is empty without mining anything.
 ///
 /// The serving layer judges non-resident probe itemsets through this exact
 /// recipe so probe verdicts agree with full mines at the same parameters.
@@ -72,36 +72,37 @@ pub fn boxed_measure(
     n: usize,
     params: &MiningParams,
 ) -> Result<Option<Box<dyn FrequentnessMeasure + Send + Sync>>, CoreError> {
-    Ok(match kind {
-        MeasureKind::ExpectedSupport => Some(Box::new(ExpectedSupport::new(
-            params.min_sup.threshold_real(n),
-        ))),
-        MeasureKind::Poisson => PoissonApprox::from_params(n, params)?
-            .map(|m| Box::new(m) as Box<dyn FrequentnessMeasure + Send + Sync>),
-        MeasureKind::Normal => Some(Box::new(NormalApprox::new(
-            params.msup(n),
-            params.pft.get(),
-        ))),
-        MeasureKind::ExactDp => Some(Box::new(ExactMeasure::new(
-            ExactKernel::DynamicProgramming,
-            true,
-            n,
-            params,
-        ))),
-        MeasureKind::ExactDc => Some(Box::new(ExactMeasure::new(
-            ExactKernel::DivideConquer,
-            true,
-            n,
-            params,
-        ))),
-    })
+    struct Boxed;
+    impl MeasureUse for Boxed {
+        type Output = Box<dyn FrequentnessMeasure + Send + Sync>;
+        fn apply<M: FrequentnessMeasure + Send + Sync + 'static>(self, m: M) -> Self::Output {
+            Box::new(m)
+        }
+    }
+    MatrixMiner::new(kind, TraversalKind::LevelWise).with_measure(n, params, Boxed)
+}
+
+/// Mines level-wise with a cell's measure, capturing the kept candidates'
+/// statistics and the measure's expected-support cut, if it is one.
+struct Capture<'a> {
+    db: &'a UncertainDatabase,
+    engine: EngineKind,
+}
+
+impl MeasureUse for Capture<'_> {
+    type Output = (Option<f64>, MiningResult, Vec<RetainedRecord>);
+    fn apply<M: FrequentnessMeasure + Send + Sync + 'static>(self, m: M) -> Self::Output {
+        let cut = m.as_esup_threshold();
+        let (result, records) = mine_level_wise_captured(self.db, m, self.engine);
+        (cut, result, records)
+    }
 }
 
 impl ResidentLattice {
     /// Cold-mines `db` at `params` on the level-wise traversal, capturing
     /// the kept candidates' statistics, and returns the resident lattice
-    /// plus the cold result (bit-identical to
-    /// [`MatrixMiner`](crate::matrix::MatrixMiner) at the same cell).
+    /// plus the cold result (bit-identical to [`MatrixMiner`] at the same
+    /// cell).
     ///
     /// # Errors
     /// Propagates parameter validation from the measure constructors.
@@ -120,39 +121,13 @@ impl ResidentLattice {
             };
             (basis, MiningResult::default(), Vec::new())
         } else {
-            match measure {
-                MeasureKind::ExpectedSupport => {
-                    let cut = params.min_sup.threshold_real(n);
-                    let (r, recs) = mine_level_wise_captured(db, ExpectedSupport::new(cut), engine);
-                    (Basis::EsupCut(Some(cut)), r, recs)
-                }
-                MeasureKind::Poisson => match PoissonApprox::from_params(n, params)? {
-                    None => (Basis::EsupCut(None), MiningResult::default(), Vec::new()),
-                    Some(m) => {
-                        let cut = m.threshold();
-                        let (r, recs) = mine_level_wise_captured(db, m, engine);
-                        (Basis::EsupCut(Some(cut)), r, recs)
-                    }
-                },
-                MeasureKind::Normal => {
-                    let (msup, pft) = (params.msup(n), params.pft.get());
-                    let (r, recs) =
-                        mine_level_wise_captured(db, NormalApprox::new(msup, pft), engine);
-                    (Basis::MsupPft(msup, pft), r, recs)
-                }
-                MeasureKind::ExactDp | MeasureKind::ExactDc => {
-                    let kernel = if measure == MeasureKind::ExactDp {
-                        ExactKernel::DynamicProgramming
-                    } else {
-                        ExactKernel::DivideConquer
-                    };
-                    let (msup, pft) = (params.msup(n), params.pft.get());
-                    let (r, recs) = mine_level_wise_captured(
-                        db,
-                        ExactMeasure::new(kernel, true, n, params),
-                        engine,
-                    );
-                    (Basis::MsupPft(msup, pft), r, recs)
+            let cell = MatrixMiner::new(measure, TraversalKind::LevelWise);
+            match cell.with_measure(n, params, Capture { db, engine })? {
+                // Poisson-infeasible λ*: nothing can qualify.
+                None => (Basis::EsupCut(None), MiningResult::default(), Vec::new()),
+                Some((Some(cut), r, recs)) => (Basis::EsupCut(Some(cut)), r, recs),
+                Some((None, r, recs)) => {
+                    (Basis::MsupPft(params.msup(n), params.pft.get()), r, recs)
                 }
             }
         };
@@ -232,7 +207,7 @@ impl ResidentLattice {
     /// Answers a covered query by re-judging the retained records —
     /// `None` if [`covers`](Self::covers) fails. The returned records are
     /// canonicalized (sorted by itemset) and bit-identical to a cold
-    /// level-wise [`MatrixMiner`](crate::matrix::MatrixMiner) mine at
+    /// level-wise [`MatrixMiner`] mine at
     /// `params` (canonicalized likewise); the stats show the warm cost:
     /// zero scans, zero intersections, `candidates_evaluated` = retained
     /// record count.

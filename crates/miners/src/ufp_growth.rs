@@ -92,28 +92,6 @@ const SPAWN_MAX_DEPTH: usize = 24;
 /// Beyond the cap a tree is freed, so recycling cannot hoard memory.
 const FREE_TREES_MAX: usize = 8;
 
-/// The UFP-growth miner.
-#[derive(Clone, Debug, Default)]
-pub struct UFPGrowth {
-    _private: (),
-}
-
-impl UFPGrowth {
-    /// Creates the miner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl MinerInfo for UFPGrowth {
-    fn name(&self) -> &'static str {
-        "UFP-growth"
-    }
-    fn description(&self) -> &'static str {
-        "depth-first divide-and-conquer over a UFP-tree (nodes shared only on equal item AND probability)"
-    }
-}
-
 /// One UFP-tree node: `(item-rank, probability)` plus the accumulated path
 /// weights and tree links. `weight` generalizes the paper's count: at build
 /// time it is the number of transactions through the node; in conditional
@@ -563,28 +541,17 @@ pub(crate) fn mine_tree<M: FrequentnessMeasure>(
     result
 }
 
-impl ExpectedSupportMiner for UFPGrowth {
-    fn mine_expected(
-        &self,
-        db: &UncertainDatabase,
-        min_esup: Ratio,
-    ) -> Result<MiningResult, CoreError> {
-        let threshold = min_esup.threshold_real(db.num_transactions());
-        let measure = crate::common::measure::ExpectedSupport::new(threshold);
-        Ok(mine_tree(db, &measure))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::brute::BruteForce;
+    use crate::registry::Algorithm;
     use ufim_core::examples::{deterministic_small, paper_table1};
 
     #[test]
     fn example1_matches_paper() {
         let db = paper_table1();
-        let r = UFPGrowth::new().mine_expected_ratio(&db, 0.5).unwrap();
+        let r = Algorithm::UFPGrowth.mine_expected_ratio(&db, 0.5).unwrap();
         assert_eq!(
             r.sorted_itemsets(),
             vec![Itemset::singleton(0), Itemset::singleton(2)]
@@ -595,7 +562,7 @@ mod tests {
     fn figure1_tree_threshold() {
         // min_esup = 0.25 is the Figure 1 setting: all 6 items frequent.
         let db = paper_table1();
-        let r = UFPGrowth::new().mine_expected_ratio(&db, 0.25).unwrap();
+        let r = Algorithm::UFPGrowth.mine_expected_ratio(&db, 0.25).unwrap();
         let oracle = BruteForce::new().mine_expected_ratio(&db, 0.25).unwrap();
         assert_eq!(r.sorted_itemsets(), oracle.sorted_itemsets());
         // esup values carried through the tree must match the definition.
@@ -615,7 +582,9 @@ mod tests {
     fn agrees_with_oracle_across_thresholds() {
         let db = paper_table1();
         for min_esup in [0.1, 0.2, 0.3, 0.45, 0.6, 0.9] {
-            let fast = UFPGrowth::new().mine_expected_ratio(&db, min_esup).unwrap();
+            let fast = Algorithm::UFPGrowth
+                .mine_expected_ratio(&db, min_esup)
+                .unwrap();
             let slow = BruteForce::new()
                 .mine_expected_ratio(&db, min_esup)
                 .unwrap();
@@ -635,7 +604,7 @@ mod tests {
             Transaction::new([(0, 0.6)]).unwrap(),
             Transaction::new([(0, 0.5)]).unwrap(), // shares with the first
         ]);
-        let r = UFPGrowth::new().mine_expected_ratio(&db, 0.1).unwrap();
+        let r = Algorithm::UFPGrowth.mine_expected_ratio(&db, 0.1).unwrap();
         // esup(0) = 1.6; structure had root + 2 distinct (item,prob) nodes.
         assert!((r.get(&Itemset::singleton(0)).unwrap().expected_support - 1.6).abs() < 1e-12);
         assert_eq!(r.stats.peak_structure_nodes, 3);
@@ -646,7 +615,7 @@ mod tests {
         // With all probabilities 1.0 sharing works, so identical
         // transactions collapse into one path.
         let db = UncertainDatabase::from_transactions(vec![Transaction::certain([0, 1, 2]); 50]);
-        let r = UFPGrowth::new().mine_expected_ratio(&db, 0.5).unwrap();
+        let r = Algorithm::UFPGrowth.mine_expected_ratio(&db, 0.5).unwrap();
         assert_eq!(r.stats.peak_structure_nodes, 4); // root + one 3-node path
         assert_eq!(r.len(), 7); // 2^3 - 1 itemsets all frequent
     }
@@ -655,7 +624,9 @@ mod tests {
     fn deterministic_db_matches_oracle() {
         let db = deterministic_small();
         for min_esup in [0.2, 0.4, 0.6, 0.8, 1.0] {
-            let fast = UFPGrowth::new().mine_expected_ratio(&db, min_esup).unwrap();
+            let fast = Algorithm::UFPGrowth
+                .mine_expected_ratio(&db, min_esup)
+                .unwrap();
             let slow = BruteForce::new()
                 .mine_expected_ratio(&db, min_esup)
                 .unwrap();
@@ -693,12 +664,12 @@ mod tests {
     #[test]
     fn empty_db_and_nothing_frequent() {
         let db = UncertainDatabase::from_transactions(vec![]);
-        assert!(UFPGrowth::new()
+        assert!(Algorithm::UFPGrowth
             .mine_expected_ratio(&db, 0.5)
             .unwrap()
             .is_empty());
         let db = paper_table1();
-        assert!(UFPGrowth::new()
+        assert!(Algorithm::UFPGrowth
             .mine_expected_ratio(&db, 1.0)
             .unwrap()
             .is_empty());

@@ -79,36 +79,6 @@ const SPAWN_MAX_DEPTH: usize = 24;
 /// "No row buffer": the slot of a rank that pass 2 skips.
 const NO_SLOT: u32 = u32::MAX;
 
-/// The UH-Mine miner.
-#[derive(Clone, Debug, Default)]
-pub struct UHMine {
-    /// Also accumulate per-itemset support variance (used by NDUH-Mine).
-    pub compute_variance: bool,
-}
-
-impl UHMine {
-    /// Plain UH-Mine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// UH-Mine recording each itemset's support variance.
-    pub fn with_variance() -> Self {
-        UHMine {
-            compute_variance: true,
-        }
-    }
-}
-
-impl MinerInfo for UHMine {
-    fn name(&self) -> &'static str {
-        "UH-Mine"
-    }
-    fn description(&self) -> &'static str {
-        "depth-first search over the UH-Struct (head tables + pointer arena)"
-    }
-}
-
 /// One arena cell: item (as frequency rank) and its probability.
 #[derive(Clone, Copy)]
 struct Cell {
@@ -515,32 +485,18 @@ pub(crate) fn mine_hyper<M: FrequentnessMeasure>(
     result
 }
 
-impl ExpectedSupportMiner for UHMine {
-    fn mine_expected(
-        &self,
-        db: &UncertainDatabase,
-        min_esup: Ratio,
-    ) -> Result<MiningResult, CoreError> {
-        let threshold = min_esup.threshold_real(db.num_transactions());
-        let measure = if self.compute_variance {
-            crate::common::measure::ExpectedSupport::with_variance(threshold)
-        } else {
-            crate::common::measure::ExpectedSupport::new(threshold)
-        };
-        Ok(mine_hyper(db, &measure))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::brute::BruteForce;
+    use crate::common::measure::ExpectedSupport;
+    use crate::registry::Algorithm;
     use ufim_core::examples::{deterministic_small, paper_table1};
 
     #[test]
     fn example1_matches_paper() {
         let db = paper_table1();
-        let r = UHMine::new().mine_expected_ratio(&db, 0.5).unwrap();
+        let r = Algorithm::UHMine.mine_expected_ratio(&db, 0.5).unwrap();
         assert_eq!(
             r.sorted_itemsets(),
             vec![Itemset::singleton(0), Itemset::singleton(2)]
@@ -552,7 +508,9 @@ mod tests {
     fn agrees_with_oracle_across_thresholds() {
         let db = paper_table1();
         for min_esup in [0.1, 0.2, 0.25, 0.3, 0.45, 0.6, 0.9] {
-            let fast = UHMine::new().mine_expected_ratio(&db, min_esup).unwrap();
+            let fast = Algorithm::UHMine
+                .mine_expected_ratio(&db, min_esup)
+                .unwrap();
             let slow = BruteForce::new()
                 .mine_expected_ratio(&db, min_esup)
                 .unwrap();
@@ -567,7 +525,7 @@ mod tests {
     #[test]
     fn esup_values_match_definition() {
         let db = paper_table1();
-        let r = UHMine::new().mine_expected_ratio(&db, 0.25).unwrap();
+        let r = Algorithm::UHMine.mine_expected_ratio(&db, 0.25).unwrap();
         for fi in &r.itemsets {
             let want = db.expected_support(fi.itemset.items());
             assert!(
@@ -583,9 +541,8 @@ mod tests {
     #[test]
     fn variance_mode_matches_definition() {
         let db = paper_table1();
-        let r = UHMine::with_variance()
-            .mine_expected_ratio(&db, 0.25)
-            .unwrap();
+        let r = mine_hyper(&db, &ExpectedSupport::with_variance(1.0));
+        assert!(!r.is_empty());
         for fi in &r.itemsets {
             let (we, wv) = db.support_moments(fi.itemset.items());
             assert!((fi.expected_support - we).abs() < 1e-9);
@@ -603,7 +560,9 @@ mod tests {
     fn deterministic_db_matches_oracle() {
         let db = deterministic_small();
         for min_esup in [0.2, 0.4, 0.6, 0.8, 1.0] {
-            let fast = UHMine::new().mine_expected_ratio(&db, min_esup).unwrap();
+            let fast = Algorithm::UHMine
+                .mine_expected_ratio(&db, min_esup)
+                .unwrap();
             let slow = BruteForce::new()
                 .mine_expected_ratio(&db, min_esup)
                 .unwrap();
@@ -616,19 +575,19 @@ mod tests {
         let db = paper_table1();
         // At threshold 2.0 only C and A are frequent: the arena holds only
         // their cells (C in T1..T3, A in T1..T3 → 6 cells).
-        let r = UHMine::new().mine_expected_ratio(&db, 0.5).unwrap();
+        let r = Algorithm::UHMine.mine_expected_ratio(&db, 0.5).unwrap();
         assert_eq!(r.stats.peak_structure_nodes, 6);
     }
 
     #[test]
     fn empty_db_and_high_threshold() {
         let db = UncertainDatabase::from_transactions(vec![]);
-        assert!(UHMine::new()
+        assert!(Algorithm::UHMine
             .mine_expected_ratio(&db, 0.5)
             .unwrap()
             .is_empty());
         let db = paper_table1();
-        assert!(UHMine::new()
+        assert!(Algorithm::UHMine
             .mine_expected_ratio(&db, 1.0)
             .unwrap()
             .is_empty());

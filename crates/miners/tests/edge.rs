@@ -2,28 +2,18 @@
 //! databases, boundary thresholds, vocabulary gaps, and parameter abuse.
 
 use ufim_core::prelude::*;
-use ufim_miners::{Algorithm, BruteForce, DcMiner, UApriori};
+use ufim_miners::{Algorithm, BruteForce};
 
-fn all_expected() -> Vec<Box<dyn ExpectedSupportMiner>> {
+fn all_expected() -> [Algorithm; 3] {
     Algorithm::EXPECTED_SUPPORT
-        .iter()
-        .map(|a| a.expected_support_miner().unwrap())
-        .collect()
 }
 
-fn all_probabilistic() -> Vec<Box<dyn ProbabilisticMiner>> {
-    Algorithm::EXACT_PROBABILISTIC
-        .iter()
-        .chain(
-            [
-                Algorithm::PDUApriori,
-                Algorithm::NDUApriori,
-                Algorithm::NDUHMine,
-            ]
-            .iter(),
-        )
-        .map(|a| a.probabilistic_miner().unwrap())
-        .collect()
+fn all_probabilistic() -> impl Iterator<Item = Algorithm> {
+    Algorithm::EXACT_PROBABILISTIC.into_iter().chain([
+        Algorithm::PDUApriori,
+        Algorithm::NDUApriori,
+        Algorithm::NDUHMine,
+    ])
 }
 
 #[test]
@@ -166,7 +156,7 @@ fn extreme_pft_values() {
     let db = ufim_core::examples::paper_table1();
     // pft near 1: only certainty-level itemsets survive. Pr{sup(C) >= 1}
     // = 0.998 > 0.99.
-    let r = DcMiner::with_pruning()
+    let r = Algorithm::DCB
         .mine_probabilistic_raw(&db, 0.25, 0.99)
         .unwrap();
     assert!(r.get(&Itemset::singleton(2)).is_some());
@@ -175,7 +165,7 @@ fn extreme_pft_values() {
         assert!(fi.frequent_prob.unwrap() > 0.99);
     }
     // Tiny pft: membership widens monotonically.
-    let loose = DcMiner::with_pruning()
+    let loose = Algorithm::DCB
         .mine_probabilistic_raw(&db, 0.25, 0.01)
         .unwrap();
     assert!(loose.len() >= r.len());
@@ -190,12 +180,12 @@ fn extreme_pft_values() {
 #[test]
 fn parameter_validation_at_the_boundary() {
     let db = ufim_core::examples::paper_table1();
-    let m = UApriori::new();
+    let m = Algorithm::UApriori;
     assert!(m.mine_expected_ratio(&db, 0.0).is_err());
     assert!(m.mine_expected_ratio(&db, -1.0).is_err());
     assert!(m.mine_expected_ratio(&db, 1.0 + 1e-9).is_err());
     assert!(m.mine_expected_ratio(&db, f64::NAN).is_err());
-    let p = DcMiner::with_pruning();
+    let p = Algorithm::DCB;
     assert!(p.mine_probabilistic_raw(&db, 0.5, 0.0).is_err());
     assert!(p.mine_probabilistic_raw(&db, 0.5, f64::INFINITY).is_err());
     assert!(p.mine_probabilistic_raw(&db, f64::NAN, 0.9).is_err());
@@ -219,7 +209,7 @@ fn probability_epsilon_units_do_not_break_counting() {
             m.name()
         );
     }
-    let r = DcMiner::with_pruning()
+    let r = Algorithm::DCB
         .mine_probabilistic_raw(&db, 1.0, 0.5)
         .unwrap();
     assert_eq!(r.sorted_itemsets(), vec![Itemset::singleton(1)]);
@@ -230,9 +220,10 @@ fn duplicate_probability_nodes_share_in_ufp_tree() {
     // Regression guard for the UFP-tree sharing rule: same item, identical
     // bit-pattern probabilities must share; the structure statistic is the
     // observable.
-    use ufim_miners::UFPGrowth;
     let same = UncertainDatabase::from_transactions(vec![Transaction::new([(0, 0.5)]).unwrap(); 8]);
-    let r = UFPGrowth::new().mine_expected_ratio(&same, 0.1).unwrap();
+    let r = Algorithm::UFPGrowth
+        .mine_expected_ratio(&same, 0.1)
+        .unwrap();
     assert_eq!(r.stats.peak_structure_nodes, 2); // root + one shared node
 
     let differ = UncertainDatabase::from_transactions(
@@ -240,6 +231,8 @@ fn duplicate_probability_nodes_share_in_ufp_tree() {
             .map(|i| Transaction::new([(0, 0.5 + i as f64 * 0.01)]).unwrap())
             .collect(),
     );
-    let r = UFPGrowth::new().mine_expected_ratio(&differ, 0.1).unwrap();
+    let r = Algorithm::UFPGrowth
+        .mine_expected_ratio(&differ, 0.1)
+        .unwrap();
     assert_eq!(r.stats.peak_structure_nodes, 9); // root + 8 distinct nodes
 }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use ufim_core::prelude::*;
 use ufim_miners::common::trie::CandidateTrie;
 use ufim_miners::common::FrequencyOrder;
-use ufim_miners::{postprocess, BruteForce, UApriori, UFPGrowth, UHMine};
+use ufim_miners::{postprocess, Algorithm, BruteForce};
 
 fn prob() -> impl Strategy<Value = f64> {
     (1u32..=100).prop_map(|k| k as f64 / 100.0)
@@ -88,9 +88,9 @@ proptest! {
     #[test]
     fn depth_first_miners_match_breadth_first(db in small_db(), te in 1u32..=9) {
         let ratio = te as f64 / 10.0;
-        let a = UApriori::new().mine_expected_ratio(&db, ratio).unwrap();
-        let b = UHMine::new().mine_expected_ratio(&db, ratio).unwrap();
-        let c = UFPGrowth::new().mine_expected_ratio(&db, ratio).unwrap();
+        let a = Algorithm::UApriori.mine_expected_ratio(&db, ratio).unwrap();
+        let b = Algorithm::UHMine.mine_expected_ratio(&db, ratio).unwrap();
+        let c = Algorithm::UFPGrowth.mine_expected_ratio(&db, ratio).unwrap();
         prop_assert_eq!(a.sorted_itemsets(), b.sorted_itemsets());
         prop_assert_eq!(b.sorted_itemsets(), c.sorted_itemsets());
     }

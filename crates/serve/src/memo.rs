@@ -58,6 +58,8 @@ pub struct MemoCounters {
     pub misses: u64,
     /// Queries that re-mined below the resident basis and swapped it.
     pub extends: u64,
+    /// Resident lattices evicted to keep the byte budget.
+    pub evictions: u64,
 }
 
 /// The shared cross-query memo.
@@ -143,12 +145,13 @@ impl ResidentMemo {
         Ok(None)
     }
 
-    /// A snapshot of the hit/miss/extend counters.
+    /// A snapshot of the hit/miss/extend/eviction counters.
     pub fn counters(&self) -> MemoCounters {
         MemoCounters {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             extends: self.extends.load(Ordering::Relaxed),
+            evictions: self.cache.stats().evictions,
         }
     }
 
@@ -211,7 +214,8 @@ mod tests {
             MemoCounters {
                 hits: 3,
                 misses: 1,
-                extends: 1
+                extends: 1,
+                evictions: 0,
             }
         );
         assert_eq!(memo.len(), 1);

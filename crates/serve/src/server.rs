@@ -407,6 +407,7 @@ impl ServeCore {
                     ("memo_hits".into(), Json::Num(c.hits as f64)),
                     ("memo_misses".into(), Json::Num(c.misses as f64)),
                     ("memo_extends".into(), Json::Num(c.extends as f64)),
+                    ("memo_evictions".into(), Json::Num(c.evictions as f64)),
                     ("resident_entries".into(), Json::Num(self.memo.len() as f64)),
                     (
                         "resident_bytes".into(),

@@ -8,8 +8,7 @@
 //!
 //! (The paper prints the formula as `Φ((N·min_sup − 0.5 − esup)/√Var)`,
 //! which *decreases* in `esup` — an orientation typo. The corrected form
-//! above is what [`normal_survival_with_continuity`] computes; see
-//! DESIGN.md §5.)
+//! above is what [`normal_survival_with_continuity`] computes.)
 //!
 //! `erf`/`erfc` follow W. J. Cody's SPECFUN rational approximations
 //! (three regimes split at 0.46875 and 4.0), accurate to ~1 ulp over the

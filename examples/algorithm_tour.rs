@@ -6,7 +6,7 @@
 //! Optional args: `<dataset> <scale>`, e.g.
 //! `cargo run --release --example algorithm_tour -- kosarak 0.02`
 
-use uncertain_fim::core::traits::{MinerInfo, ProbabilisticMiner};
+use uncertain_fim::core::traits::{ExpectedSupportMiner, MinerInfo, ProbabilisticMiner};
 use uncertain_fim::core::{MeasureKind, TraversalKind};
 use uncertain_fim::data::Benchmark;
 use uncertain_fim::metrics::table::{fmt_secs, Table};
@@ -51,8 +51,7 @@ fn main() {
 
     // Definition 2 miners at min_esup = min_sup.
     for algo in Algorithm::EXPECTED_SUPPORT {
-        let miner = algo.expected_support_miner().unwrap();
-        let (r, t) = measure(|| miner.mine_expected_ratio(&db, d.min_sup).unwrap());
+        let (r, t) = measure(|| algo.mine_expected_ratio(&db, d.min_sup).unwrap());
         table.row([
             algo.name().to_string(),
             "expected-support".into(),
@@ -68,8 +67,7 @@ fn main() {
         Algorithm::NDUApriori,
         Algorithm::NDUHMine,
     ]) {
-        let miner = algo.probabilistic_miner().unwrap();
-        let (r, t) = measure(|| miner.mine_probabilistic_raw(&db, d.min_sup, d.pft).unwrap());
+        let (r, t) = measure(|| algo.mine_probabilistic_raw(&db, d.min_sup, d.pft).unwrap());
         let group = match algo.group() {
             AlgorithmGroup::ExactProbabilistic => "exact probabilistic",
             AlgorithmGroup::ApproximateProbabilistic => "approximate",

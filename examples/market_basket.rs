@@ -47,18 +47,18 @@ fn main() {
         );
 
         // Definition 4, exact (ER in the paper's Tables 8-9 notation).
-        let exact = DcMiner::with_pruning()
+        let exact = Algorithm::DCB
             .mine_probabilistic_raw(&db, min_sup, pft)
             .expect("valid parameters");
 
         // Definition 4, approximate (AR): NDUApriori.
-        let approx = NDUApriori::new()
+        let approx = Algorithm::NDUApriori
             .mine_probabilistic_raw(&db, min_sup, pft)
             .expect("valid parameters");
         let acc = precision_recall(&approx, &exact);
 
         // Definition 2 at the same ratio: how far apart are the *worlds*?
-        let esup_world = UApriori::new()
+        let esup_world = Algorithm::UApriori
             .mine_expected_ratio(&db, min_sup)
             .expect("valid parameters");
         let esup_acc = precision_recall(&esup_world, &exact);
@@ -90,7 +90,7 @@ fn main() {
         },
         99,
     );
-    let exact = DcMiner::with_pruning()
+    let exact = Algorithm::DCB
         .mine_probabilistic_raw(&db, min_sup, pft)
         .expect("valid parameters");
     let mut pairs: Vec<&FrequentItemset> = exact

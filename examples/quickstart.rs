@@ -36,7 +36,7 @@ fn main() {
     // ── Definition 2: expected-support-based frequent itemsets ────────────
     // An itemset is frequent iff esup(X) = Σ_t Π_{x∈X} p_t(x) ≥ N·min_esup.
     println!("Expected-support mining (UApriori, min_esup = 0.5):");
-    let result = UApriori::new()
+    let result = Algorithm::UApriori
         .mine_expected_ratio(&db, 0.5)
         .expect("valid parameters");
     for fi in &result.itemsets {
@@ -52,7 +52,7 @@ fn main() {
     // An itemset is frequent iff Pr{sup(X) ≥ ⌈N·min_sup⌉} > pft, with the
     // support's full Poisson-Binomial distribution evaluated exactly.
     println!("\nExact probabilistic mining (DCB, min_sup = 0.5, pft = 0.7):");
-    let result = DcMiner::with_pruning()
+    let result = Algorithm::DCB
         .mine_probabilistic_raw(&db, 0.5, 0.7)
         .expect("valid parameters");
     for fi in &result.itemsets {
@@ -66,7 +66,7 @@ fn main() {
 
     // ── The bridge: approximate probabilistic mining at esup cost ─────────
     println!("\nNormal-approximation mining (NDUH-Mine, same parameters):");
-    let approx = NDUHMine::new()
+    let approx = Algorithm::NDUHMine
         .mine_probabilistic_raw(&db, 0.5, 0.7)
         .expect("valid parameters");
     for fi in &approx.itemsets {

@@ -33,13 +33,13 @@
 //! let db = uncertain_fim::core::examples::paper_table1();
 //!
 //! // Definition 2: expected-support-based frequent itemsets.
-//! let esup_result = UApriori::default()
+//! let esup_result = Algorithm::UApriori
 //!     .mine_expected_ratio(&db, 0.5)
 //!     .unwrap();
 //! assert_eq!(esup_result.len(), 2); // {A} and {C} — Example 1
 //!
 //! // Definition 4: probabilistic frequent itemsets (exact, DC + Chernoff).
-//! let prob_result = DcMiner::with_pruning()
+//! let prob_result = Algorithm::DCB
 //!     .mine_probabilistic_raw(&db, 0.5, 0.7)
 //!     .unwrap();
 //! assert!(prob_result.len() >= 1);
@@ -50,8 +50,8 @@
 //! The paper's taxonomy is two-dimensional — a *frequentness measure*
 //! (expected support, Poisson/Normal approximations, exact DP/DC) crossed
 //! with a *traversal* (level-wise Apriori, depth-first UH-Struct, UFP-tree
-//! growth). Every miner above is a named cell of that grid; `MatrixMiner`
-//! runs **any** cell, including combinations the paper never built:
+//! growth). Every [`miners::Algorithm`] is a named cell of that grid;
+//! `MatrixMiner` runs **any** cell, including combinations the paper never built:
 //!
 //! ```
 //! use uncertain_fim::core::{MeasureKind, TraversalKind};
@@ -64,7 +64,7 @@
 //! // same answers as DPB, different exploration strategy.
 //! let cell = MatrixMiner::new(MeasureKind::ExactDp, TraversalKind::HyperStructure);
 //! let novel = cell.mine_probabilistic_raw(&db, 0.5, 0.7).unwrap();
-//! let dpb = DpMiner::with_pruning().mine_probabilistic_raw(&db, 0.5, 0.7).unwrap();
+//! let dpb = Algorithm::DPB.mine_probabilistic_raw(&db, 0.5, 0.7).unwrap();
 //! assert_eq!(novel.sorted_itemsets(), dpb.sorted_itemsets());
 //!
 //! // The one principled hole: UFP-tree nodes aggregate transactions, so
@@ -98,17 +98,15 @@
 //! use uncertain_fim::prelude::*;
 //!
 //! let db = uncertain_fim::core::examples::paper_table1();
-//! let v = UApriori::with_engine(EngineKind::Vertical)
-//!     .mine_expected_ratio(&db, 0.5)
-//!     .unwrap();
-//! assert_eq!(v.len(), 2); // same answer, one database pass total
-//! assert_eq!(v.stats.scans, 1);
-//!
-//! // Probabilistic miners take the selector through their params:
+//! // Every algorithm takes the selector through its params; the
+//! // expected-support group reads `min_sup` as `min_esup`.
 //! let params = MiningParams::new(0.5, 0.7)
 //!     .unwrap()
 //!     .with_engine(EngineKind::Vertical);
-//! assert!(!DcMiner::with_pruning().mine_probabilistic(&db, params).unwrap().is_empty());
+//! let v = Algorithm::UApriori.mine_probabilistic(&db, params).unwrap();
+//! assert_eq!(v.len(), 2); // same answer, one database pass total
+//! assert_eq!(v.stats.scans, 1);
+//! assert!(!Algorithm::DCB.mine_probabilistic(&db, params).unwrap().is_empty());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -38,11 +38,7 @@ fn expected_support_miners_match_oracle_on_many_random_dbs() {
                 .mine_expected_ratio(&db, min_esup)
                 .unwrap();
             for algo in Algorithm::EXPECTED_SUPPORT {
-                let r = algo
-                    .expected_support_miner()
-                    .unwrap()
-                    .mine_expected_ratio(&db, min_esup)
-                    .unwrap();
+                let r = algo.mine_expected_ratio(&db, min_esup).unwrap();
                 assert_eq!(
                     r.sorted_itemsets(),
                     oracle.sorted_itemsets(),
@@ -73,11 +69,7 @@ fn exact_probabilistic_miners_match_oracle_on_many_random_dbs() {
                 .mine_probabilistic_raw(&db, min_sup, pft)
                 .unwrap();
             for algo in Algorithm::EXACT_PROBABILISTIC {
-                let r = algo
-                    .probabilistic_miner()
-                    .unwrap()
-                    .mine_probabilistic_raw(&db, min_sup, pft)
-                    .unwrap();
+                let r = algo.mine_probabilistic_raw(&db, min_sup, pft).unwrap();
                 assert_eq!(
                     r.sorted_itemsets(),
                     oracle.sorted_itemsets(),
@@ -105,11 +97,7 @@ fn downward_closure_holds_in_every_result() {
     let db = random_db(77, 50, 6, 0.5);
     let mut results: Vec<(String, MiningResult)> = Vec::new();
     for algo in Algorithm::EXPECTED_SUPPORT {
-        let r = algo
-            .expected_support_miner()
-            .unwrap()
-            .mine_expected_ratio(&db, 0.15)
-            .unwrap();
+        let r = algo.mine_expected_ratio(&db, 0.15).unwrap();
         results.push((algo.name().to_string(), r));
     }
     for algo in Algorithm::EXACT_PROBABILISTIC.into_iter().chain([
@@ -117,11 +105,7 @@ fn downward_closure_holds_in_every_result() {
         Algorithm::NDUHMine,
         Algorithm::PDUApriori,
     ]) {
-        let r = algo
-            .probabilistic_miner()
-            .unwrap()
-            .mine_probabilistic_raw(&db, 0.15, 0.6)
-            .unwrap();
+        let r = algo.mine_probabilistic_raw(&db, 0.15, 0.6).unwrap();
         results.push((algo.name().to_string(), r));
     }
     for (name, r) in &results {
@@ -158,11 +142,7 @@ fn approximate_miners_converge_to_exact_at_scale() {
         uncertain_fim::stats::pb::survival_dp(&q, (min_sup * 1200f64).ceil() as usize)
     };
     for algo in [Algorithm::NDUApriori, Algorithm::NDUHMine] {
-        let approx = algo
-            .probabilistic_miner()
-            .unwrap()
-            .mine_probabilistic_raw(&db, min_sup, pft)
-            .unwrap();
+        let approx = algo.mine_probabilistic_raw(&db, min_sup, pft).unwrap();
         // False positives must be boundary cases.
         for itemset in approx.sorted_itemsets() {
             if exact.get(&itemset).is_none() {
@@ -195,17 +175,17 @@ fn chernoff_variants_never_change_answers() {
     for seed in 0..6u64 {
         let db = random_db(500 + seed, 60, 6, 0.4);
         for &(min_sup, pft) in &[(0.3, 0.9), (0.5, 0.5)] {
-            let dpb = DpMiner::with_pruning()
+            let dpb = Algorithm::DPB
                 .mine_probabilistic_raw(&db, min_sup, pft)
                 .unwrap();
-            let dpnb = DpMiner::without_pruning()
+            let dpnb = Algorithm::DPNB
                 .mine_probabilistic_raw(&db, min_sup, pft)
                 .unwrap();
             assert_eq!(dpb.sorted_itemsets(), dpnb.sorted_itemsets());
-            let dcb = DcMiner::with_pruning()
+            let dcb = Algorithm::DCB
                 .mine_probabilistic_raw(&db, min_sup, pft)
                 .unwrap();
-            let dcnb = DcMiner::without_pruning()
+            let dcnb = Algorithm::DCNB
                 .mine_probabilistic_raw(&db, min_sup, pft)
                 .unwrap();
             assert_eq!(dcb.sorted_itemsets(), dcnb.sorted_itemsets());

@@ -40,6 +40,15 @@ fn small_db() -> impl Strategy<Value = UncertainDatabase> {
 }
 
 /// Asserts two results carry the same itemsets with esup within 1e-9.
+/// UApriori at `min_esup` on one support backend (the expected-support
+/// measure never reads `pft`).
+fn uapriori(db: &UncertainDatabase, min_esup: f64, engine: EngineKind) -> MiningResult {
+    let params = MiningParams::new(min_esup, 1.0)
+        .unwrap()
+        .with_engine(engine);
+    Algorithm::UApriori.mine_probabilistic(db, params).unwrap()
+}
+
 fn assert_equivalent(
     h: &MiningResult,
     v: &MiningResult,
@@ -88,21 +97,13 @@ proptest! {
         min_esup in 1u32..=9,
     ) {
         let ratio = min_esup as f64 / 10.0;
-        let h = UApriori::with_engine(EngineKind::Horizontal)
-            .mine_expected_ratio(&db, ratio)
-            .unwrap();
-        let v = UApriori::with_engine(EngineKind::Vertical)
-            .mine_expected_ratio(&db, ratio)
-            .unwrap();
+        let h = uapriori(&db, ratio, EngineKind::Horizontal);
+        let v = uapriori(&db, ratio, EngineKind::Vertical);
         assert_equivalent(&h, &v, "UApriori")?;
-        let d = UApriori::with_engine(EngineKind::Diffset)
-            .mine_expected_ratio(&db, ratio)
-            .unwrap();
+        let d = uapriori(&db, ratio, EngineKind::Diffset);
         assert_equivalent(&h, &d, "UApriori-diffset")?;
         for algo in [Algorithm::UFPGrowth, Algorithm::UHMine] {
             let r = algo
-                .expected_support_miner()
-                .unwrap()
                 .mine_expected_ratio(&db, ratio)
                 .unwrap();
             prop_assert_eq!(
@@ -123,12 +124,11 @@ proptest! {
     ) {
         let params = MiningParams::new(min_sup as f64 / 10.0, pft as f64 / 10.0).unwrap();
         for algo in Algorithm::EXACT_PROBABILISTIC {
-            let miner = algo.probabilistic_miner().unwrap();
-            let h = miner
+            let h = algo
                 .mine_probabilistic(&db, params.with_engine(EngineKind::Horizontal))
                 .unwrap();
             for engine in [EngineKind::Vertical, EngineKind::Diffset] {
-                let v = miner
+                let v = algo
                     .mine_probabilistic(&db, params.with_engine(engine))
                     .unwrap();
                 assert_equivalent(&h, &v, &format!("{}-{}", algo.name(), engine))?;
@@ -146,21 +146,20 @@ proptest! {
     ) {
         let params = MiningParams::new(min_sup as f64 / 10.0, pft as f64 / 10.0).unwrap();
         for algo in [Algorithm::PDUApriori, Algorithm::NDUApriori] {
-            let miner = algo.probabilistic_miner().unwrap();
-            let h = miner
+            let h = algo
                 .mine_probabilistic(&db, params.with_engine(EngineKind::Horizontal))
                 .unwrap();
             for engine in [EngineKind::Vertical, EngineKind::Diffset] {
-                let v = miner
+                let v = algo
                     .mine_probabilistic(&db, params.with_engine(engine))
                     .unwrap();
                 assert_equivalent(&h, &v, &format!("{}-{}", algo.name(), engine))?;
             }
         }
-        let ndua = NDUApriori::new()
+        let ndua = Algorithm::NDUApriori
             .mine_probabilistic(&db, params.with_engine(EngineKind::Vertical))
             .unwrap();
-        let nduh = NDUHMine::new().mine_probabilistic(&db, params).unwrap();
+        let nduh = Algorithm::NDUHMine.mine_probabilistic(&db, params).unwrap();
         prop_assert_eq!(
             nduh.sorted_itemsets(),
             ndua.sorted_itemsets(),
@@ -324,9 +323,7 @@ fn paper_table1_identical_across_backends() {
 
     // Example 1 (Definition 2): min_esup = 0.5 → {A} and {C}.
     for engine in EngineKind::ALL {
-        let r = UApriori::with_engine(engine)
-            .mine_expected_ratio(&db, 0.5)
-            .unwrap();
+        let r = uapriori(&db, 0.5, engine);
         assert_eq!(
             r.sorted_itemsets(),
             vec![Itemset::singleton(0), Itemset::singleton(2)],
@@ -348,12 +345,11 @@ fn paper_table1_identical_across_backends() {
         Algorithm::NDUApriori,
         Algorithm::NDUHMine,
     ] {
-        let miner = algo.probabilistic_miner().unwrap();
-        let h = miner
+        let h = algo
             .mine_probabilistic(&db, params.with_engine(EngineKind::Horizontal))
             .unwrap();
         for engine in [EngineKind::Vertical, EngineKind::Diffset] {
-            let v = miner
+            let v = algo
                 .mine_probabilistic(&db, params.with_engine(engine))
                 .unwrap();
             assert_eq!(
@@ -393,18 +389,14 @@ fn backends_agree_on_large_parallel_workload() {
         .collect();
     let db = UncertainDatabase::with_num_items(transactions, 12);
 
-    let h = UApriori::with_engine(EngineKind::Horizontal)
-        .mine_expected_ratio(&db, 0.02)
-        .unwrap();
+    let h = uapriori(&db, 0.02, EngineKind::Horizontal);
     assert!(
         h.len() > 50,
         "workload should mine several levels: {}",
         h.len()
     );
     for engine in [EngineKind::Vertical, EngineKind::Diffset] {
-        let v = UApriori::with_engine(engine)
-            .mine_expected_ratio(&db, 0.02)
-            .unwrap();
+        let v = uapriori(&db, 0.02, engine);
         assert_eq!(h.sorted_itemsets(), v.sorted_itemsets(), "{engine}");
         for fi in &v.itemsets {
             let want = h.get(&fi.itemset).unwrap().expected_support;

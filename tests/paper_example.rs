@@ -13,11 +13,7 @@ fn example1_every_expected_support_miner() {
         .into_iter()
         .chain([Algorithm::BruteForce])
     {
-        let r = algo
-            .expected_support_miner()
-            .unwrap()
-            .mine_expected_ratio(&db, 0.5)
-            .unwrap();
+        let r = algo.mine_expected_ratio(&db, 0.5).unwrap();
         assert_eq!(r.sorted_itemsets(), want, "{}", algo.name());
         let a = r.get(&Itemset::singleton(0)).unwrap();
         let c = r.get(&Itemset::singleton(2)).unwrap();
@@ -34,11 +30,7 @@ fn exact_probabilistic_miners_report_identical_probabilities() {
     // = 1 - (0.1·0.1·0.2) - (0.9·0.1·0.2 + 0.1·0.9·0.2 + 0.1·0.1·0.8)
     // = 1 - 0.002 - 0.044 = 0.954.
     for algo in Algorithm::EXACT_PROBABILISTIC {
-        let r = algo
-            .probabilistic_miner()
-            .unwrap()
-            .mine_probabilistic_raw(&db, 0.5, 0.7)
-            .unwrap();
+        let r = algo.mine_probabilistic_raw(&db, 0.5, 0.7).unwrap();
         let a = r.get(&Itemset::singleton(0)).expect("A frequent");
         let c = r.get(&Itemset::singleton(2)).expect("C frequent");
         assert!(
@@ -54,11 +46,7 @@ fn exact_probabilistic_miners_report_identical_probabilities() {
             c.frequent_prob
         );
         // At pft = 0.85 only C survives.
-        let r2 = algo
-            .probabilistic_miner()
-            .unwrap()
-            .mine_probabilistic_raw(&db, 0.5, 0.85)
-            .unwrap();
+        let r2 = algo.mine_probabilistic_raw(&db, 0.5, 0.85).unwrap();
         assert_eq!(
             r2.sorted_itemsets(),
             vec![Itemset::singleton(2)],
@@ -74,13 +62,9 @@ fn figure1_frequency_order_is_respected_by_depth_first_miners() {
     // depth-first miners must find the same complete result set as the
     // breadth-first one.
     let db = paper_table1();
-    let reference = UApriori::new().mine_expected_ratio(&db, 0.25).unwrap();
+    let reference = Algorithm::UApriori.mine_expected_ratio(&db, 0.25).unwrap();
     for algo in [Algorithm::UFPGrowth, Algorithm::UHMine] {
-        let r = algo
-            .expected_support_miner()
-            .unwrap()
-            .mine_expected_ratio(&db, 0.25)
-            .unwrap();
+        let r = algo.mine_expected_ratio(&db, 0.25).unwrap();
         assert_eq!(
             r.sorted_itemsets(),
             reference.sorted_itemsets(),
@@ -111,11 +95,7 @@ fn approximate_miners_run_on_the_micro_example() {
         Algorithm::NDUApriori,
         Algorithm::NDUHMine,
     ] {
-        let r = algo
-            .probabilistic_miner()
-            .unwrap()
-            .mine_probabilistic_raw(&db, 0.25, 0.5)
-            .unwrap();
+        let r = algo.mine_probabilistic_raw(&db, 0.25, 0.5).unwrap();
         for fi in &r.itemsets {
             if let Some(p) = fi.frequent_prob {
                 assert!((0.0..=1.0).contains(&p), "{}", algo.name());

@@ -56,8 +56,10 @@ fn fimi_roundtrip_preserves_mining_results() {
     let mut ubuf = Vec::new();
     fimi::write_uncertain(&udb, &mut ubuf).unwrap();
     let udb_back = fimi::read_uncertain(Cursor::new(&ubuf)).unwrap();
-    let before = UHMine::new().mine_expected_ratio(&udb, 0.02).unwrap();
-    let after = UHMine::new().mine_expected_ratio(&udb_back, 0.02).unwrap();
+    let before = Algorithm::UHMine.mine_expected_ratio(&udb, 0.02).unwrap();
+    let after = Algorithm::UHMine
+        .mine_expected_ratio(&udb_back, 0.02)
+        .unwrap();
     assert_eq!(before.sorted_itemsets(), after.sorted_itemsets());
 }
 
@@ -72,9 +74,7 @@ fn three_groups_are_consistent_on_a_generated_benchmark() {
     let esup_sets: Vec<_> = Algorithm::EXPECTED_SUPPORT
         .iter()
         .map(|a| {
-            a.expected_support_miner()
-                .unwrap()
-                .mine_expected_ratio(&db, min_sup)
+            a.mine_expected_ratio(&db, min_sup)
                 .unwrap()
                 .sorted_itemsets()
         })
@@ -88,12 +88,7 @@ fn three_groups_are_consistent_on_a_generated_benchmark() {
 
     let exact_sets: Vec<_> = Algorithm::EXACT_PROBABILISTIC
         .iter()
-        .map(|a| {
-            a.probabilistic_miner()
-                .unwrap()
-                .mine_probabilistic_raw(&db, min_sup, pft)
-                .unwrap()
-        })
+        .map(|a| a.mine_probabilistic_raw(&db, min_sup, pft).unwrap())
         .collect();
     for pair in exact_sets.windows(2) {
         assert_eq!(pair[0].sorted_itemsets(), pair[1].sorted_itemsets());
@@ -105,11 +100,7 @@ fn three_groups_are_consistent_on_a_generated_benchmark() {
         Algorithm::NDUHMine,
         Algorithm::PDUApriori,
     ] {
-        let approx = algo
-            .probabilistic_miner()
-            .unwrap()
-            .mine_probabilistic_raw(&db, min_sup, pft)
-            .unwrap();
+        let approx = algo.mine_probabilistic_raw(&db, min_sup, pft).unwrap();
         let acc = precision_recall(&approx, exact);
         // The Normal-based miners should be near-exact; the Poisson-based
         // one is visibly coarser at small supports — the paper's own §4.4
@@ -164,8 +155,8 @@ fn uncertain_file_roundtrip_on_disk() {
         fimi::read_uncertain(std::io::BufReader::new(file)).unwrap()
     };
     assert_eq!(back.num_transactions(), db.num_transactions());
-    let a = UHMine::new().mine_expected_ratio(&db, 0.02).unwrap();
-    let b = UHMine::new().mine_expected_ratio(&back, 0.02).unwrap();
+    let a = Algorithm::UHMine.mine_expected_ratio(&db, 0.02).unwrap();
+    let b = Algorithm::UHMine.mine_expected_ratio(&back, 0.02).unwrap();
     assert_eq!(a.sorted_itemsets(), b.sorted_itemsets());
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -179,7 +170,7 @@ fn zipf_skew_shrinks_the_frequent_set() {
         .map(|&skew| {
             let db =
                 Benchmark::Connect.generate_with_model(0.003, 9, &ProbabilityModel::zipf(skew));
-            UApriori::new()
+            Algorithm::UApriori
                 .mine_expected_ratio(&db, 0.05)
                 .unwrap()
                 .len()
@@ -209,8 +200,8 @@ fn scalability_truncation_is_monotone_in_work() {
         full.transactions()[0],
         "truncation must preserve the prefix"
     );
-    let r_half = UHMine::new().mine_expected_ratio(&half, 0.1).unwrap();
-    let r_full = UHMine::new().mine_expected_ratio(&full, 0.1).unwrap();
+    let r_half = Algorithm::UHMine.mine_expected_ratio(&half, 0.1).unwrap();
+    let r_full = Algorithm::UHMine.mine_expected_ratio(&full, 0.1).unwrap();
     // Same generating process, same ratio threshold: the frequent-set size
     // should be in the same ballpark (within 2x either way).
     let (a, b) = (r_half.len().max(1), r_full.len().max(1));
@@ -224,8 +215,10 @@ fn pdu_lambda_threshold_is_between_definitions() {
     // result is a subset of the plain esup result at the same ratio.
     let db = Benchmark::Gazelle.generate(0.02, 13);
     let (min_sup, pft) = (0.02, 0.9);
-    let esup_result = UApriori::new().mine_expected_ratio(&db, min_sup).unwrap();
-    let pdu_result = PDUApriori::new()
+    let esup_result = Algorithm::UApriori
+        .mine_expected_ratio(&db, min_sup)
+        .unwrap();
+    let pdu_result = Algorithm::PDUApriori
         .mine_probabilistic_raw(&db, min_sup, pft)
         .unwrap();
     let esup_set: std::collections::BTreeSet<_> =

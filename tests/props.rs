@@ -131,8 +131,6 @@ proptest! {
         let oracle = BruteForce::new().mine_expected_ratio(&db, ratio).unwrap();
         for algo in Algorithm::EXPECTED_SUPPORT {
             let r = algo
-                .expected_support_miner()
-                .unwrap()
                 .mine_expected_ratio(&db, ratio)
                 .unwrap();
             prop_assert_eq!(
@@ -154,8 +152,6 @@ proptest! {
         let oracle = BruteForce::new().mine_probabilistic_raw(&db, ms, pf).unwrap();
         for algo in Algorithm::EXACT_PROBABILISTIC {
             let r = algo
-                .probabilistic_miner()
-                .unwrap()
                 .mine_probabilistic_raw(&db, ms, pf)
                 .unwrap();
             prop_assert_eq!(

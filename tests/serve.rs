@@ -19,6 +19,7 @@ use uncertain_fim::core::parallel::with_thread_override;
 use uncertain_fim::core::{EngineKind, MeasureKind, TraversalKind};
 use uncertain_fim::miners::{top_k_by_expected_support, MatrixMiner};
 use uncertain_fim::prelude::*;
+use uncertain_fim::serve::proto::record_json;
 use uncertain_fim::serve::{Json, MemoOutcome, ResidentMemo, ServeCore};
 
 /// Strategy: a probability strictly in (0, 1].
@@ -368,4 +369,125 @@ fn out_of_range_scale_and_probe_item_are_refused() {
         let reply = Json::parse(&core.handle_line(line)).unwrap();
         assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{line}");
     }
+}
+
+/// Checks one sweep reply: exactly one well-formed JSON line, `ok`, and
+/// per threshold the memo source and records bit-identical (as wire
+/// bytes) to a cold `MatrixMiner` mine; returns the per-threshold memo
+/// sources.
+fn assert_sweep_is_cold_exact(
+    reply: &str,
+    db: &UncertainDatabase,
+    (measure, engine): (MeasureKind, EngineKind),
+    pft: f64,
+    thresholds: &[f64],
+) -> Vec<String> {
+    let at = format!("{measure}x{engine}");
+    assert!(!reply.contains('\n'), "{at}: one line per request");
+    let v = Json::parse(reply).unwrap_or_else(|e| panic!("{at}: {e}: {reply}"));
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{at}");
+    let results = v.get("results").and_then(Json::as_arr).unwrap();
+    assert_eq!(results.len(), thresholds.len(), "{at}");
+    let mut sources = Vec::new();
+    for (r, &min_sup) in results.iter().zip(thresholds) {
+        let want = cold(
+            db,
+            measure,
+            engine,
+            &MiningParams::new(min_sup, pft).unwrap(),
+        );
+        let want = Json::Arr(want.itemsets.iter().map(record_json).collect()).to_line();
+        let got = r.get("records").unwrap().to_line();
+        assert_eq!(got, want, "{at} at min_sup={min_sup}");
+        sources.push(r.get("source").and_then(Json::as_str).unwrap().to_string());
+    }
+    sources
+}
+
+fn sweep_line(
+    (measure, engine): (MeasureKind, EngineKind),
+    pft: f64,
+    thresholds: &[f64],
+) -> String {
+    let thresholds: Vec<String> = thresholds.iter().map(f64::to_string).collect();
+    format!(
+        r#"{{"op":"sweep","dataset":"t1","measure":"{measure}","engine":"{engine}","pft":{pft},"thresholds":[{}],"records":true}}"#,
+        thresholds.join(",")
+    )
+}
+
+fn stat(core: &ServeCore, field: &str) -> u64 {
+    let v = Json::parse(&core.handle_line(r#"{"op":"stats"}"#)).unwrap();
+    v.get(field).and_then(Json::as_u64).unwrap()
+}
+
+/// Memo fault injection, budget 0: every lattice is admitted alone and
+/// evicted by the next cell's, so each cell's second visit re-mines. Every
+/// request still gets one reply whose records are cold-exact, and `stats`
+/// counts each eviction.
+#[test]
+fn zero_budget_memo_answers_cold_exact_and_counts_evictions() {
+    let db = uncertain_fim::core::examples::paper_table1();
+    let core = ServeCore::new(0);
+    core.load_db("t1", db.clone());
+    let (pft, thresholds) = (0.7, [0.25, 0.5]);
+    let cells: Vec<_> = MeasureKind::ALL
+        .into_iter()
+        .flat_map(|m| EngineKind::ALL.map(|e| (m, e)))
+        .collect();
+    for _ in 0..2 {
+        for &cell in &cells {
+            let reply = core.handle_line(&sweep_line(cell, pft, &thresholds));
+            let sources = assert_sweep_is_cold_exact(&reply, &db, cell, pft, &thresholds);
+            // Admitted despite the budget: the second threshold is warm.
+            assert_eq!(sources, ["cold", "memo"], "{cell:?}");
+        }
+    }
+    let visits = 2 * cells.len() as u64;
+    assert_eq!(stat(&core, "memo_misses"), visits);
+    assert_eq!(stat(&core, "memo_hits"), visits);
+    assert_eq!(stat(&core, "memo_evictions"), visits - 1);
+    assert_eq!(stat(&core, "resident_entries"), 1);
+}
+
+/// Memo fault injection, eviction partway through a sweep: two lattices
+/// fill the budget exactly, then a descending sweep over one of them
+/// extends it past the budget at its second threshold, evicting the other
+/// mid-request. Every threshold's records stay cold-exact, and the evicted
+/// cell re-mines cold-exact afterwards.
+#[test]
+fn eviction_partway_through_a_sweep_keeps_answers_cold_exact() {
+    use uncertain_fim::miners::ResidentLattice;
+    let db = uncertain_fim::core::examples::paper_table1();
+    let pft = 0.7;
+    let swept = (MeasureKind::ExpectedSupport, EngineKind::Vertical);
+    let other = (MeasureKind::Normal, EngineKind::Horizontal);
+    let bytes = |(measure, engine), min_sup| {
+        let params = MiningParams::new(min_sup, pft).unwrap();
+        let (lattice, _) = ResidentLattice::mine(&db, measure, engine, &params).unwrap();
+        lattice.mem_bytes()
+    };
+    let budget = bytes(swept, 0.75) + bytes(other, 0.5);
+    assert!(
+        bytes(swept, 0.5) > bytes(swept, 0.75),
+        "the extension must grow"
+    );
+    let core = ServeCore::new(budget);
+    core.load_db("t1", db.clone());
+
+    let reply = core.handle_line(&sweep_line(other, pft, &[0.5]));
+    assert_sweep_is_cold_exact(&reply, &db, other, pft, &[0.5]);
+    let descending = [0.75, 0.5, 0.25];
+    let reply = core.handle_line(&sweep_line(swept, pft, &descending));
+    let sources = assert_sweep_is_cold_exact(&reply, &db, swept, pft, &descending);
+    assert_eq!(sources, ["cold", "extend", "extend"]);
+    assert_eq!(stat(&core, "memo_evictions"), 1);
+    assert_eq!(stat(&core, "resident_entries"), 1);
+
+    // The evicted cell is gone: it re-mines, and evicts in turn.
+    let reply = core.handle_line(&sweep_line(other, pft, &[0.5]));
+    let sources = assert_sweep_is_cold_exact(&reply, &db, other, pft, &[0.5]);
+    assert_eq!(sources, ["cold"]);
+    assert_eq!(stat(&core, "memo_misses"), 3);
+    assert_eq!(stat(&core, "memo_evictions"), 2);
 }

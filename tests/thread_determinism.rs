@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use uncertain_fim::core::parallel::with_thread_override;
 use uncertain_fim::core::{EngineKind, MeasureKind, TraversalKind};
-use uncertain_fim::miners::{MatrixMiner, NDUHMine, UFPGrowth, UHMine};
+use uncertain_fim::miners::MatrixMiner;
 use uncertain_fim::prelude::*;
 
 /// Pool sizes to sweep, per the issue: sequential, small, oversubscribed.
@@ -153,9 +153,7 @@ fn sweep_pools(label: &str, mine: impl Fn() -> MiningResult) {
 fn uh_mine_is_bit_identical_across_pool_sizes() {
     let db = big_db();
     sweep_pools("UH-Mine", || {
-        UHMine::with_variance()
-            .mine_expected_ratio(&db, 0.05)
-            .unwrap()
+        Algorithm::UHMine.mine_expected_ratio(&db, 0.05).unwrap()
     });
 }
 
@@ -163,7 +161,7 @@ fn uh_mine_is_bit_identical_across_pool_sizes() {
 fn ufp_growth_is_bit_identical_across_pool_sizes() {
     let db = big_db();
     sweep_pools("UFP-growth", || {
-        UFPGrowth::new().mine_expected_ratio(&db, 0.05).unwrap()
+        Algorithm::UFPGrowth.mine_expected_ratio(&db, 0.05).unwrap()
     });
 }
 
@@ -171,7 +169,7 @@ fn ufp_growth_is_bit_identical_across_pool_sizes() {
 fn nduh_mine_is_bit_identical_across_pool_sizes() {
     let db = big_db();
     sweep_pools("NDUH-Mine", || {
-        NDUHMine::new()
+        Algorithm::NDUHMine
             .mine_probabilistic_raw(&db, 0.08, 0.5)
             .unwrap()
     });
@@ -184,9 +182,7 @@ fn nduh_mine_is_bit_identical_across_pool_sizes() {
 fn uh_mine_deep_skew_nested_spawns_are_bit_identical() {
     let db = deep_skew_db();
     sweep_pools("UH-Mine deep-skew", || {
-        UHMine::with_variance()
-            .mine_expected_ratio(&db, 0.05)
-            .unwrap()
+        Algorithm::UHMine.mine_expected_ratio(&db, 0.05).unwrap()
     });
 }
 
@@ -196,7 +192,7 @@ fn uh_mine_deep_skew_nested_spawns_are_bit_identical() {
 fn ufp_growth_deep_skew_nested_spawns_are_bit_identical() {
     let db = deep_skew_db();
     sweep_pools("UFP-growth deep-skew", || {
-        UFPGrowth::new().mine_expected_ratio(&db, 0.05).unwrap()
+        Algorithm::UFPGrowth.mine_expected_ratio(&db, 0.05).unwrap()
     });
 }
 
@@ -206,7 +202,7 @@ fn ufp_growth_deep_skew_nested_spawns_are_bit_identical() {
 fn nduh_mine_deep_skew_nested_spawns_are_bit_identical() {
     let db = deep_skew_db();
     sweep_pools("NDUH-Mine deep-skew", || {
-        NDUHMine::new()
+        Algorithm::NDUHMine
             .mine_probabilistic_raw(&db, 0.08, 0.5)
             .unwrap()
     });

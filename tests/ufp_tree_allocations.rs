@@ -18,7 +18,6 @@
 
 use uncertain_fim::core::parallel::with_thread_override;
 use uncertain_fim::metrics::{alloc, CountingAllocator};
-use uncertain_fim::miners::UFPGrowth;
 use uncertain_fim::prelude::*;
 
 #[global_allocator]
@@ -32,7 +31,7 @@ fn ufp_growth_allocations_scale_with_itemsets_not_tree_nodes() {
     // The golden fixture of `ufp_tree_golden.rs`: a 45,981-node global
     // tree and heavy conditional trees several levels deep.
     let db = uncertain_fim::data::benchmarks::deep_skew(12_000, 16, 4242);
-    let mine = || UFPGrowth::new().mine_expected_ratio(&db, 0.01).unwrap();
+    let mine = || Algorithm::UFPGrowth.mine_expected_ratio(&db, 0.01).unwrap();
     let before = alloc::total_allocations();
     let result = with_thread_override(1, mine);
     let allocations = alloc::total_allocations() - before;

@@ -19,7 +19,6 @@
 
 use uncertain_fim::core::parallel::with_thread_override;
 use uncertain_fim::metrics::{alloc, CountingAllocator};
-use uncertain_fim::miners::UHMine;
 use uncertain_fim::prelude::*;
 
 #[global_allocator]
@@ -33,7 +32,7 @@ fn uh_mine_allocations_scale_with_itemsets_not_rows() {
     // The golden fixture of `uh_mine_golden.rs`: a 45,980-cell arena and
     // ~970 judged extensions for ~110 emitted itemsets.
     let db = uncertain_fim::data::benchmarks::deep_skew(12_000, 16, 4242);
-    let mine = || UHMine::new().mine_expected_ratio(&db, 0.01).unwrap();
+    let mine = || Algorithm::UHMine.mine_expected_ratio(&db, 0.01).unwrap();
     let before = alloc::total_allocations();
     let result = with_thread_override(1, mine);
     let allocations = alloc::total_allocations() - before;
