@@ -1,13 +1,17 @@
-//! Head-to-head of the two support backends on a fig4-style dense
-//! workload: the same miner, the same database, the same thresholds — only
-//! the support-computation layer swapped. This is the microbenchmark behind
-//! the vertical engine's headline claim; the `ufim-bench --engine both`
-//! harness sweeps the full figure axes.
+//! Head-to-head of the support backends on a fig4-style dense workload
+//! and on a deep Quest workload: the same miner, the same database, the
+//! same thresholds — only the support-computation layer swapped. This is
+//! the microbenchmark behind the vertical engine's headline claim; the
+//! `ufim-bench --engine both` harness sweeps the full figure axes.
+//!
+//! `--smoke --json-out DIR` writes `BENCH_engines.json`, whose
+//! `intersections` and `num_itemsets` join the strict regression gate.
 
 use ufim_bench::harness::{dense_db, Harness};
 use ufim_bench::json::JsonRun;
 use ufim_bench::NO_PFT;
 use ufim_core::prelude::*;
+use ufim_data::Benchmark;
 use ufim_miners::Algorithm;
 
 fn main() {
@@ -20,6 +24,20 @@ fn main() {
         let params = MiningParams::new(0.02, NO_PFT).unwrap().with_engine(engine);
         let run = JsonRun::new("N=20k,I=24,d=0.4", "UApriori", engine.name());
         h.mine("engines_uapriori_dense", run, || {
+            Algorithm::UApriori
+                .mine_probabilistic(std::hint::black_box(&db), params)
+                .unwrap()
+        });
+    }
+
+    // The T25I15D320k shape at N = 3,200 and min_esup = 0.01: hundreds of
+    // frequent items but few frequent pairs, so almost every pair is
+    // dropped on its co-occurrence count before level 2 is evaluated.
+    let db = Benchmark::T25I15D320k.generate(0.01, 7);
+    for engine in EngineKind::ALL {
+        let params = MiningParams::new(0.01, NO_PFT).unwrap().with_engine(engine);
+        let run = JsonRun::new("T25I15,N=3.2k", "UApriori", engine.name());
+        h.mine("engines_uapriori_deep", run, || {
             Algorithm::UApriori
                 .mine_probabilistic(std::hint::black_box(&db), params)
                 .unwrap()

@@ -19,12 +19,20 @@ pub struct UncertainDatabase {
 impl UncertainDatabase {
     /// Builds a database from transactions. The item vocabulary size is
     /// inferred as `max item id + 1`.
+    ///
+    /// # Panics
+    /// If an item id is `u32::MAX`, which no vocabulary size can cover.
+    /// [`Transaction::new`] rejects every id above
+    /// [`MAX_ITEM_ID`](crate::MAX_ITEM_ID), so only the unchecked
+    /// transaction constructors can get here.
     pub fn from_transactions(transactions: Vec<Transaction>) -> Self {
         let num_items = transactions
             .iter()
-            .flat_map(|t| t.items().iter().copied())
+            .filter_map(|t| t.items().last().copied())
             .max()
-            .map_or(0, |m| m + 1);
+            .map_or(0, |m| {
+                m.checked_add(1).expect("item ids are at most MAX_ITEM_ID")
+            });
         UncertainDatabase {
             transactions,
             num_items,

@@ -26,6 +26,11 @@ pub enum CoreError {
         /// The duplicated item id.
         item: u32,
     },
+    /// An item id above [`MAX_ITEM_ID`](crate::MAX_ITEM_ID).
+    ItemIdTooLarge {
+        /// The offending item id.
+        item: u32,
+    },
     /// An operation that requires a non-empty database got an empty one.
     EmptyDatabase,
     /// A malformed input line was encountered while parsing an external
@@ -74,6 +79,11 @@ impl fmt::Display for CoreError {
             CoreError::DuplicateItem { item } => {
                 write!(f, "transaction contains item {item} more than once")
             }
+            CoreError::ItemIdTooLarge { item } => write!(
+                f,
+                "item id {item} is above the largest supported id {}",
+                crate::MAX_ITEM_ID
+            ),
             CoreError::EmptyDatabase => write!(f, "operation requires a non-empty database"),
             CoreError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
@@ -114,6 +124,8 @@ mod tests {
         assert!(e.to_string().contains("min_sup"));
         let e = CoreError::DuplicateItem { item: 7 };
         assert!(e.to_string().contains('7'));
+        let e = CoreError::ItemIdTooLarge { item: u32::MAX };
+        assert!(e.to_string().contains("4294967295"));
         let e = CoreError::Parse {
             line: 3,
             message: "bad token".into(),

@@ -7,6 +7,12 @@ use std::fmt;
 /// paper (Kosarak, 41 270 items) while keeping candidate structures compact.
 pub type ItemId = u32;
 
+/// The largest item id a [`Transaction`](crate::Transaction) accepts:
+/// 2^24. Every per-item array is sized by the largest id, so the cap bounds
+/// them at 2^24 + 1 entries while covering every benchmark vocabulary in
+/// the paper many times over.
+pub const MAX_ITEM_ID: ItemId = 1 << 24;
+
 /// A non-empty-or-empty set of items, stored sorted ascending without
 /// duplicates.
 ///
@@ -148,25 +154,6 @@ impl Itemset {
             Itemset { items: v }
         })
     }
-
-    /// Apriori join: if `self` and `other` are k-itemsets sharing the first
-    /// k-1 items and `self < other` on the last item, returns the joined
-    /// (k+1)-itemset, else `None`.
-    pub fn apriori_join(&self, other: &Itemset) -> Option<Itemset> {
-        let k = self.items.len();
-        if k == 0 || other.items.len() != k {
-            return None;
-        }
-        if self.items[..k - 1] != other.items[..k - 1] {
-            return None;
-        }
-        if self.items[k - 1] >= other.items[k - 1] {
-            return None;
-        }
-        let mut v = self.items.clone();
-        v.push(other.items[k - 1]);
-        Some(Itemset { items: v })
-    }
 }
 
 fn fmt_itemset(items: &[ItemId], f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -263,24 +250,6 @@ mod tests {
         assert!(subs.contains(&Itemset::from_items([2, 3])));
         assert!(subs.contains(&Itemset::from_items([1, 3])));
         assert!(subs.contains(&Itemset::from_items([1, 2])));
-    }
-
-    #[test]
-    fn apriori_join_rules() {
-        let ab = Itemset::from_items([1, 2]);
-        let ac = Itemset::from_items([1, 3]);
-        let bc = Itemset::from_items([2, 3]);
-        assert_eq!(ab.apriori_join(&ac), Some(Itemset::from_items([1, 2, 3])));
-        // Reverse order refuses (avoids generating each candidate twice).
-        assert_eq!(ac.apriori_join(&ab), None);
-        // Different prefix refuses.
-        assert_eq!(ab.apriori_join(&bc), None);
-        // Length mismatch refuses.
-        assert_eq!(ab.apriori_join(&Itemset::singleton(9)), None);
-        // Singletons join on empty prefix.
-        let a = Itemset::singleton(1);
-        let b = Itemset::singleton(2);
-        assert_eq!(a.apriori_join(&b), Some(Itemset::from_items([1, 2])));
     }
 
     #[test]

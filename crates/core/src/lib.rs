@@ -57,7 +57,7 @@ pub mod window;
 pub use database::{DatabaseStats, UncertainDatabase, UncertainDatabaseBuilder};
 pub use error::CoreError;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use itemset::{ItemId, Itemset};
+pub use itemset::{ItemId, Itemset, MAX_ITEM_ID};
 pub use params::{EngineKind, MeasureKind, MiningParams, Ratio, TraversalKind};
 pub use resident::{ResidentLru, ResidentStats};
 pub use result::{FrequentItemset, MinerStats, MiningResult};
@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::database::{DatabaseStats, UncertainDatabase, UncertainDatabaseBuilder};
     pub use crate::error::CoreError;
     pub use crate::hash::{FxHashMap, FxHashSet};
-    pub use crate::itemset::{ItemId, Itemset};
+    pub use crate::itemset::{ItemId, Itemset, MAX_ITEM_ID};
     pub use crate::params::{EngineKind, MeasureKind, MiningParams, Ratio, TraversalKind};
     pub use crate::resident::{ResidentLru, ResidentStats};
     pub use crate::result::{FrequentItemset, MinerStats, MiningResult};

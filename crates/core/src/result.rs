@@ -50,12 +50,16 @@ pub struct MinerStats {
     /// Candidates rejected by the Chernoff bound (exact probabilistic miners
     /// only, §3.2.3).
     pub candidates_pruned_chernoff: u64,
-    /// Candidates rejected by the zero-support count shortcut
-    /// (fewer than `msup` transactions with nonzero containment probability).
+    /// Candidates rejected by a count floor: fewer transactions with
+    /// nonzero containment probability than any frequent itemset needs.
+    /// Counts both the exact miners' screen (fewer than `msup`) and the
+    /// level-wise pairs that the co-occurrence pass drops before level 2
+    /// (those are never counted in `candidates_evaluated`).
     pub candidates_pruned_count: u64,
     /// Exact frequent-probability evaluations performed (DP or DC runs).
     pub exact_evaluations: u64,
-    /// Number of database or projection scans.
+    /// Number of database or projection scans. The level-wise scaffold's
+    /// level-2 co-occurrence pass charges one.
     pub scans: u64,
     /// Tid-list intersections performed (vertical backend only — the
     /// vertical analog of `scans`).

@@ -1,7 +1,7 @@
 //! Uncertain transactions: items paired with existence probabilities.
 
 use crate::error::CoreError;
-use crate::itemset::ItemId;
+use crate::itemset::{ItemId, MAX_ITEM_ID};
 
 /// One uncertain transaction `<tid, {y₁(p₁), …, y_m(p_m)}>` (paper §2).
 ///
@@ -13,7 +13,8 @@ use crate::itemset::ItemId;
 /// Invariants (enforced by the constructors):
 /// * items strictly ascending (no duplicates),
 /// * every probability in `(0, 1]` — a zero-probability unit is the same as
-///   absence and is rejected rather than stored.
+///   absence and is rejected rather than stored,
+/// * every item id at most [`MAX_ITEM_ID`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Transaction {
     items: Vec<ItemId>,
@@ -25,12 +26,16 @@ impl Transaction {
     ///
     /// # Errors
     /// [`CoreError::DuplicateItem`] if an item occurs twice,
-    /// [`CoreError::InvalidProbability`] if a probability is outside `(0,1]`.
+    /// [`CoreError::InvalidProbability`] if a probability is outside `(0,1]`,
+    /// [`CoreError::ItemIdTooLarge`] if an item id is above [`MAX_ITEM_ID`].
     pub fn new<I: IntoIterator<Item = (ItemId, f64)>>(units: I) -> Result<Self, CoreError> {
         let mut pairs: Vec<(ItemId, f64)> = units.into_iter().collect();
-        for &(_, p) in &pairs {
+        for &(item, p) in &pairs {
             if !(p > 0.0 && p <= 1.0) {
                 return Err(CoreError::InvalidProbability { value: p });
+            }
+            if item > MAX_ITEM_ID {
+                return Err(CoreError::ItemIdTooLarge { item });
             }
         }
         pairs.sort_unstable_by_key(|&(i, _)| i);
@@ -54,15 +59,18 @@ impl Transaction {
     pub fn from_sorted_unchecked(items: Vec<ItemId>, probs: Vec<f64>) -> Self {
         debug_assert_eq!(items.len(), probs.len());
         debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(items.last().is_none_or(|&i| i <= MAX_ITEM_ID));
         debug_assert!(probs.iter().all(|&p| p > 0.0 && p <= 1.0));
         Transaction { items, probs }
     }
 
-    /// A certain (deterministic) transaction: every probability is 1.
+    /// A certain (deterministic) transaction: every probability is 1. Item
+    /// ids must be at most [`MAX_ITEM_ID`] (checked in debug builds).
     pub fn certain<I: IntoIterator<Item = ItemId>>(items: I) -> Self {
         let mut v: Vec<ItemId> = items.into_iter().collect();
         v.sort_unstable();
         v.dedup();
+        debug_assert!(v.last().is_none_or(|&i| i <= MAX_ITEM_ID));
         let probs = vec![1.0; v.len()];
         Transaction { items: v, probs }
     }
@@ -196,5 +204,16 @@ mod tests {
         let t = Transaction::new([(9, 0.1), (3, 0.4)]).unwrap();
         let units: Vec<_> = t.units().collect();
         assert_eq!(units, vec![(3, 0.4), (9, 0.1)]);
+    }
+
+    #[test]
+    fn item_ids_above_the_cap_are_rejected() {
+        assert!(Transaction::new([(MAX_ITEM_ID, 0.5)]).is_ok());
+        for item in [MAX_ITEM_ID + 1, u32::MAX - 1, u32::MAX] {
+            assert_eq!(
+                Transaction::new([(1, 0.5), (item, 0.5)]),
+                Err(CoreError::ItemIdTooLarge { item })
+            );
+        }
     }
 }

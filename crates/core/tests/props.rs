@@ -66,22 +66,6 @@ proptest! {
     }
 
     #[test]
-    fn apriori_join_produces_supersets(a in vec(0u32..12, 2..5)) {
-        let x = Itemset::from_items(a);
-        if x.len() >= 2 {
-            // Split off the last item two ways to create joinable parents.
-            let items = x.items();
-            let left = Itemset::from_items(items[..items.len()-1].iter().copied());
-            let right = Itemset::from_items(
-                items[..items.len()-2].iter().copied().chain([items[items.len()-1]]),
-            );
-            if let Some(joined) = left.apriori_join(&right).or_else(|| right.apriori_join(&left)) {
-                prop_assert_eq!(joined, x.clone());
-            }
-        }
-    }
-
-    #[test]
     fn transaction_itemset_prob_is_product_of_members(
         units in vec((0u32..10, prob()), 0..8),
         query in vec(0u32..10, 0..4),

@@ -18,13 +18,21 @@ pub struct DeterministicDatabase {
 impl DeterministicDatabase {
     /// Builds from raw transactions; each transaction is sorted and
     /// deduplicated, and the vocabulary is inferred from the max item id.
+    ///
+    /// # Panics
+    /// If an item id is `u32::MAX`, which no vocabulary size can cover
+    /// ([`read_fimi`](crate::fimi::read_fimi) rejects every id above
+    /// [`MAX_ITEM_ID`](ufim_core::MAX_ITEM_ID)).
     pub fn new(mut transactions: Vec<Vec<ItemId>>) -> Self {
         let mut num_items = 0;
         for t in &mut transactions {
             t.sort_unstable();
             t.dedup();
             if let Some(&max) = t.last() {
-                num_items = num_items.max(max + 1);
+                let size = max
+                    .checked_add(1)
+                    .expect("item ids are at most MAX_ITEM_ID");
+                num_items = num_items.max(size);
             }
         }
         DeterministicDatabase {

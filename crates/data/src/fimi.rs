@@ -9,11 +9,12 @@
 //!   Lines may be empty (an empty transaction keeps `N` stable).
 //!
 //! Both parsers are streaming (`BufRead`), tolerate `\r\n`, skip `#`
-//! comments, and report 1-based line numbers on error.
+//! comments, and report 1-based line numbers on error — including an item
+//! id above [`MAX_ITEM_ID`].
 
 use crate::deterministic::DeterministicDatabase;
 use std::io::{self, BufRead, Write};
-use ufim_core::{CoreError, ItemId, Transaction, UncertainDatabase};
+use ufim_core::{CoreError, ItemId, Transaction, UncertainDatabase, MAX_ITEM_ID};
 
 /// Errors from reading external dataset files.
 #[derive(Debug)]
@@ -68,6 +69,12 @@ pub fn read_fimi<R: BufRead>(reader: R) -> Result<DeterministicDatabase, FimiErr
             let item: ItemId = tok
                 .parse()
                 .map_err(|_| parse_err(idx + 1, format!("invalid item id {tok:?}")))?;
+            if item > MAX_ITEM_ID {
+                return Err(parse_err(
+                    idx + 1,
+                    CoreError::ItemIdTooLarge { item }.to_string(),
+                ));
+            }
             t.push(item);
         }
         transactions.push(t);
@@ -114,8 +121,8 @@ pub fn read_uncertain<R: BufRead>(reader: R) -> Result<UncertainDatabase, FimiEr
                 .map_err(|_| parse_err(idx + 1, format!("invalid probability {prob_s:?}")))?;
             units.push((item, prob));
         }
-        // Transaction::new re-validates probabilities and duplicates; remap
-        // its error to carry the line number.
+        // Transaction::new validates probabilities, duplicates and item ids;
+        // remap its error to carry the line number.
         let t = Transaction::new(units).map_err(|e| parse_err(idx + 1, e.to_string()))?;
         transactions.push(t);
     }
@@ -198,5 +205,31 @@ mod tests {
         let db = read_uncertain(Cursor::new("0:0.5\n\n1:0.25\n")).unwrap();
         assert_eq!(db.num_transactions(), 3);
         assert!(db.transactions()[1].is_empty());
+    }
+
+    #[test]
+    fn item_ids_above_the_cap_are_line_numbered_errors() {
+        let too_large = |r: Result<(), FimiError>| match r {
+            Err(FimiError::Parse(CoreError::Parse { line, message })) => {
+                assert!(
+                    message.contains("above the largest supported id"),
+                    "{message}"
+                );
+                line
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        // u32::MAX used to wrap the vocabulary to 0 items; u32::MAX − 1
+        // used to size every per-item array at 2^32 entries.
+        for id in [u32::MAX, u32::MAX - 1, MAX_ITEM_ID + 1] {
+            let text = format!("1:0.9\n{id}:0.5 1:0.5\n");
+            assert_eq!(too_large(read_uncertain(Cursor::new(text)).map(drop)), 2);
+            let text = format!("1 2\n\n3 {id}\n");
+            assert_eq!(too_large(read_fimi(Cursor::new(text)).map(drop)), 3);
+        }
+        let db = read_uncertain(Cursor::new(format!("{MAX_ITEM_ID}:0.5\n"))).unwrap();
+        assert_eq!(db.num_items(), MAX_ITEM_ID + 1);
+        let det = read_fimi(Cursor::new(format!("{MAX_ITEM_ID}\n"))).unwrap();
+        assert_eq!(det.num_items(), MAX_ITEM_ID + 1);
     }
 }

@@ -470,7 +470,7 @@ impl SupportEngine for VerticalEngine {
         stats: &mut MinerStats,
     ) -> LevelSupport {
         if !self.scan_charged {
-            // The whole run costs one database pass: the index build.
+            // The engine's only database pass is the index build.
             stats.scans += 1;
             self.scan_charged = true;
         }
@@ -1022,7 +1022,7 @@ impl SupportEngine for DiffsetEngine {
         stats: &mut MinerStats,
     ) -> LevelSupport {
         if !self.scan_charged {
-            // The whole run costs one database pass: the index build.
+            // The engine's only database pass is the index build.
             stats.scans += 1;
             self.scan_charged = true;
         }

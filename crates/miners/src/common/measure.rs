@@ -69,7 +69,10 @@ pub enum Screen {
     /// Not provably infrequent: proceed to [`FrequentnessMeasure::judge`].
     Keep,
     /// Fewer nonzero transactions than the support threshold — counted in
-    /// [`MinerStats::candidates_pruned_count`].
+    /// [`MinerStats::candidates_pruned_count`]. At level 2 of the
+    /// level-wise traversal the scaffold's co-occurrence pass applies the
+    /// same floor first to the pairs' co-occurrence counts
+    /// ([`pair_candidates`](super::apriori::pair_candidates)).
     PruneCount,
     /// Ruled out by a closed-form tail bound (Chernoff) — counted in
     /// [`MinerStats::candidates_pruned_chernoff`].
@@ -558,6 +561,15 @@ impl<M: FrequentnessMeasure> LevelEvaluator for MeasureEvaluator<'_, M> {
         );
         self.engine.finish_level(&out);
         out
+    }
+
+    /// `max(min_count_bound, ⌈min_esup_bound⌉)`. The esup bound converts
+    /// because `esup ≤ count`: every containment probability is at most 1,
+    /// and a round-to-nearest sum of `count` terms ≤ 1 cannot exceed
+    /// `count`. The exact NB measures export neither bound and get no floor.
+    fn count_floor(&self) -> Option<u64> {
+        let esup = self.measure.min_esup_bound().map(|t| t.ceil() as u64);
+        self.measure.min_count_bound().into_iter().chain(esup).max()
     }
 }
 

@@ -10,7 +10,8 @@
 //! kernels ran, so any later judge must screen and judge the same
 //! candidates, charge the same vector reads and land bit-identical
 //! frequent probabilities: a single reordered float operation in a kernel
-//! changes the hash.
+//! changes the hash. The Chernoff rows' `scans` were recaptured (+1) when
+//! level 2 moved onto the scaffold's co-occurrence pass.
 //!
 //! * `continuous` — continuous probabilities; the pair level's survivors
 //!   carry enough vector mass to clear the judge's parallelism gate, so at
@@ -54,15 +55,15 @@ type Golden = (
 
 #[rustfmt::skip]
 const CONTINUOUS: [Golden; 12] = [
-    (MeasureKind::ExactDp, true,  EngineKind::Horizontal, 114, 41, 59, 0,  55, 6,   0,       0,         0, 47, 17_015_656_997_174_252_198),
-    (MeasureKind::ExactDp, true,  EngineKind::Vertical,   114, 41, 59, 0,  55, 1, 104, 244_078, 2_022_560, 47, 17_015_656_997_174_252_198),
-    (MeasureKind::ExactDp, true,  EngineKind::Diffset,    114, 41, 59, 0,  55, 1, 167,  78_008,   312_032, 47, 17_015_656_997_174_252_198),
+    (MeasureKind::ExactDp, true,  EngineKind::Horizontal, 114, 41, 59, 0,  55, 7,   0,       0,         0, 47, 17_015_656_997_174_252_198),
+    (MeasureKind::ExactDp, true,  EngineKind::Vertical,   114, 41, 59, 0,  55, 2, 104, 244_078, 2_022_560, 47, 17_015_656_997_174_252_198),
+    (MeasureKind::ExactDp, true,  EngineKind::Diffset,    114, 41, 59, 0,  55, 2, 167,  78_008,   312_032, 47, 17_015_656_997_174_252_198),
     (MeasureKind::ExactDp, false, EngineKind::Horizontal, 114, 41,  0, 0, 114, 6,   0,       0,         0, 47, 17_015_656_997_174_252_198),
     (MeasureKind::ExactDp, false, EngineKind::Vertical,   114, 41,  0, 0, 114, 1, 104, 244_078, 2_022_560, 47, 17_015_656_997_174_252_198),
     (MeasureKind::ExactDp, false, EngineKind::Diffset,    114, 41,  0, 0, 114, 1, 238,  78_008,   312_032, 47, 17_015_656_997_174_252_198),
-    (MeasureKind::ExactDc, true,  EngineKind::Horizontal, 114, 41, 59, 0,  55, 6,   0,       0,         0, 47,  5_787_038_802_626_884_651),
-    (MeasureKind::ExactDc, true,  EngineKind::Vertical,   114, 41, 59, 0,  55, 1, 104, 244_078, 2_022_560, 47,  5_787_038_802_626_884_651),
-    (MeasureKind::ExactDc, true,  EngineKind::Diffset,    114, 41, 59, 0,  55, 1, 167,  78_008,   312_032, 47,  5_787_038_802_626_884_651),
+    (MeasureKind::ExactDc, true,  EngineKind::Horizontal, 114, 41, 59, 0,  55, 7,   0,       0,         0, 47,  5_787_038_802_626_884_651),
+    (MeasureKind::ExactDc, true,  EngineKind::Vertical,   114, 41, 59, 0,  55, 2, 104, 244_078, 2_022_560, 47,  5_787_038_802_626_884_651),
+    (MeasureKind::ExactDc, true,  EngineKind::Diffset,    114, 41, 59, 0,  55, 2, 167,  78_008,   312_032, 47,  5_787_038_802_626_884_651),
     (MeasureKind::ExactDc, false, EngineKind::Horizontal, 114, 41,  0, 0, 114, 6,   0,       0,         0, 47,  5_787_038_802_626_884_651),
     (MeasureKind::ExactDc, false, EngineKind::Vertical,   114, 41,  0, 0, 114, 1, 104, 244_078, 2_022_560, 47,  5_787_038_802_626_884_651),
     (MeasureKind::ExactDc, false, EngineKind::Diffset,    114, 41,  0, 0, 114, 1, 238,  78_008,   312_032, 47,  5_787_038_802_626_884_651),
@@ -70,15 +71,15 @@ const CONTINUOUS: [Golden; 12] = [
 
 #[rustfmt::skip]
 const QUANTIZED: [Golden; 12] = [
-    (MeasureKind::ExactDp, true,  EngineKind::Horizontal, 146, 43, 71, 0,  75, 7,   0,       0,         0, 66, 3_533_104_737_708_208_481),
-    (MeasureKind::ExactDp, true,  EngineKind::Vertical,   146, 43, 71, 0,  75, 1, 136, 288_137, 2_400_600, 66, 3_533_104_737_708_208_481),
-    (MeasureKind::ExactDp, true,  EngineKind::Diffset,    146, 43, 71, 0,  75, 1, 234, 105_546,   422_184, 66, 3_533_104_737_708_208_481),
+    (MeasureKind::ExactDp, true,  EngineKind::Horizontal, 146, 43, 71, 0,  75, 8,   0,       0,         0, 66, 3_533_104_737_708_208_481),
+    (MeasureKind::ExactDp, true,  EngineKind::Vertical,   146, 43, 71, 0,  75, 2, 136, 288_137, 2_400_600, 66, 3_533_104_737_708_208_481),
+    (MeasureKind::ExactDp, true,  EngineKind::Diffset,    146, 43, 71, 0,  75, 2, 234, 105_546,   422_184, 66, 3_533_104_737_708_208_481),
     (MeasureKind::ExactDp, false, EngineKind::Horizontal, 146, 43,  0, 0, 146, 8,   0,       0,         0, 66, 3_533_104_737_708_208_481),
     (MeasureKind::ExactDp, false, EngineKind::Vertical,   146, 43,  0, 0, 146, 1, 136, 288_137, 2_400_600, 66, 3_533_104_737_708_208_481),
     (MeasureKind::ExactDp, false, EngineKind::Diffset,    146, 43,  0, 0, 146, 1, 322, 105_546,   422_184, 66, 3_533_104_737_708_208_481),
-    (MeasureKind::ExactDc, true,  EngineKind::Horizontal, 146, 43, 71, 0,  75, 7,   0,       0,         0, 66, 8_089_687_308_225_673_206),
-    (MeasureKind::ExactDc, true,  EngineKind::Vertical,   146, 43, 71, 0,  75, 1, 136, 288_137, 2_400_600, 66, 8_089_687_308_225_673_206),
-    (MeasureKind::ExactDc, true,  EngineKind::Diffset,    146, 43, 71, 0,  75, 1, 234, 105_546,   422_184, 66, 8_089_687_308_225_673_206),
+    (MeasureKind::ExactDc, true,  EngineKind::Horizontal, 146, 43, 71, 0,  75, 8,   0,       0,         0, 66, 8_089_687_308_225_673_206),
+    (MeasureKind::ExactDc, true,  EngineKind::Vertical,   146, 43, 71, 0,  75, 2, 136, 288_137, 2_400_600, 66, 8_089_687_308_225_673_206),
+    (MeasureKind::ExactDc, true,  EngineKind::Diffset,    146, 43, 71, 0,  75, 2, 234, 105_546,   422_184, 66, 8_089_687_308_225_673_206),
     (MeasureKind::ExactDc, false, EngineKind::Horizontal, 146, 43,  0, 0, 146, 8,   0,       0,         0, 66, 8_089_687_308_225_673_206),
     (MeasureKind::ExactDc, false, EngineKind::Vertical,   146, 43,  0, 0, 146, 1, 136, 288_137, 2_400_600, 66, 8_089_687_308_225_673_206),
     (MeasureKind::ExactDc, false, EngineKind::Diffset,    146, 43,  0, 0, 146, 1, 322, 105_546,   422_184, 66, 8_089_687_308_225_673_206),

@@ -138,6 +138,34 @@ fn analog_popularity_regimes_are_correct() {
 }
 
 #[test]
+fn hostile_item_ids_are_typed_errors_and_large_ids_still_mine() {
+    // u32::MAX used to wrap the vocabulary to zero items (every mine came
+    // back empty); u32::MAX − 1 used to abort on a 446 GB index allocation.
+    for text in [
+        "4294967295:0.5 1:0.5\n1:0.9\n",
+        "4294967294:0.5 1:0.5\n1:0.9\n",
+    ] {
+        let err = fimi::read_uncertain(Cursor::new(text)).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                fimi::FimiError::Parse(CoreError::Parse { line: 1, .. })
+            ),
+            "{err}"
+        );
+    }
+    let db = fimi::read_uncertain(Cursor::new("100000:0.5 1:0.5\n1:0.9\n")).unwrap();
+    assert_eq!(db.num_items(), 100_001);
+    for engine in EngineKind::ALL {
+        let params = MiningParams::new(0.1, 0.5).unwrap().with_engine(engine);
+        let r = Algorithm::UApriori.mine_probabilistic(&db, params).unwrap();
+        // esup({1}) = 1.4 and esup({100000}) = 0.5 of N = 2, both ≥ 0.2.
+        assert!(r.get(&Itemset::singleton(1)).is_some(), "{engine}");
+        assert!(r.get(&Itemset::singleton(100_000)).is_some(), "{engine}");
+    }
+}
+
+#[test]
 fn uncertain_file_roundtrip_on_disk() {
     // Same as the in-memory round-trip but through the real filesystem —
     // the path `ufim-datagen` writes and downstream users read.
