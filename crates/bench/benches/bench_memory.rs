@@ -16,7 +16,9 @@
 //!
 //! The `memory_guard` guards assert that the diffset backend's memo peak
 //! undercuts the vertical backend's on this workload with identical
-//! results, and that the streaming memo peak never falls across refreshes.
+//! results, that the exact B miners (DPB, DCB) keep a vertical memo within
+//! 2x of UApriori's on the same lattice, and that the streaming memo peak
+//! never falls across refreshes.
 
 use std::time::Instant;
 use ufim_bench::harness::{dense_db, Harness};
@@ -31,30 +33,52 @@ use ufim_miners::Algorithm;
 #[global_allocator]
 static ALLOC: ufim_metrics::CountingAllocator = ufim_metrics::CountingAllocator::new();
 
-/// One measured `UApriori` run per backend: the allocator peak, memo peak
+/// One measured run of `algo` per backend: the allocator peak, memo peak
 /// and counters in a snapshot row, and the wall-clock of that one run.
-fn measure(db: &UncertainDatabase, workload: &str, min_esup: f64) -> Vec<(EngineKind, JsonRun)> {
-    EngineKind::ALL
+/// Every backend must find the same number of itemsets.
+fn measure(
+    db: &UncertainDatabase,
+    workload: &str,
+    algo: Algorithm,
+    params: MiningParams,
+) -> Vec<(EngineKind, JsonRun)> {
+    let runs: Vec<(EngineKind, JsonRun)> = EngineKind::ALL
         .into_iter()
         .map(|engine| {
-            let params = MiningParams::new(min_esup, NO_PFT)
-                .unwrap()
-                .with_engine(engine);
+            let params = params.with_engine(engine);
             let start = Instant::now();
-            let (result, alloc_peak) = ufim_metrics::alloc::measure_peak(|| {
-                Algorithm::UApriori.mine_probabilistic(db, params).unwrap()
-            });
+            let (result, alloc_peak) =
+                ufim_metrics::alloc::measure_peak(|| algo.mine_probabilistic(db, params).unwrap());
             let run = JsonRun {
                 wall_ms: start.elapsed().as_secs_f64() * 1e3,
                 peak_bytes: alloc_peak as u64,
                 peak_memo_bytes: result.stats.peak_memo_bytes,
                 intersections: result.stats.intersections,
                 num_itemsets: result.len() as u64,
-                ..JsonRun::new(workload, "UApriori", engine.name())
+                ..JsonRun::new(workload, algo.name(), engine.name())
             };
             (engine, run)
         })
-        .collect()
+        .collect();
+    let reference = runs[0].1.num_itemsets;
+    for (engine, run) in &runs {
+        assert_eq!(
+            run.num_itemsets,
+            reference,
+            "{} on {engine} diverges on the result size",
+            algo.name()
+        );
+    }
+    runs
+}
+
+/// The engine-level memo peak of `kind` among `runs`.
+fn memo(runs: &[(EngineKind, JsonRun)], kind: EngineKind) -> u64 {
+    runs.iter()
+        .find(|(e, _)| *e == kind)
+        .expect("every backend is measured")
+        .1
+        .peak_memo_bytes
 }
 
 fn main() {
@@ -64,7 +88,8 @@ fn main() {
         let min_esup = 0.02;
         println!("bench_memory: UApriori dense N=20k, I=24, d=0.4, min_esup={min_esup}");
         let db = dense_db(20_000, 24, 0.4, 7);
-        for (engine, run) in measure(&db, "N=20k,I=24,d=0.4", min_esup) {
+        let params = MiningParams::new(min_esup, NO_PFT).unwrap();
+        for (engine, run) in measure(&db, "N=20k,I=24,d=0.4", Algorithm::UApriori, params) {
             println!(
                 "  {:<10}  alloc peak {:>9.2} MB   engine memo peak {:>9.2} MB   #freq {}",
                 engine.name(),
@@ -80,22 +105,12 @@ fn main() {
     // dense workload, with identical results.
     h.guard("memory_guard/memo_undercuts", || {
         let db = dense_db(4_000, 16, 0.4, 11);
-        let runs = measure(&db, "N=4k,I=16,d=0.4", 0.05);
-        let reference = runs[0].1.num_itemsets;
-        for (engine, run) in &runs {
-            assert_eq!(
-                run.num_itemsets, reference,
-                "{engine} diverges on the result size"
-            );
-        }
-        let memo = |kind| {
-            runs.iter()
-                .find(|(e, _)| *e == kind)
-                .unwrap()
-                .1
-                .peak_memo_bytes
-        };
-        let (vertical, diffset) = (memo(EngineKind::Vertical), memo(EngineKind::Diffset));
+        let params = MiningParams::new(0.05, NO_PFT).unwrap();
+        let runs = measure(&db, "N=4k,I=16,d=0.4", Algorithm::UApriori, params);
+        let (vertical, diffset) = (
+            memo(&runs, EngineKind::Vertical),
+            memo(&runs, EngineKind::Diffset),
+        );
         assert!(
             diffset < vertical,
             "diffset memo peak ({diffset} B) must undercut vertical ({vertical} B) on dense data"
@@ -104,6 +119,36 @@ fn main() {
             "memory_guard: diffset memo {diffset} B < vertical memo {vertical} B ({:.1}x smaller)",
             vertical as f64 / diffset as f64
         );
+    });
+
+    // The exact B miners' Chernoff screen implies an esup cut, and the
+    // engines drop every candidate below it before exporting a vector, so
+    // on the same dense lattice their vertical memo stays within 2x of
+    // UApriori's at min_esup = min_sup. Here most triples clear the count
+    // floor but not the cut: exporting them breaks the bound (3x).
+    h.guard("memory_guard/exact_memo_bounded", || {
+        let db = dense_db(4_000, 16, 0.4, 11);
+        let (min_sup, pft) = (0.05, 0.9);
+        let workload = "N=4k,I=16,d=0.4";
+        let esup = MiningParams::new(min_sup, NO_PFT).unwrap();
+        let esup = memo(
+            &measure(&db, workload, Algorithm::UApriori, esup),
+            EngineKind::Vertical,
+        );
+        for algo in [Algorithm::DPB, Algorithm::DCB] {
+            let params = MiningParams::new(min_sup, pft).unwrap();
+            let exact = memo(&measure(&db, workload, algo, params), EngineKind::Vertical);
+            assert!(
+                exact <= 2 * esup,
+                "{} vertical memo peak ({exact} B) exceeds 2x UApriori's ({esup} B)",
+                algo.name()
+            );
+            println!(
+                "memory_guard: {} vertical memo {exact} B vs UApriori {esup} B ({:.2}x)",
+                algo.name(),
+                exact as f64 / esup as f64
+            );
+        }
     });
 
     // Streaming guard: with memo-preserving delta evaluation the engine

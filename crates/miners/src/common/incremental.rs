@@ -32,6 +32,11 @@
 //!   ([`FrequentnessMeasure::min_esup_bound`] /
 //!   [`FrequentnessMeasure::min_count_bound`]), the itemset provably
 //!   cannot have crossed the border and is skipped without evaluation.
+//!   The esup cut is the threshold for Definition 2 and the Poisson
+//!   measure, the derived Normal-tail bound for the Normal measure, and
+//!   the Chernoff screen's esup cut for the exact B measures, which also
+//!   cut on the count `msup`. The exact NB measures have no cut, so every
+//!   touched infrequent entry of theirs is re-judged.
 //!
 //! Everything else — new candidates, touched frequent itemsets, touched
 //! infrequent itemsets whose bounds could cross — goes through the engine
@@ -629,6 +634,39 @@ mod tests {
             EngineKind::Vertical,
         );
         assert_eq!(miner.result().itemsets, batch.itemsets);
+    }
+
+    #[test]
+    fn chernoff_cut_skips_touched_exact_entries_below_it() {
+        // Item 5 trickles in at tiny probability beside a frequent pair.
+        // Once its count reaches msup = 4, only the Chernoff screen's esup
+        // cut (≈ 1.19 here) still proves it infrequent: the touched entry
+        // is skipped instead of re-judged, and the records stay batch-exact.
+        let params = MiningParams::new(0.125, 0.5).unwrap();
+        let exact = ExactMeasure::new(ExactKernel::DynamicProgramming, true, 32, &params);
+        let cut = exact.min_esup_bound().expect("the B variant exports a cut");
+        assert!(cut > 1.0 && cut < 4.0, "{cut}");
+        for kind in [EngineKind::Vertical, EngineKind::Diffset] {
+            let window = WindowedDatabase::new(32, 6);
+            let mut miner = IncrementalMiner::new(window, exact, kind);
+            for _ in 0..8 {
+                miner
+                    .append(Transaction::new([(0, 0.9), (1, 0.8), (5, 0.01)]).unwrap())
+                    .unwrap();
+                miner.refresh();
+            }
+            let stats = &miner.result().stats;
+            // {0}, {1} and {0, 1} are touched frequent entries and are
+            // re-judged. {2}, {3} and {4} are untouched, and {5} is touched
+            // but cut: all four are skipped.
+            assert_eq!(
+                (stats.border_rejudged, stats.border_skipped),
+                (3, 4),
+                "{kind}"
+            );
+            let batch = mine_level_wise(&miner.window().snapshot(), exact, kind);
+            assert_eq!(miner.result().itemsets, batch.itemsets, "{kind}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use super::apriori::LevelEvaluator;
 use super::engine::{LevelSupport, StatRequest, SupportEngine, VectorScratch};
 use ufim_core::parallel::{par_map_min_len_with, DEFAULT_MIN_WORK};
 use ufim_core::prelude::*;
-use ufim_stats::chernoff::chernoff_prunable;
+use ufim_stats::chernoff::{chernoff_min_esup, chernoff_prunable};
 use ufim_stats::normal::{normal_esup_lower_bound, normal_survival_with_continuity};
 use ufim_stats::pb::{pmf_divide_conquer, survival_dp};
 use ufim_stats::poisson::poisson_lambda_for_survival;
@@ -144,9 +144,14 @@ pub trait FrequentnessMeasure: Sync {
     fn needs(&self) -> StatNeeds;
 
     /// A sound engine-pushdown threshold: candidates with `esup` strictly
-    /// below it are never kept by [`judge`](Self::judge). Engines use it to
-    /// drop memoization state early ([`StatRequest::min_esup`]); it never
-    /// changes reported results.
+    /// below it are never kept — [`screen`](Self::screen) prunes them, or
+    /// [`judge`](Self::judge) rejects them. Engines use it to drop a
+    /// candidate's vector before it is exported ([`StatRequest::min_esup`]),
+    /// and the incremental border tracker to skip infrequent itemsets; it
+    /// never changes reported results. Definition 2 and the Poisson measure
+    /// return their threshold, the Normal measure its derived esup bound,
+    /// and the exact measures with the Chernoff screen the esup cut that
+    /// screen implies ([`chernoff_min_esup`]).
     fn min_esup_bound(&self) -> Option<f64> {
         None
     }
@@ -405,9 +410,21 @@ impl FrequentnessMeasure for ExactMeasure {
         }
     }
 
+    /// The cut [`chernoff_min_esup`] derives from the Chernoff screen:
+    /// every `esup` below it is [`Screen::PruneBound`] or
+    /// [`Screen::PruneCount`], so engines drop those candidates' vectors
+    /// before the screen runs. The screen's verdicts do not change.
+    fn min_esup_bound(&self) -> Option<f64> {
+        self.chernoff
+            .then(|| chernoff_min_esup(self.msup_real, self.pft))
+            .flatten()
+    }
+
+    /// The count screen's own threshold. `⌈min_esup_bound⌉ ≤ msup`, so the
+    /// level-2 count floor stays `msup`. NB variants evaluate every
+    /// candidate exactly and export neither bound, so their engines keep
+    /// every vector.
     fn min_count_bound(&self) -> Option<u64> {
-        // NB variants evaluate every candidate exactly, so their engines
-        // must keep everything memoized.
         self.chernoff.then_some(self.msup as u64)
     }
 
@@ -566,7 +583,9 @@ impl<M: FrequentnessMeasure> LevelEvaluator for MeasureEvaluator<'_, M> {
     /// `max(min_count_bound, ⌈min_esup_bound⌉)`. The esup bound converts
     /// because `esup ≤ count`: every containment probability is at most 1,
     /// and a round-to-nearest sum of `count` terms ≤ 1 cannot exceed
-    /// `count`. The exact NB measures export neither bound and get no floor.
+    /// `count`. For the exact B measures the count bound `msup` is the
+    /// larger one. The exact NB measures export neither bound and get no
+    /// floor.
     fn count_floor(&self) -> Option<u64> {
         let esup = self.measure.min_esup_bound().map(|t| t.ceil() as u64);
         self.measure.min_count_bound().into_iter().chain(esup).max()
@@ -931,6 +950,102 @@ mod tests {
         assert_eq!(stats.exact_evaluations, 2);
         assert!((dp.frequent_prob.unwrap() - dc.frequent_prob.unwrap()).abs() < 1e-12);
         assert!((dp.frequent_prob.unwrap() - survival_dp(&probs, 2)).abs() < 1e-15);
+    }
+
+    /// An exact measure with its esup cut hidden from the engines.
+    struct WithoutEsupCut(ExactMeasure);
+
+    impl FrequentnessMeasure for WithoutEsupCut {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn needs(&self) -> StatNeeds {
+            self.0.needs()
+        }
+        fn min_count_bound(&self) -> Option<u64> {
+            self.0.min_count_bound()
+        }
+        fn screen(&self, esup: f64, count: u64) -> Screen {
+            self.0.screen(esup, count)
+        }
+        fn judge(&self, c: &CandidateStats<'_>, stats: &mut MinerStats) -> Option<Judgment> {
+            self.0.judge(c, stats)
+        }
+    }
+
+    #[test]
+    fn chernoff_esup_cut_changes_only_the_memo() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Dense enough that many triples clear the count floor while their
+        // expected support sits under the Chernoff cut.
+        let mut rng = StdRng::seed_from_u64(22);
+        let transactions: Vec<Transaction> = (0..1_500)
+            .map(|_| {
+                let units: Vec<(u32, f64)> = (0..12u32)
+                    .filter_map(|i| {
+                        if rng.gen_bool(0.45) {
+                            Some((i, rng.gen_range(0.5..=1.0)))
+                        } else {
+                            None
+                        }
+                    })
+                    .collect();
+                Transaction::new(units).unwrap()
+            })
+            .collect();
+        let db = UncertainDatabase::with_num_items(transactions, 12);
+        let params = MiningParams::new(0.08, 0.9).unwrap();
+        for kernel in [ExactKernel::DynamicProgramming, ExactKernel::DivideConquer] {
+            let m = ExactMeasure::new(kernel, true, db.num_transactions(), &params);
+            let cut = m.min_esup_bound().expect("the B variants export a cut");
+            assert!(cut > 0.0 && cut < params.msup(db.num_transactions()) as f64);
+            for engine in [EngineKind::Vertical, EngineKind::Diffset] {
+                let with = mine_level_wise(&db, m, engine);
+                let without = mine_level_wise(&db, WithoutEsupCut(m), engine);
+                let at = format!("{} on {engine}", m.name());
+                assert!(!with.is_empty(), "{at}");
+                assert_eq!(with.itemsets, without.itemsets, "{at}");
+                let decisions = |s: &MinerStats| {
+                    (
+                        s.candidates_evaluated,
+                        s.candidates_pruned_structural,
+                        s.candidates_pruned_chernoff,
+                        s.candidates_pruned_count,
+                        s.exact_evaluations,
+                        s.scans,
+                    )
+                };
+                assert_eq!(decisions(&with.stats), decisions(&without.stats), "{at}");
+                assert!(with.stats.candidates_pruned_chernoff > 0, "{at}");
+                // The diffset engine charges one intersection for each
+                // tidset node it materializes, and a cut candidate has none.
+                assert!(
+                    with.stats.intersections <= without.stats.intersections,
+                    "{at}"
+                );
+                if engine == EngineKind::Vertical {
+                    assert_eq!(
+                        with.stats.intersections, without.stats.intersections,
+                        "{at}"
+                    );
+                }
+                assert!(
+                    with.stats.peak_memo_bytes < without.stats.peak_memo_bytes,
+                    "{at}: {} vs {}",
+                    with.stats.peak_memo_bytes,
+                    without.stats.peak_memo_bytes
+                );
+            }
+        }
+        // The NB variants export no cut.
+        let nb = ExactMeasure::new(
+            ExactKernel::DynamicProgramming,
+            false,
+            db.num_transactions(),
+            &params,
+        );
+        assert_eq!(nb.min_esup_bound(), None);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   [Normal](normal) or [Poisson](poisson) approximation to the survival
 //!   function (§3.3);
 //! * the exact miners' **pruning** uses the [Chernoff tail bound](chernoff)
-//!   (Lemma 1).
+//!   (Lemma 1), and the expected-support cut it implies
+//!   ([`chernoff::chernoff_min_esup`]) lets the support engines skip the
+//!   vectors of candidates the bound rules out.
 //!
 //! Everything is implemented from scratch on `std`: the [`fft`] module
 //! provides the iterative radix-2 transform used for PMF convolution, and
@@ -38,7 +40,7 @@ pub mod pb;
 pub mod poisson;
 
 pub use binomial::{binomial_survival, detect_constant};
-pub use chernoff::{chernoff_prunable, chernoff_upper_bound};
+pub use chernoff::{chernoff_min_esup, chernoff_prunable, chernoff_upper_bound};
 pub use complex::Complex64;
 pub use dft_cf::{pmf_dft_cf, survival_dft_cf};
 pub use normal::{normal_cdf, normal_survival_with_continuity};

@@ -1,8 +1,11 @@
 //! Property-based tests for the statistics substrate: FFT identities,
-//! convolution algebra, special-function identities.
+//! convolution algebra, special-function identities, and the soundness and
+//! tightness of the Chernoff screen's expected-support cut.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use ufim_stats::chernoff::{chernoff_min_esup, chernoff_prunable};
 use ufim_stats::complex::Complex64;
 use ufim_stats::conv::{convolve, convolve_fft, convolve_naive, fold_tail};
 use ufim_stats::fft::{dft_naive, fft, fft_in_place, ifft_in_place, Direction};
@@ -129,5 +132,64 @@ proptest! {
         // CDF is the pmf partial sum.
         let direct: f64 = (0..=k).map(|i| poisson_pmf(i, lambda)).sum();
         prop_assert!((c - direct).abs() < 1e-9);
+    }
+}
+
+/// Checks `chernoff_min_esup(msup, pft)` against the screen it is derived
+/// from: every sampled mean below the cut is prunable (the largest float
+/// below it, fractions of it, and the floats around the regime seam
+/// `(msup − 1)/2e`), and a mean 1e−9 above it is not.
+fn check_min_esup(msup: f64, pft: f64) -> Result<(), TestCaseError> {
+    let Some(cut) = chernoff_min_esup(msup, pft) else {
+        prop_assert!(msup <= 1.0, "no cut for msup={} pft={}", msup, pft);
+        return Ok(());
+    };
+    let seam = (msup - 1.0) / (2.0 * std::f64::consts::E);
+    let mut probes = vec![cut.next_down(), seam * (1.0 - 1e-12)];
+    // Every float within 8 of the seam on either side.
+    let first = (0..8).fold(seam, |mu, _| mu.next_down());
+    probes.extend((0..=16).scan(first, |mu, _| {
+        let here = *mu;
+        *mu = mu.next_up();
+        Some(here)
+    }));
+    probes.extend((0..32).map(|k| cut * f64::from(k) / 32.0));
+    probes.extend((1..=8).map(|k| cut * (1.0 - 10f64.powi(-k))));
+    for mu in probes {
+        if (0.0..cut).contains(&mu) {
+            prop_assert!(
+                chernoff_prunable(mu, msup, pft),
+                "μ={} below cut {} kept (msup={} pft={})",
+                mu,
+                cut,
+                msup,
+                pft
+            );
+        }
+    }
+    let over = if cut > 0.0 { cut * (1.0 + 1e-9) } else { 1e-9 };
+    prop_assert!(
+        !chernoff_prunable(over, msup, pft),
+        "cut {} not tight (msup={} pft={})",
+        cut,
+        msup,
+        pft
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn chernoff_min_esup_is_sound_and_tight(msup in 1.0f64..=1e5, pft in 1e-12f64..1.0) {
+        check_min_esup(msup, pft)?;
+    }
+
+    #[test]
+    fn chernoff_min_esup_at_extreme_pft(msup in 1.0f64..=1e5, k in 0.01f64..12.0) {
+        // Log-uniform pft in (1e−12, 1): both ends of the unit interval.
+        check_min_esup(msup, 10f64.powf(-k))?;
+        check_min_esup(msup, 1.0 - 10f64.powf(-k))?;
     }
 }

@@ -12,7 +12,12 @@
 //! rows' `scans`, and on `sparse_pairs` their candidate, count-prune and
 //! intersection counters, were recaptured when level 2 moved onto the
 //! co-occurrence pass, which charges one scan and drops the pairs below
-//! the count floor before they are evaluated.
+//! the count floor before they are evaluated. The DPB/DCB rows' `peak_*`
+//! fields on the columnar engines were recaptured when the Chernoff
+//! screen's esup cut reached the engines, which no longer export a vector
+//! the screen will discard. On `sparse_pairs` the diffset rows'
+//! `intersections` fell by one with it: a discarded candidate no longer
+//! pays to materialize a tidset node.
 //!
 //! * `continuous` — continuous probabilities; frequent pairs and triples,
 //!   some of each screened out.
@@ -63,14 +68,14 @@ const CONTINUOUS: [Golden; 25] = [
     (Algorithm::UFPGrowth,  EngineKind::Horizontal,  77,  0,  0,   0,   0, 36,   0,  6_163,       0, 34, 16_911_437_164_918_179_726),
     (Algorithm::UHMine,     EngineKind::Horizontal,  97,  0,  0,   0,   0, 37,   0,  6_162,       0, 34, 16_911_437_164_918_179_726),
     (Algorithm::DPB,        EngineKind::Horizontal,  69, 17, 30,   0,  39,  7,   0,      0,       0, 32,  6_659_443_303_615_011_967),
-    (Algorithm::DPB,        EngineKind::Vertical,    69, 17, 30,   0,  39,  2,  61, 59_212, 490_720, 32,  6_659_443_303_615_011_967),
-    (Algorithm::DPB,        EngineKind::Diffset,     69, 17, 30,   0,  39,  2, 104, 18_724,  74_896, 32,  6_659_443_303_615_011_967),
+    (Algorithm::DPB,        EngineKind::Vertical,    69, 17, 30,   0,  39,  2,  61, 33_599, 277_304, 32,  6_659_443_303_615_011_967),
+    (Algorithm::DPB,        EngineKind::Diffset,     69, 17, 30,   0,  39,  2, 104, 10_110,  40_440, 32,  6_659_443_303_615_011_967),
     (Algorithm::DPNB,       EngineKind::Horizontal,  69, 17,  0,   0,  69,  6,   0,      0,       0, 32,  6_659_443_303_615_011_967),
     (Algorithm::DPNB,       EngineKind::Vertical,    69, 17,  0,   0,  69,  1,  61, 59_212, 490_720, 32,  6_659_443_303_615_011_967),
     (Algorithm::DPNB,       EngineKind::Diffset,     69, 17,  0,   0,  69,  1, 142, 18_724,  74_896, 32,  6_659_443_303_615_011_967),
     (Algorithm::DCB,        EngineKind::Horizontal,  69, 17, 30,   0,  39,  7,   0,      0,       0, 32,  3_352_715_002_830_157_423),
-    (Algorithm::DCB,        EngineKind::Vertical,    69, 17, 30,   0,  39,  2,  61, 59_212, 490_720, 32,  3_352_715_002_830_157_423),
-    (Algorithm::DCB,        EngineKind::Diffset,     69, 17, 30,   0,  39,  2, 104, 18_724,  74_896, 32,  3_352_715_002_830_157_423),
+    (Algorithm::DCB,        EngineKind::Vertical,    69, 17, 30,   0,  39,  2,  61, 33_599, 277_304, 32,  3_352_715_002_830_157_423),
+    (Algorithm::DCB,        EngineKind::Diffset,     69, 17, 30,   0,  39,  2, 104, 10_110,  40_440, 32,  3_352_715_002_830_157_423),
     (Algorithm::DCNB,       EngineKind::Horizontal,  69, 17,  0,   0,  69,  6,   0,      0,       0, 32,  3_352_715_002_830_157_423),
     (Algorithm::DCNB,       EngineKind::Vertical,    69, 17,  0,   0,  69,  1,  61, 59_212, 490_720, 32,  3_352_715_002_830_157_423),
     (Algorithm::DCNB,       EngineKind::Diffset,     69, 17,  0,   0,  69,  1, 142, 18_724,  74_896, 32,  3_352_715_002_830_157_423),
@@ -92,14 +97,14 @@ const QUANTIZED: [Golden; 25] = [
     (Algorithm::UFPGrowth,  EngineKind::Horizontal,  84,  0,  0,   0,   0, 47,   0,  3_432,       0, 45, 16_613_027_842_188_446_015),
     (Algorithm::UHMine,     EngineKind::Horizontal, 128,  0,  0,   0,   0, 48,   0,  6_162,       0, 45, 16_613_027_842_188_446_015),
     (Algorithm::DPB,        EngineKind::Horizontal,  83, 16, 32,   0,  51,  8,   0,      0,       0, 43, 15_872_339_034_204_881_997),
-    (Algorithm::DPB,        EngineKind::Vertical,    83, 16, 32,   0,  51,  2,  75, 67_304, 560_016, 43, 15_872_339_034_204_881_997),
-    (Algorithm::DPB,        EngineKind::Diffset,     83, 16, 32,   0,  51,  2, 140, 23_537,  94_148, 43, 15_872_339_034_204_881_997),
+    (Algorithm::DPB,        EngineKind::Vertical,    83, 16, 32,   0,  51,  2,  75, 47_956, 396_112, 43, 15_872_339_034_204_881_997),
+    (Algorithm::DPB,        EngineKind::Diffset,     83, 16, 32,   0,  51,  2, 140, 14_357,  57_428, 43, 15_872_339_034_204_881_997),
     (Algorithm::DPNB,       EngineKind::Horizontal,  83, 16,  0,   0,  83,  8,   0,      0,       0, 43, 15_872_339_034_204_881_997),
     (Algorithm::DPNB,       EngineKind::Vertical,    83, 16,  0,   0,  83,  1,  75, 67_304, 560_016, 43, 15_872_339_034_204_881_997),
     (Algorithm::DPNB,       EngineKind::Diffset,     83, 16,  0,   0,  83,  1, 184, 23_537,  94_148, 43, 15_872_339_034_204_881_997),
     (Algorithm::DCB,        EngineKind::Horizontal,  83, 16, 32,   0,  51,  8,   0,      0,       0, 43,  4_454_012_322_603_389_182),
-    (Algorithm::DCB,        EngineKind::Vertical,    83, 16, 32,   0,  51,  2,  75, 67_304, 560_016, 43,  4_454_012_322_603_389_182),
-    (Algorithm::DCB,        EngineKind::Diffset,     83, 16, 32,   0,  51,  2, 140, 23_537,  94_148, 43,  4_454_012_322_603_389_182),
+    (Algorithm::DCB,        EngineKind::Vertical,    83, 16, 32,   0,  51,  2,  75, 47_956, 396_112, 43,  4_454_012_322_603_389_182),
+    (Algorithm::DCB,        EngineKind::Diffset,     83, 16, 32,   0,  51,  2, 140, 14_357,  57_428, 43,  4_454_012_322_603_389_182),
     (Algorithm::DCNB,       EngineKind::Horizontal,  83, 16,  0,   0,  83,  8,   0,      0,       0, 43,  4_454_012_322_603_389_182),
     (Algorithm::DCNB,       EngineKind::Vertical,    83, 16,  0,   0,  83,  1,  75, 67_304, 560_016, 43,  4_454_012_322_603_389_182),
     (Algorithm::DCNB,       EngineKind::Diffset,     83, 16,  0,   0,  83,  1, 184, 23_537,  94_148, 43,  4_454_012_322_603_389_182),
@@ -122,13 +127,13 @@ const SPARSE_PAIRS: [Golden; 25] = [
     (Algorithm::UHMine,     EngineKind::Horizontal, 381,  0,  0,   0,   0, 31,   0,  5_802,       0, 28, 15_794_282_968_558_517_599),
     (Algorithm::DPB,        EngineKind::Horizontal,  32,  0,  3, 269,  29,  7,   0,      0,       0, 28, 16_032_949_738_528_650_304),
     (Algorithm::DPB,        EngineKind::Vertical,    32,  0,  3, 269,  29,  2,   8,  4_304,  35_712, 28, 16_032_949_738_528_650_304),
-    (Algorithm::DPB,        EngineKind::Diffset,     32,  0,  3, 269,  29,  2,  16,  1_148,   5_332, 28, 16_032_949_738_528_650_304),
+    (Algorithm::DPB,        EngineKind::Diffset,     32,  0,  3, 269,  29,  2,  15,    465,   1_860, 28, 16_032_949_738_528_650_304),
     (Algorithm::DPNB,       EngineKind::Horizontal, 301,  0,  0,   0, 301,  6,   0,      0,       0, 28, 16_032_949_738_528_650_304),
     (Algorithm::DPNB,       EngineKind::Vertical,   301,  0,  0,   0, 301,  1, 277, 18_507, 215_096, 28, 16_032_949_738_528_650_304),
     (Algorithm::DPNB,       EngineKind::Diffset,    301,  0,  0,   0, 301,  1, 556, 18_811, 186_912, 28, 16_032_949_738_528_650_304),
     (Algorithm::DCB,        EngineKind::Horizontal,  32,  0,  3, 269,  29,  7,   0,      0,       0, 28,  7_568_306_930_007_051_898),
     (Algorithm::DCB,        EngineKind::Vertical,    32,  0,  3, 269,  29,  2,   8,  4_304,  35_712, 28,  7_568_306_930_007_051_898),
-    (Algorithm::DCB,        EngineKind::Diffset,     32,  0,  3, 269,  29,  2,  16,  1_148,   5_332, 28,  7_568_306_930_007_051_898),
+    (Algorithm::DCB,        EngineKind::Diffset,     32,  0,  3, 269,  29,  2,  15,    465,   1_860, 28,  7_568_306_930_007_051_898),
     (Algorithm::DCNB,       EngineKind::Horizontal, 301,  0,  0,   0, 301,  6,   0,      0,       0, 28,  7_568_306_930_007_051_898),
     (Algorithm::DCNB,       EngineKind::Vertical,   301,  0,  0,   0, 301,  1, 277, 18_507, 215_096, 28,  7_568_306_930_007_051_898),
     (Algorithm::DCNB,       EngineKind::Diffset,    301,  0,  0,   0, 301,  1, 556, 18_811, 186_912, 28,  7_568_306_930_007_051_898),
