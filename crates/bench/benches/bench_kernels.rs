@@ -49,11 +49,10 @@ fn build(rng: &mut StdRng, len: usize, spread: usize) -> ProbVector {
 
 /// One kernel row: `workload` is the grid point, `algorithm` the kernel.
 fn kernel_run(workload: &str, algorithm: &str, input_units: usize, result_count: usize) -> JsonRun {
-    JsonRun {
-        intersections: input_units as u64,
-        num_itemsets: result_count as u64,
-        ..JsonRun::new(workload, algorithm, "kernel")
-    }
+    let mut run = JsonRun::new(workload, algorithm, "kernel");
+    run.stats.intersections = input_units as u64;
+    run.num_itemsets = result_count as u64;
+    run
 }
 
 fn main() {

@@ -52,9 +52,8 @@ fn measure(
             let run = JsonRun {
                 wall_ms: start.elapsed().as_secs_f64() * 1e3,
                 peak_bytes: alloc_peak as u64,
-                peak_memo_bytes: result.stats.peak_memo_bytes,
-                intersections: result.stats.intersections,
                 num_itemsets: result.len() as u64,
+                stats: result.stats,
                 ..JsonRun::new(workload, algo.name(), engine.name())
             };
             (engine, run)
@@ -78,6 +77,7 @@ fn memo(runs: &[(EngineKind, JsonRun)], kind: EngineKind) -> u64 {
         .find(|(e, _)| *e == kind)
         .expect("every backend is measured")
         .1
+        .stats
         .peak_memo_bytes
 }
 
@@ -94,7 +94,7 @@ fn main() {
                 "  {:<10}  alloc peak {:>9.2} MB   engine memo peak {:>9.2} MB   #freq {}",
                 engine.name(),
                 run.peak_bytes as f64 / 1048576.0,
-                run.peak_memo_bytes as f64 / 1048576.0,
+                run.stats.peak_memo_bytes as f64 / 1048576.0,
                 run.num_itemsets
             );
             h.record(run);

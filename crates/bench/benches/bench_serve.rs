@@ -297,7 +297,7 @@ fn main() {
 
     let rounds = if h.smoke() { 2 } else { 16 };
     for clients in [1usize, 4, 8] {
-        let run = JsonRun::new(
+        let mut run = JsonRun::new(
             format!("N={N},clients={clients}"),
             "mixed sweep/topk/probe",
             "memo",
@@ -305,6 +305,8 @@ fn main() {
         if !h.selects(&format!("serve/{}", run.workload)) {
             continue;
         }
+        run.stats.peak_memo_bytes = counted.resident_bytes;
+        run.stats.intersections = counted.cold_intersections;
         let (p50, p95, p99, qps, wall_ms) = timed_phase(&db, clients, rounds);
         println!(
             "clients={clients:<2} p50 {p50:>7.3} ms  p95 {p95:>7.3} ms  p99 {p99:>7.3} ms  \
@@ -312,8 +314,6 @@ fn main() {
         );
         h.record(JsonRun {
             wall_ms,
-            peak_memo_bytes: counted.resident_bytes,
-            intersections: counted.cold_intersections,
             num_itemsets: counted.num_itemsets,
             memo_hits: Some(counted.memo_hits),
             memo_extends: Some(counted.memo_extends),

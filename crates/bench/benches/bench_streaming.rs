@@ -15,10 +15,11 @@
 //! catches a collapse of the border reuse).
 //!
 //! The bench emits a `BENCH_streaming.json` snapshot (`--json-out DIR`).
-//! Strict fields (`intersections`, `num_itemsets`) come from the counted
-//! pass and are bit-identical across machines and pool sizes; the
-//! throughput (`wall_ms`, from which tx/sec derives) and the
-//! border-tracker counters ride along as advisory fields.
+//! Each side's [`MinerStats`], summed over the counted pass, and the final
+//! result size are bit-identical across machines and pool sizes, so the
+//! work counters (border and memo tallies included) are strict in the
+//! gate; the throughput (`wall_ms`, from which tx/sec derives) and the
+//! memo peak ride along as advisory fields.
 //!
 //! With `--gate` (this bench's own flag) the binary additionally asserts
 //! the **wall-clock contract** of memo-preserving delta evaluation: on the
@@ -46,59 +47,40 @@ const ROUNDS: usize = 8;
 /// frequent on the dense fixture, triples fall below — a live border.
 const MIN_ESUP_RATIO: f64 = 0.05;
 
-/// Accumulated work counters of one side of the counted pass.
-#[derive(Default)]
-struct Tally {
-    candidates: u64,
-    intersections: u64,
-    peak_memo: u64,
-    rejudged: u64,
-    skipped: u64,
-    patched: u64,
-    rebuilt: u64,
-}
-
-impl Tally {
-    fn absorb(&mut self, stats: &MinerStats) {
-        self.candidates += stats.candidates_evaluated;
-        self.intersections += stats.intersections;
-        self.peak_memo = self.peak_memo.max(stats.peak_memo_bytes);
-        self.rejudged += stats.border_rejudged;
-        self.skipped += stats.border_skipped;
-        self.patched += stats.memo_patched;
-        self.rebuilt += stats.memo_rebuilt;
-    }
-}
-
 /// One counted pass: incremental and batch side by side, record-equality
 /// asserted at every checkpoint. Returns `(incremental, batch, final
-/// result size)`.
-fn counted_pass(txs: &[Transaction], engine: EngineKind, threshold: f64) -> (Tally, Tally, u64) {
+/// result size)`, each side's counters merged over every checkpoint.
+fn counted_pass(
+    txs: &[Transaction],
+    engine: EngineKind,
+    threshold: f64,
+) -> (MinerStats, MinerStats, u64) {
     let window = WindowedDatabase::new(CAPACITY, ITEMS);
     let mut miner =
         IncrementalMiner::new(window, ExpectedSupport::with_variance(threshold), engine);
-    let (mut inc, mut batch) = (Tally::default(), Tally::default());
+    let (mut inc, mut batch) = (MinerStats::default(), MinerStats::default());
     let mut stream = txs.iter().cloned();
     for t in stream.by_ref().take(CAPACITY) {
         miner.append(t).unwrap();
     }
-    let check =
-        |miner: &mut IncrementalMiner<ExpectedSupport>, inc: &mut Tally, batch: &mut Tally| {
-            let result = miner.refresh();
-            inc.absorb(&result.stats);
-            let oracle = mine_level_wise(
-                &miner.window().snapshot(),
-                ExpectedSupport::with_variance(threshold),
-                engine,
-            );
-            batch.absorb(&oracle.stats);
-            assert_eq!(
-                miner.result().itemsets,
-                oracle.itemsets,
-                "{engine}: incremental diverged from the batch oracle"
-            );
-            oracle.len() as u64
-        };
+    let check = |miner: &mut IncrementalMiner<ExpectedSupport>,
+                 inc: &mut MinerStats,
+                 batch: &mut MinerStats| {
+        let result = miner.refresh();
+        inc.absorb(&result.stats);
+        let oracle = mine_level_wise(
+            &miner.window().snapshot(),
+            ExpectedSupport::with_variance(threshold),
+            engine,
+        );
+        batch.absorb(&oracle.stats);
+        assert_eq!(
+            miner.result().itemsets,
+            oracle.itemsets,
+            "{engine}: incremental diverged from the batch oracle"
+        );
+        oracle.len() as u64
+    };
     // Cold mine — identical work on both sides by construction.
     check(&mut miner, &mut inc, &mut batch);
     let mut final_size = 0;
@@ -159,16 +141,16 @@ fn main() {
         let (inc, batch, num_itemsets) = counted_pass(txs, engine, threshold);
         // The acceptance floor: border reuse must keep the incremental
         // path strictly under the batch oracle's candidate workload.
-        let ratio = inc.candidates as f64 / batch.candidates as f64;
+        let ratio = inc.candidates_evaluated as f64 / batch.candidates_evaluated as f64;
         assert!(
-            inc.candidates < batch.candidates && ratio <= 0.90,
+            inc.candidates_evaluated < batch.candidates_evaluated && ratio <= 0.90,
             "{workload} {engine}: incremental evaluated {} candidates vs batch {} \
              (ratio {ratio:.2} > 0.90) — border reuse collapsed",
-            inc.candidates,
-            batch.candidates
+            inc.candidates_evaluated,
+            batch.candidates_evaluated
         );
         let mut best = [None; 2];
-        for (side, (algorithm, tally, incremental)) in [
+        for (side, (algorithm, stats, incremental)) in [
             ("incremental", &inc, true),
             ("batch re-mine", &batch, false),
         ]
@@ -176,13 +158,8 @@ fn main() {
         .enumerate()
         {
             let run = JsonRun {
-                peak_memo_bytes: tally.peak_memo,
-                intersections: tally.intersections,
                 num_itemsets,
-                border_rejudged: incremental.then_some(tally.rejudged),
-                border_skipped: incremental.then_some(tally.skipped),
-                memo_patched: incremental.then_some(tally.patched),
-                memo_rebuilt: incremental.then_some(tally.rebuilt),
+                stats: stats.clone(),
                 ..JsonRun::new(&workload, algorithm, engine.name())
             };
             let Some(timing) = h.bench("streaming", run, || {
@@ -196,18 +173,18 @@ fn main() {
                  intersections {:>6}, itemsets {num_itemsets}",
                 engine.name(),
                 streamed / (timing.median_ms / 1000.0),
-                tally.candidates,
-                tally.intersections,
+                stats.candidates_evaluated,
+                stats.intersections,
             );
         }
         println!(
             "{workload:<34} {:<10} candidate ratio {ratio:.2} (border re-judged {}, reused {}; \
              memo patched {}, rebuilt {})",
             engine.name(),
-            inc.rejudged,
-            inc.skipped,
-            inc.patched,
-            inc.rebuilt
+            inc.border_rejudged,
+            inc.border_skipped,
+            inc.memo_patched,
+            inc.memo_rebuilt
         );
         // The wall-clock contract (--gate): on the columnar backends the
         // warm-memo path must actually be faster, not merely do less

@@ -133,9 +133,8 @@ pub fn run(
                     engine: engine_label.to_string(),
                     wall_ms: m.time_secs * 1e3,
                     peak_bytes: m.peak_bytes as u64,
-                    peak_memo_bytes: m.stats.peak_memo_bytes,
-                    intersections: m.stats.intersections,
                     num_itemsets: m.num_itemsets as u64,
+                    stats: m.stats.clone(),
                     ..Default::default()
                 });
             }

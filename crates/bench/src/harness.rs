@@ -129,16 +129,15 @@ impl Harness {
         Some(timing)
     }
 
-    /// [`bench`](Self::bench) for a mining run: the recorded counters
-    /// (intersections, result size, memo peak) come from the first call's
-    /// result, which is deterministic.
+    /// [`bench`](Self::bench) for a mining run: the recorded result size
+    /// and [`MinerStats`] come from the first call's result, which is
+    /// deterministic.
     pub fn mine(&mut self, group: &str, run: JsonRun, f: impl FnMut() -> MiningResult) {
         if let Some((timing, result)) = self.time(group, &run, f) {
             self.record(JsonRun {
                 wall_ms: timing.median_ms,
-                peak_memo_bytes: result.stats.peak_memo_bytes,
-                intersections: result.stats.intersections,
                 num_itemsets: result.len() as u64,
+                stats: result.stats,
                 ..run
             });
         }
@@ -295,7 +294,7 @@ mod tests {
         });
         let mined = &h.runs[1];
         assert!(
-            mined.num_itemsets > 0 && mined.intersections > 0,
+            mined.num_itemsets > 0 && mined.stats.intersections > 0,
             "{mined:?}"
         );
     }

@@ -3,10 +3,10 @@
 //! Every experiment can dump its measured runs as one JSON file per
 //! experiment (`--json DIR`), so the repo's performance trajectory is
 //! diffable across PRs: a snapshot records the workload label, wall-clock
-//! milliseconds, allocator peak, engine-memo peak and intersection count
-//! of every run, plus the configuration that produced them (scale, seed,
-//! thread cap). `crates/bench/baselines/` keeps checked-in snapshots from
-//! past PRs as the comparison anchor.
+//! milliseconds, allocator peak, result size and every work counter of
+//! [`MinerStats::COUNTERS`] of every run, plus the configuration that
+//! produced them (scale, seed, thread cap). `crates/bench/baselines/` keeps
+//! checked-in snapshots from past PRs as the comparison anchor.
 //!
 //! Snapshots are read and written with the workspace's one JSON codec,
 //! [`ufim_serve::Json`]: `ufim-bench json-check` parses every emitted
@@ -16,31 +16,27 @@
 //!
 //! ## The regression gate
 //!
-//! `ufim-bench json-compare BASELINE FRESH`
-//! ([`compare_paths`]) turns the snapshots into an actual CI gate:
+//! `ufim-bench json-compare BASELINE FRESH` ([`compare_paths`]) turns the
+//! snapshots into an actual CI gate that walks the counter table:
 //!
 //! * **strict** (build-failing): the experiment identity (name, scale,
 //!   seed), the run list's shape (count, workload/algorithm/engine
-//!   labels, order) and the deterministic counters — `intersections` and
-//!   `num_itemsets` — must match the baseline exactly. These are
-//!   bit-identical across machines and pool sizes by the workspace's
-//!   determinism guarantee, so *any* drift is a real behavioral change.
-//! * **advisory** (warning only): `wall_ms` drift beyond
-//!   [`DEFAULT_TOLERANCE_PCT`] and `peak_memo_bytes` changes. Timing
-//!   depends on the host; memory policy may legitimately change — both
-//!   are surfaced, neither fails the build.
-//! * **advisory by construction**: counter fields added after a baseline
-//!   was recorded (the border/memo counters from incremental runs, and
-//!   the `memo_hits` / `memo_extends` pair plus the
-//!   `latency_*_ms` / `qps` percentiles from the query server) parse as
-//!   optional and never fail strictly — a drift or a presence mismatch
-//!   against an older baseline only warns. The gate would otherwise force
-//!   a baseline refresh on every run the moment a new counter ships,
-//!   defeating the point of keeping old snapshots comparable. Fields the
-//!   reader does not know (such as the retired `shards_*` pair) are
-//!   ignored, so older snapshots that carry them still parse.
+//!   labels, order), `num_itemsets` and every [`Merge::Sum`] counter must
+//!   match the baseline exactly. These are bit-identical across machines
+//!   and pool sizes by the workspace's determinism guarantee, so *any*
+//!   drift is a real behavioral change.
+//! * **advisory** (warning only): every [`Merge::Max`] counter (memory
+//!   peaks), `wall_ms` drift beyond [`DEFAULT_TOLERANCE_PCT`], and the
+//!   optional serve-layer fields (`memo_hits` / `memo_extends` and the
+//!   `latency_*_ms` / `qps` percentiles), including one side lacking them.
+//! * **not compared**: a table counter absent from a snapshot that
+//!   predates it; the report names such counters once per file, so older
+//!   baselines keep passing. Unknown fields (such as the retired
+//!   `shards_*` pair) are ignored.
 
 use std::path::{Path, PathBuf};
+use ufim_core::result::Merge;
+use ufim_core::MinerStats;
 use ufim_serve::Json;
 
 /// One measured run inside a snapshot. `Default` gives every label empty,
@@ -60,34 +56,14 @@ pub struct JsonRun {
     /// Allocator-level peak heap growth in bytes (0 without the counting
     /// allocator).
     pub peak_bytes: u64,
-    /// Engine memo peak in bytes ([`ufim_core::MinerStats::peak_memo_bytes`]).
-    pub peak_memo_bytes: u64,
-    /// Tid-list intersections performed
-    /// ([`ufim_core::MinerStats::intersections`]).
-    pub intersections: u64,
     /// Number of frequent itemsets found.
     pub num_itemsets: u64,
-    /// Border-tracker entries invalidated and re-evaluated by an
-    /// incremental run ([`ufim_core::MinerStats::border_rejudged`]);
-    /// `None` outside incremental (streaming) runs. Advisory in the gate
-    /// (see the module docs).
-    pub border_rejudged: Option<u64>,
-    /// Border-tracker entries reused without re-evaluation
-    /// ([`ufim_core::MinerStats::border_skipped`]); optional like
-    /// [`border_rejudged`](Self::border_rejudged).
-    pub border_skipped: Option<u64>,
-    /// Retained memo nodes point-updated in place by a window step
-    /// ([`ufim_core::MinerStats::memo_patched`]); `None` outside
-    /// incremental (streaming) runs. Advisory in the gate like the
-    /// border counters.
-    pub memo_patched: Option<u64>,
-    /// Retained memo nodes whose delta was too dense to patch, rebuilt
-    /// from scratch instead ([`ufim_core::MinerStats::memo_rebuilt`]);
-    /// optional like [`memo_patched`](Self::memo_patched).
-    pub memo_rebuilt: Option<u64>,
+    /// The run's work counters: one snapshot field per entry of
+    /// [`MinerStats::COUNTERS`], gated by its merge rule (see the module
+    /// docs).
+    pub stats: MinerStats,
     /// Queries the serve-layer resident memo answered warm (no mining);
-    /// `None` outside `bench_serve` runs. Advisory in the gate like the
-    /// border counters.
+    /// `None` outside `bench_serve` runs. Advisory in the gate.
     pub memo_hits: Option<u64>,
     /// Queries that extended a resident memo cell downward to a lower
     /// threshold (re-mined, replacing the basis); optional like
@@ -121,6 +97,10 @@ pub struct JsonSnapshot {
     pub threads: u64,
     /// The measured runs, in execution order.
     pub runs: Vec<JsonRun>,
+    /// Table counters some run of a parsed snapshot lacks (it predates
+    /// them); the gate does not compare them. Empty for snapshots built
+    /// in-process, which carry every counter.
+    pub absent: Vec<&'static str>,
 }
 
 impl JsonRun {
@@ -146,10 +126,11 @@ impl JsonRun {
             ("engine", Json::Str(self.engine.clone())),
             ("wall_ms", num(self.wall_ms)),
             ("peak_bytes", num(self.peak_bytes as f64)),
-            ("peak_memo_bytes", num(self.peak_memo_bytes as f64)),
-            ("intersections", num(self.intersections as f64)),
             ("num_itemsets", num(self.num_itemsets as f64)),
         ];
+        for counter in MinerStats::COUNTERS {
+            fields.push((counter.name, num((counter.get)(&self.stats) as f64)));
+        }
         let mut run = self.clone();
         for (name, field) in OPTIONAL {
             if let Some(x) = field.get(&mut run) {
@@ -164,18 +145,24 @@ impl JsonRun {
         )
     }
 
-    fn from_value(v: &Json) -> Result<Self, String> {
+    /// Parses one run, adding the table counters it lacks to `absent`.
+    fn from_value(v: &Json, absent: &mut Vec<&'static str>) -> Result<Self, String> {
         let mut run = JsonRun {
             workload: string(v, "workload")?,
             algorithm: string(v, "algorithm")?,
             engine: string(v, "engine")?,
             wall_ms: number(v, "wall_ms")?,
             peak_bytes: unsigned(v, "peak_bytes")?,
-            peak_memo_bytes: unsigned(v, "peak_memo_bytes")?,
-            intersections: unsigned(v, "intersections")?,
             num_itemsets: unsigned(v, "num_itemsets")?,
             ..Default::default()
         };
+        for counter in MinerStats::COUNTERS {
+            if v.get(counter.name).is_some() {
+                *(counter.get_mut)(&mut run.stats) = unsigned(v, counter.name)?;
+            } else if !absent.contains(&counter.name) {
+                absent.push(counter.name);
+            }
+        }
         for (name, field) in OPTIONAL {
             if v.get(name).is_none() {
                 continue;
@@ -189,8 +176,9 @@ impl JsonRun {
     }
 }
 
-/// One optional field of a [`JsonRun`]: absent from snapshots that
-/// predate it, and advisory in the gate (see the module docs).
+/// One optional field of a [`JsonRun`]: a serve-layer measurement, not a
+/// [`MinerStats`] counter. Absent outside `bench_serve` runs and advisory
+/// in the gate (see the module docs).
 #[derive(Clone, Copy)]
 enum Optional {
     /// A deterministic counter: any change warns.
@@ -210,14 +198,7 @@ impl Optional {
 
 /// Every optional field of [`JsonRun`], in emission order. Emitting,
 /// parsing and comparing snapshots all walk this one list.
-const OPTIONAL: [(&str, Optional); 10] = [
-    (
-        "border_rejudged",
-        Optional::Count(|r| &mut r.border_rejudged),
-    ),
-    ("border_skipped", Optional::Count(|r| &mut r.border_skipped)),
-    ("memo_patched", Optional::Count(|r| &mut r.memo_patched)),
-    ("memo_rebuilt", Optional::Count(|r| &mut r.memo_rebuilt)),
+const OPTIONAL: [(&str, Optional); 6] = [
     ("memo_hits", Optional::Count(|r| &mut r.memo_hits)),
     ("memo_extends", Optional::Count(|r| &mut r.memo_extends)),
     (
@@ -244,6 +225,7 @@ impl JsonSnapshot {
             seed,
             threads: ufim_core::parallel::max_threads() as u64,
             runs: Vec::new(),
+            absent: Vec::new(),
         }
     }
 
@@ -297,12 +279,15 @@ impl JsonSnapshot {
     /// mistyped field) — suitable for printing from `json-check`.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let top = Json::parse(text)?;
+        let mut absent = Vec::new();
         let runs = field(&top, "runs")?
             .as_arr()
             .ok_or("runs: expected an array")?
             .iter()
             .enumerate()
-            .map(|(i, r)| JsonRun::from_value(r).map_err(|e| format!("runs[{i}]: {e}")))
+            .map(|(i, r)| {
+                JsonRun::from_value(r, &mut absent).map_err(|e| format!("runs[{i}]: {e}"))
+            })
             .collect::<Result<_, _>>()?;
         Ok(JsonSnapshot {
             experiment: string(&top, "experiment")?,
@@ -310,6 +295,7 @@ impl JsonSnapshot {
             seed: unsigned(&top, "seed")?,
             threads: unsigned(&top, "threads")?,
             runs,
+            absent,
         })
     }
 }
@@ -393,7 +379,8 @@ fn beyond_tolerance(fresh: f64, base: f64) -> bool {
 pub struct CompareReport {
     /// One confirmation line per compared snapshot pair.
     pub lines: Vec<String>,
-    /// Advisory drift (time beyond tolerance, memo-byte changes).
+    /// Advisory drift (time beyond tolerance, memory peaks) and counters
+    /// left uncompared.
     pub warnings: Vec<String>,
     /// Strict mismatches — the caller should fail the build on any.
     pub failures: Vec<String>,
@@ -445,6 +432,17 @@ fn compare_snapshots(
         );
         return; // per-run comparison would misalign
     }
+    let skipped: Vec<&str> = MinerStats::COUNTERS
+        .iter()
+        .map(|c| c.name)
+        .filter(|n| base.absent.contains(n) || fresh.absent.contains(n))
+        .collect();
+    if !skipped.is_empty() {
+        report.warnings.push(format!(
+            "{name}: not compared, absent from a snapshot: {}",
+            skipped.join(", ")
+        ));
+    }
     let mut warned_time = 0usize;
     for (i, (b, f)) in base.runs.iter().zip(&fresh.runs).enumerate() {
         let run = format!("run[{i}] ({} / {} / {})", b.workload, b.algorithm, b.engine);
@@ -458,14 +456,21 @@ fn compare_snapshots(
             );
             continue;
         }
-        if f.intersections != b.intersections {
-            fail(
-                report,
-                format!(
-                    "{run}: intersections {} vs baseline {}",
-                    f.intersections, b.intersections
-                ),
-            );
+        for counter in MinerStats::COUNTERS
+            .iter()
+            .filter(|c| !skipped.contains(&c.name))
+        {
+            let (fv, bv) = ((counter.get)(&f.stats), (counter.get)(&b.stats));
+            if fv == bv {
+                continue;
+            }
+            let drift = format!("{run}: {} {fv} vs baseline {bv}", counter.name);
+            match counter.merge {
+                Merge::Sum => fail(report, drift),
+                Merge::Max => report
+                    .warnings
+                    .push(format!("{name}: {drift} (memory peak, advisory)")),
+            }
         }
         if f.num_itemsets != b.num_itemsets {
             fail(
@@ -476,14 +481,8 @@ fn compare_snapshots(
                 ),
             );
         }
-        if f.peak_memo_bytes != b.peak_memo_bytes {
-            report.warnings.push(format!(
-                "{name}: {run}: peak_memo_bytes {} vs baseline {} (memory drift, advisory)",
-                f.peak_memo_bytes, b.peak_memo_bytes
-            ));
-        }
         // Optional fields are advisory whatever happens, including one
-        // side missing the field (an older baseline or a batch run).
+        // side missing the field (a run outside `bench_serve`).
         let (mut f_run, mut b_run) = (f.clone(), b.clone());
         for (field, kind) in OPTIONAL {
             let (fv, bv) = (kind.get(&mut f_run), kind.get(&mut b_run));
@@ -526,8 +525,8 @@ fn compare_snapshots(
 }
 
 /// Runs the bench-regression gate: every `BENCH_*.json` under `baseline`
-/// must have a fresh counterpart under `fresh` whose deterministic
-/// counters match exactly; wall-clock drift beyond
+/// must have a fresh counterpart under `fresh` whose result sizes and
+/// [`Merge::Sum`] counters match exactly; wall-clock drift beyond
 /// [`DEFAULT_TOLERANCE_PCT`] only warns. Both paths may be a single
 /// snapshot file or a directory of them. Fresh-only snapshots are
 /// advisory (baselines lag new experiments by design).
@@ -622,13 +621,16 @@ mod tests {
                     engine: "vertical".into(),
                     wall_ms: 12.625,
                     peak_bytes: 1_048_576,
-                    peak_memo_bytes: 65_536,
-                    intersections: 1234,
                     num_itemsets: 31,
-                    border_rejudged: Some(12),
-                    border_skipped: Some(40),
-                    memo_patched: Some(88),
-                    memo_rebuilt: Some(3),
+                    stats: MinerStats {
+                        peak_memo_bytes: 65_536,
+                        intersections: 1234,
+                        border_rejudged: 12,
+                        border_skipped: 40,
+                        memo_patched: 88,
+                        memo_rebuilt: 3,
+                        ..Default::default()
+                    },
                     ..Default::default()
                 },
                 JsonRun {
@@ -637,13 +639,22 @@ mod tests {
                     engine: "n/a".into(),
                     wall_ms: 0.5,
                     peak_bytes: 0,
-                    peak_memo_bytes: 0,
-                    intersections: 0,
                     num_itemsets: 7,
                     ..Default::default()
                 },
             ],
+            absent: Vec::new(),
         }
+    }
+
+    /// `sample()` with every table counter of run 0 set to a distinct
+    /// value.
+    fn every_counter() -> JsonSnapshot {
+        let mut snap = sample();
+        for (i, counter) in MinerStats::COUNTERS.iter().enumerate() {
+            *(counter.get_mut)(&mut snap.runs[0].stats) = 100 + i as u64;
+        }
+        snap
     }
 
     #[test]
@@ -651,6 +662,64 @@ mod tests {
         let snap = sample();
         let parsed = JsonSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(parsed, snap);
+        // Every table counter is its own field and survives the trip.
+        let snap = every_counter();
+        let text = snap.to_json();
+        for counter in MinerStats::COUNTERS {
+            assert!(
+                text.contains(&format!("\"{}\":", counter.name)),
+                "{}",
+                counter.name
+            );
+        }
+        assert!(!text.contains("shards_"));
+        assert_eq!(JsonSnapshot::from_json(&text).unwrap(), snap);
+    }
+
+    #[test]
+    fn compare_fails_on_any_sum_counter_and_warns_on_max() {
+        let base = every_counter();
+        for counter in MinerStats::COUNTERS {
+            let mut fresh = every_counter();
+            *(counter.get_mut)(&mut fresh.runs[0].stats) += 1;
+            let mut report = CompareReport::default();
+            compare_snapshots("s", &base, &fresh, &mut report);
+            let (flagged, other) = match counter.merge {
+                Merge::Sum => (&report.failures, &report.warnings),
+                Merge::Max => (&report.warnings, &report.failures),
+            };
+            assert_eq!(flagged.len(), 1, "{}: {flagged:?}", counter.name);
+            assert!(flagged[0].contains(counter.name), "{flagged:?}");
+            assert!(other.is_empty(), "{}: {other:?}", counter.name);
+            assert_eq!(report.passed(), counter.merge == Merge::Max);
+        }
+    }
+
+    #[test]
+    fn baseline_lacking_a_counter_still_passes() {
+        // A baseline recorded before `scans` and `exact_evaluations` were
+        // gated: the fresh side's values for them are not compared.
+        let base_text = every_counter()
+            .to_json()
+            .replace("\"scans\":105,", "")
+            .replace("\"exact_evaluations\":104,", "");
+        let base = JsonSnapshot::from_json(&base_text).unwrap();
+        assert_eq!(base.absent, ["exact_evaluations", "scans"]);
+        let mut fresh = every_counter();
+        fresh.runs[0].stats.scans += 1;
+        fresh.runs[0].stats.exact_evaluations += 1;
+        let mut report = CompareReport::default();
+        compare_snapshots("s", &base, &fresh, &mut report);
+        assert!(report.passed(), "failures: {:?}", report.failures);
+        assert_eq!(
+            report.warnings,
+            ["s: not compared, absent from a snapshot: exact_evaluations, scans"]
+        );
+        // The counters the baseline does carry stay strict.
+        fresh.runs[0].stats.intersections += 1;
+        let mut report = CompareReport::default();
+        compare_snapshots("s", &base, &fresh, &mut report);
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
     }
 
     #[test]
@@ -732,7 +801,7 @@ mod tests {
         let fresh_dir = dir.join("fresh");
         sample().write(&base_dir).unwrap();
         let mut drifted = sample();
-        drifted.runs[1].intersections += 1;
+        drifted.runs[1].stats.intersections += 1;
         drifted.runs[0].num_itemsets -= 1;
         drifted.write(&fresh_dir).unwrap();
         let report = compare_paths(&base_dir, &fresh_dir).unwrap();
@@ -774,7 +843,7 @@ mod tests {
         // Memo drift is advisory only.
         let mut report = CompareReport::default();
         let mut fresh = sample();
-        fresh.runs[0].peak_memo_bytes += 1024;
+        fresh.runs[0].stats.peak_memo_bytes += 1024;
         compare_snapshots("s", &base, &fresh, &mut report);
         assert!(report.passed());
         assert!(report

@@ -35,12 +35,12 @@ SUBCOMMANDS:
                       is machine-readable
     json-compare BASELINE FRESH
                       the bench-regression gate: every baseline snapshot
-                      needs a fresh counterpart whose counters
-                      (intersections, num_itemsets) and labels match
-                      EXACTLY (exit 1 on drift — counters are
-                      deterministic across machines and pool sizes);
-                      wall_ms drift beyond ±300% and peak_memo_bytes
-                      changes only warn
+                      needs a fresh counterpart whose labels, num_itemsets
+                      and summed work counters (intersections, scans,
+                      candidates_*, ...) match EXACTLY (exit 1 on drift —
+                      they are deterministic across machines and pool
+                      sizes); wall_ms drift beyond ±300% and peak_*
+                      memory changes only warn
     help              this text
 
 OPTIONS (all subcommands):
@@ -51,7 +51,7 @@ OPTIONS (all subcommands):
     --csv DIR         also write CSV series into DIR
     --json DIR        also write a machine-readable BENCH_<exp>.json
                       performance snapshot per experiment into DIR
-                      (workload, wall_ms, peak/memo bytes, intersections)
+                      (workload, wall_ms, peak bytes, every work counter)
     --engine E        support backend: horizontal (default), vertical,
                       diffset (memory-optimized delta memo), or both/all
                       (runs every experiment once per backend)

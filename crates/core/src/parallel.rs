@@ -4,7 +4,7 @@
 //! The sanctioned dependency set has no rayon, so the miners parallelize
 //! through this module instead. Two layers of API:
 //!
-//! * [`par_map`] / [`par_map_with`] — level-wise fan-out: map a slice in
+//! * [`par_map`] / [`par_map_min_len_with`] — level-wise fan-out: map a slice in
 //!   parallel, results in input order (the support engines' shape);
 //! * [`scope`] + [`Scope::spawn`] + [`OrderedSink`] — **nested** fan-out:
 //!   a recursive traversal spawns child subtrees from *inside* running
@@ -58,12 +58,12 @@
 //! grows to serve the largest budget ever requested and never shrinks.
 //!
 //! Callers are expected to gate small inputs themselves (see
-//! [`par_map_min_len`] and the miners' spawn cutoffs) — fanning out a
+//! [`par_map_min_len_with`] and the miners' spawn cutoffs) — fanning out a
 //! four-transaction database costs more than it saves.
 //!
 //! ## Per-worker state
 //!
-//! [`par_map_with`] threads a mutable per-worker state value through every
+//! [`par_map_min_len_with`] threads a mutable per-worker state value through every
 //! item a worker claims — the seam for reusable scratch buffers
 //! ([`crate::vertical::ScratchSpace`]): each worker allocates its buffers
 //! once and every intersection after the high-water mark is
@@ -78,7 +78,7 @@ use std::sync::Mutex;
 
 pub use workpool::Scope;
 
-/// Default work-size gate for [`par_map_min_len`] callers: below this many
+/// Default work-size gate for [`par_map_min_len_with`] callers: below this many
 /// units of work, fanning out costs more than it saves. Shared by the
 /// support engines so all backends fan out at the same scale.
 pub const DEFAULT_MIN_WORK: usize = 1 << 15;
@@ -219,22 +219,6 @@ where
     par_map_threads(items, max_threads(), f)
 }
 
-/// [`par_map`] with a mutable **per-worker state** threaded through every
-/// item a worker claims — the scratch-buffer seam (see the module docs).
-/// `init` runs once per worker loop (once total when sequential); `f`
-/// receives the worker's state and the item. The state must not influence
-/// results: outputs stay a pure function of the item, so the determinism
-/// contract is unchanged.
-pub fn par_map_with<S, T, R, I, F>(items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    par_map_with_threads(items, max_threads(), init, f)
-}
-
 /// [`par_map`] with an explicit thread cap — the testable core. Results
 /// must not depend on `threads`; the determinism tests pin this.
 fn par_map_threads<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
@@ -246,8 +230,8 @@ where
     par_map_with_threads(items, threads, || (), |(), item| f(item))
 }
 
-/// [`par_map_with`] with an explicit thread cap — the shared engine under
-/// both map flavors. `threads − 1` worker loops are spawned as pool tasks
+/// [`par_map_min_len_with`]'s parallel path with an explicit thread cap —
+/// the shared engine under both map flavors. `threads − 1` worker loops are spawned as pool tasks
 /// and the calling thread runs one more, so at most `threads` states are
 /// ever built, exactly as when each call spawned its own OS threads.
 fn par_map_with_threads<S, T, R, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
@@ -308,25 +292,15 @@ where
     out
 }
 
-/// [`par_map`] gated on input size: runs sequentially unless `items.len() *
-/// weight` reaches `min_work`. `weight` lets callers fold per-item cost
-/// (e.g. transactions per candidate) into the threshold.
-pub fn par_map_min_len<T, R, F>(items: &[T], weight: usize, min_work: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if items.len().saturating_mul(weight.max(1)) < min_work {
-        items.iter().map(f).collect()
-    } else {
-        par_map(items, f)
-    }
-}
-
-/// [`par_map_with`] gated on input size like [`par_map_min_len`]. The
-/// sequential path still builds one state and threads it through every
-/// item, so scratch reuse works at every scale.
+/// [`par_map`] with a mutable **per-worker state** threaded through every
+/// item a worker claims — the scratch-buffer seam (see the module docs) —
+/// gated on input size: runs sequentially unless `items.len() * weight`
+/// reaches `min_work`. `weight` lets callers fold per-item cost (e.g.
+/// transactions per candidate) into the threshold. `init` runs once per
+/// worker loop; the sequential path still builds one state and threads it
+/// through every item, so scratch reuse works at every scale. The state
+/// must not influence results: outputs stay a pure function of the item,
+/// so the determinism contract is unchanged.
 pub fn par_map_min_len_with<S, T, R, I, F>(
     items: &[T],
     weight: usize,
@@ -344,7 +318,7 @@ where
         let mut state = init();
         items.iter().map(|item| f(&mut state, item)).collect()
     } else {
-        par_map_with(items, init, f)
+        par_map_with_threads(items, max_threads(), init, f)
     }
 }
 
@@ -371,7 +345,7 @@ mod tests {
     #[test]
     fn min_len_gate_runs_sequentially_but_identically() {
         let items: Vec<u32> = (0..100).collect();
-        let seq = par_map_min_len(&items, 1, usize::MAX, |&x| x + 1);
+        let seq = par_map_min_len_with(&items, 1, usize::MAX, || (), |(), &x| x + 1);
         let par = par_map(&items, |&x| x + 1);
         assert_eq!(seq, par);
     }

@@ -37,88 +37,121 @@ impl FrequentItemset {
     }
 }
 
-/// Counters describing the work an algorithm performed. These power the
-/// paper's qualitative analyses (e.g. "most infrequent itemsets are filtered
-/// by the Chernoff bound"), and the ablation benches.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MinerStats {
+/// How [`MinerStats::absorb`] merges one counter, and so how the bench
+/// regression gate treats it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merge {
+    /// Sub-phases add up: a deterministic work count, strict in the gate.
+    Sum,
+    /// Sub-phases take the maximum: a memory peak, advisory in the gate.
+    Max,
+}
+
+/// One entry of [`MinerStats::COUNTERS`]: a counter's field name, its
+/// merge rule and accessors to the field.
+#[derive(Clone, Copy, Debug)]
+pub struct Counter {
+    /// The field name, also the counter's key in bench snapshots.
+    pub name: &'static str,
+    /// How [`MinerStats::absorb`] merges it.
+    pub merge: Merge,
+    /// Reads the field.
+    pub get: fn(&MinerStats) -> u64,
+    /// The field, for writing.
+    pub get_mut: fn(&mut MinerStats) -> &mut u64,
+}
+
+/// Declares every live counter once: the [`MinerStats`] field, its entry
+/// in [`MinerStats::COUNTERS`] and its line in [`MinerStats::absorb`].
+macro_rules! miner_stats {
+    (@merge Sum, $acc:expr, $other:expr) => { $acc += $other };
+    (@merge Max, $acc:expr, $other:expr) => { $acc = $acc.max($other) };
+    ($($(#[doc = $doc:literal])* $name:ident: $merge:ident,)*) => {
+        /// Counters describing the work an algorithm performed. These power
+        /// the paper's qualitative analyses (e.g. "most infrequent itemsets
+        /// are filtered by the Chernoff bound"), and the ablation benches.
+        #[derive(Clone, Debug, Default, PartialEq)]
+        pub struct MinerStats {
+            $($(#[doc = $doc])* pub $name: u64,)*
+            /// Always 0. Kept only for the `perfbench` benchmark, its only
+            /// reader.
+            #[doc(hidden)]
+            pub shards_evaluated: u64,
+            /// Always 0. Kept only for the `perfbench` benchmark, its only
+            /// reader.
+            #[doc(hidden)]
+            pub shards_pruned: u64,
+        }
+
+        impl MinerStats {
+            /// Every live counter, in declaration order.
+            pub const COUNTERS: &'static [Counter] = &[$(Counter {
+                name: stringify!($name),
+                merge: Merge::$merge,
+                get: |s| s.$name,
+                get_mut: |s| &mut s.$name,
+            },)*];
+
+            /// Merges counters from a sub-phase into `self`, each by its
+            /// [`Merge`] rule.
+            pub fn absorb(&mut self, other: &MinerStats) {
+                $(miner_stats!(@merge $merge, self.$name, other.$name);)*
+            }
+        }
+    };
+}
+
+miner_stats! {
     /// Candidates whose support statistics were evaluated.
-    pub candidates_evaluated: u64,
+    candidates_evaluated: Sum,
     /// Candidates rejected by structural pruning (Apriori subset pruning,
     /// lookahead, etc.) before any support evaluation.
-    pub candidates_pruned_structural: u64,
+    candidates_pruned_structural: Sum,
     /// Candidates rejected by the Chernoff bound (exact probabilistic miners
     /// only, §3.2.3).
-    pub candidates_pruned_chernoff: u64,
+    candidates_pruned_chernoff: Sum,
     /// Candidates rejected by a count floor: fewer transactions with
     /// nonzero containment probability than any frequent itemset needs.
     /// Counts both the exact miners' screen (fewer than `msup`) and the
     /// level-wise pairs that the co-occurrence pass drops before level 2
     /// (those are never counted in `candidates_evaluated`).
-    pub candidates_pruned_count: u64,
+    candidates_pruned_count: Sum,
     /// Exact frequent-probability evaluations performed (DP or DC runs).
-    pub exact_evaluations: u64,
+    exact_evaluations: Sum,
     /// Number of database or projection scans. The level-wise scaffold's
     /// level-2 co-occurrence pass charges one.
-    pub scans: u64,
+    scans: Sum,
     /// Tid-list intersections performed (vertical backend only — the
     /// vertical analog of `scans`).
-    pub intersections: u64,
+    intersections: Sum,
     /// Peak size of the algorithm's auxiliary structure, in that
     /// structure's own units: UFP-tree nodes, UH-Struct cells, or — on the
     /// columnar support engines — memoized `(tid, prob)` units (vertical)
     /// or dropped tids (diffset). Comparable within one algorithm/backend,
     /// not across them.
-    pub peak_structure_nodes: u64,
+    peak_structure_nodes: Max,
     /// Peak **bytes** of a memoizing support engine's prefix memo
     /// (level-wise runs only; 0 elsewhere). Unlike
     /// [`MinerStats::peak_structure_nodes`], this is byte-accurate and
     /// directly comparable across backends — the vertical-vs-diffset
     /// memory axis.
-    pub peak_memo_bytes: u64,
-    /// Always 0. Kept only for the `perfbench` benchmark, its only
-    /// reader.
-    #[doc(hidden)]
-    pub shards_evaluated: u64,
-    /// Always 0. Kept only for the `perfbench` benchmark, its only
-    /// reader.
-    #[doc(hidden)]
-    pub shards_pruned: u64,
+    peak_memo_bytes: Max,
     /// Border itemsets fully re-judged during an incremental window step:
     /// tracked itemsets a dirty transaction touched whose support bounds
     /// could not rule out a threshold crossing (0 on batch runs).
-    pub border_rejudged: u64,
+    border_rejudged: Sum,
     /// Border itemsets skipped during an incremental window step — either
     /// untouched by every dirty transaction or ruled out by their
     /// maintained support bounds without re-evaluation (0 on batch runs).
-    pub border_skipped: u64,
+    border_skipped: Sum,
     /// Retained memo nodes a window step point-updated in place (touched
     /// chunks rewritten, cached block partials re-folded; 0 on batch runs).
-    pub memo_patched: u64,
+    memo_patched: Sum,
     /// Retained memo nodes a window step evicted instead of patching —
     /// the step changed too much of the node, or the node carried no
     /// patchable block partials; the next use re-folds it cold (0 on
     /// batch runs).
-    pub memo_rebuilt: u64,
-}
-
-impl MinerStats {
-    /// Merges counters from a sub-phase into `self`.
-    pub fn absorb(&mut self, other: &MinerStats) {
-        self.candidates_evaluated += other.candidates_evaluated;
-        self.candidates_pruned_structural += other.candidates_pruned_structural;
-        self.candidates_pruned_chernoff += other.candidates_pruned_chernoff;
-        self.candidates_pruned_count += other.candidates_pruned_count;
-        self.exact_evaluations += other.exact_evaluations;
-        self.scans += other.scans;
-        self.intersections += other.intersections;
-        self.peak_structure_nodes = self.peak_structure_nodes.max(other.peak_structure_nodes);
-        self.peak_memo_bytes = self.peak_memo_bytes.max(other.peak_memo_bytes);
-        self.border_rejudged += other.border_rejudged;
-        self.border_skipped += other.border_skipped;
-        self.memo_patched += other.memo_patched;
-        self.memo_rebuilt += other.memo_rebuilt;
-    }
+    memo_rebuilt: Sum,
 }
 
 /// The complete result of one mining run.
@@ -267,5 +300,57 @@ mod tests {
         assert_eq!(a.border_skipped, 9);
         assert_eq!(a.memo_patched, 6);
         assert_eq!(a.memo_rebuilt, 2);
+        // Every table counter merges by its rule.
+        let (mut acc, mut other) = (MinerStats::default(), MinerStats::default());
+        for (i, counter) in MinerStats::COUNTERS.iter().enumerate() {
+            *(counter.get_mut)(&mut acc) = 10 + i as u64;
+            *(counter.get_mut)(&mut other) = 3 * i as u64;
+        }
+        acc.absorb(&other);
+        for (i, counter) in MinerStats::COUNTERS.iter().enumerate() {
+            let (a, b) = (10 + i as u64, 3 * i as u64);
+            let want = match counter.merge {
+                Merge::Sum => a + b,
+                Merge::Max => a.max(b),
+            };
+            assert_eq!((counter.get)(&acc), want, "{}", counter.name);
+        }
+    }
+
+    #[test]
+    fn counter_table_lists_every_live_field_once() {
+        // The field names `Debug` prints, in declaration order.
+        let debug = format!("{:?}", MinerStats::default());
+        let fields: Vec<&str> = debug
+            .strip_prefix("MinerStats { ")
+            .and_then(|t| t.strip_suffix(" }"))
+            .expect("a braced struct")
+            .split(", ")
+            .map(|field| field.split(':').next().unwrap())
+            .filter(|f| !f.starts_with("shards_"))
+            .collect();
+        let names: Vec<&str> = MinerStats::COUNTERS.iter().map(|c| c.name).collect();
+        assert_eq!(fields, names);
+        assert_eq!(names.len(), 13);
+        let peaks: Vec<&str> = MinerStats::COUNTERS
+            .iter()
+            .filter(|c| c.merge == Merge::Max)
+            .map(|c| c.name)
+            .collect();
+        assert_eq!(peaks, ["peak_structure_nodes", "peak_memo_bytes"]);
+        // Each accessor reaches its own field and no other.
+        for (i, counter) in MinerStats::COUNTERS.iter().enumerate() {
+            let mut stats = MinerStats::default();
+            *(counter.get_mut)(&mut stats) = 7;
+            assert_eq!((counter.get)(&stats), 7, "{}", counter.name);
+            for (j, other) in MinerStats::COUNTERS.iter().enumerate() {
+                assert_eq!((other.get)(&stats), if i == j { 7 } else { 0 });
+            }
+            assert!(
+                format!("{stats:?}").contains(&format!("{}: 7", counter.name)),
+                "{}",
+                counter.name
+            );
+        }
     }
 }

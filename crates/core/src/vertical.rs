@@ -90,7 +90,7 @@
 //! additionally fuse the statistics pass, returning `(esup, var, count)`
 //! bit-identical to [`ProbVector::intersect_stats`]. Support engines keep
 //! one `ScratchSpace` per worker thread
-//! (`ufim_core::parallel::par_map_with`), so steady-state candidate
+//! (`ufim_core::parallel::par_map_min_len_with`), so steady-state candidate
 //! evaluation performs **no** intersection allocations — a candidate only
 //! pays an (exactly-sized) allocation when it survives pruning and its
 //! result is exported into a memo.

@@ -156,13 +156,25 @@ mod tests {
 
     #[test]
     fn bound_decreases_in_threshold() {
+        // Within each regime the bound falls strictly as msup rises; where
+        // δ = (msup − μ − 1)/μ crosses 2e − 1 (msup 109 → 110 at μ = 20) it
+        // jumps up once, from e^{−δ²μ/4} to 2^{−δμ}.
         let mu = 20.0;
-        let mut prev = 1.0;
-        for msup in 21..200 {
-            let b = chernoff_upper_bound(mu, msup as f64);
-            assert!(b <= prev + 1e-15, "bound increased at msup={msup}");
+        let steep = |msup: u32| (f64::from(msup) - mu - 1.0) / mu > TWO_E_MINUS_ONE;
+        let mut prev = chernoff_upper_bound(mu, 21.0);
+        assert_eq!(prev, 1.0, "δ = 0 bounds nothing");
+        let mut jumps = Vec::new();
+        for msup in 22..200 {
+            let b = chernoff_upper_bound(mu, f64::from(msup));
+            if steep(msup) == steep(msup - 1) {
+                assert!(b < prev, "bound did not fall at msup={msup}: {prev} → {b}");
+            } else {
+                assert!(b > prev * 1e10, "no jump at msup={msup}: {prev} → {b}");
+                jumps.push(msup);
+            }
             prev = b;
         }
+        assert_eq!(jumps, [110]);
         assert!(prev < 1e-6, "far tail should be tiny, got {prev}");
     }
 

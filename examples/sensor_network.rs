@@ -94,7 +94,7 @@ fn main() {
     // Phase 2 — slide: each batch expires the oldest windows, appends fresh
     // telemetry, and refreshes incrementally. The border tracker re-judges
     // only itemsets the batch could have moved across the threshold.
-    let (mut evaluated, mut rejudged, mut skipped) = (0u64, 0u64, 0u64);
+    let mut slid = MinerStats::default();
     let t1 = Instant::now();
     for _ in 0..STREAM / BATCH {
         miner.expire_oldest(BATCH);
@@ -103,10 +103,7 @@ fn main() {
                 .append(reading(&mut rng))
                 .expect("readings use only the SENSORS event ids");
         }
-        let stats = &miner.refresh().stats;
-        evaluated += stats.candidates_evaluated;
-        rejudged += stats.border_rejudged;
-        skipped += stats.border_skipped;
+        slid.absorb(&miner.refresh().stats);
     }
     let elapsed = t1.elapsed();
     println!(
@@ -116,9 +113,12 @@ fn main() {
         STREAM as f64 / elapsed.as_secs_f64()
     );
     println!(
-        "freshness : {evaluated} candidates re-evaluated across all refreshes \
-         (cold mine: {}), border re-judged {rejudged} / reused {skipped}",
-        cold.candidates_evaluated
+        "freshness : {} candidates re-evaluated across all refreshes \
+         (cold mine: {}), border re-judged {} / reused {}",
+        slid.candidates_evaluated,
+        cold.candidates_evaluated,
+        slid.border_rejudged,
+        slid.border_skipped
     );
 
     // The incremental contract: the live result is bit-identical to mining
@@ -172,7 +172,7 @@ fn main() {
             .expect("readings use only the SENSORS event ids");
     }
     monitor.refresh();
-    let (mut patched, mut rebuilt) = (0u64, 0u64);
+    let mut cheap_stats = MinerStats::default();
     let t2 = Instant::now();
     for _ in 0..STREAM / BATCH {
         monitor.expire_oldest(BATCH);
@@ -181,15 +181,15 @@ fn main() {
                 .append(reading(&mut rng))
                 .expect("readings use only the SENSORS event ids");
         }
-        let stats = &monitor.refresh().stats;
-        patched += stats.memo_patched;
-        rebuilt += stats.memo_rebuilt;
+        cheap_stats.absorb(&monitor.refresh().stats);
     }
     let cheap_elapsed = t2.elapsed();
     println!(
         "\ncheap measure (esup+var): {STREAM} windows → {:.0} windows/sec sustained \
-         (memo nodes patched {patched}, rebuilt {rebuilt})",
-        STREAM as f64 / cheap_elapsed.as_secs_f64()
+         (memo nodes patched {}, rebuilt {})",
+        STREAM as f64 / cheap_elapsed.as_secs_f64(),
+        cheap_stats.memo_patched,
+        cheap_stats.memo_rebuilt
     );
     let cheap_batch = mine_level_wise(&monitor.window().snapshot(), cheap, monitor.engine_kind());
     assert_eq!(
