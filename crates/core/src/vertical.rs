@@ -1909,16 +1909,19 @@ impl VerticalIndex {
     /// [`VerticalIndex::build`] over the stepped window's snapshot, so
     /// everything downstream (kernels, memo pushdown) behaves as if the
     /// index had been rebuilt. Cost is proportional to the delta: one
-    /// touched-chunk merge per dirty item, never `O(window)`.
+    /// touched-chunk merge per dirty item, never `O(window)` or
+    /// `O(vocabulary)`.
     ///
     /// Every dirty tid must lie within the indexed transaction range (the
     /// window's ring-buffer tids guarantee this; checked in debug builds).
     pub fn apply_step(&mut self, step: &crate::window::WindowStep) {
-        // Transpose the step: per-item update lists, ascending by tid
-        // (`step.dirty` is tid-sorted). A lockstep walk of each slot's
-        // sorted unit lists emits only probabilities that actually moved —
-        // unchanged units are no-ops for a rebuild and are skipped.
-        let mut per_item: Vec<Vec<(u32, f64)>> = vec![Vec::new(); self.postings.len()];
+        // Transpose the step: `(item, tid, new_prob)` for every unit that
+        // moved, sorted by item. A lockstep walk of each slot's sorted unit
+        // lists emits only probabilities that actually moved — unchanged
+        // units are no-ops for a rebuild and are skipped. `step.dirty` is
+        // tid-sorted and the sort is stable, so each item's run stays
+        // ascending by tid. Nothing here is sized by the vocabulary.
+        let mut moves: Vec<(ItemId, u32, f64)> = Vec::new();
         for d in &step.dirty {
             debug_assert!(
                 (d.tid as usize) < self.num_transactions,
@@ -1932,33 +1935,35 @@ impl VerticalIndex {
                     (Some((oi, op)), Some((ni, np))) => {
                         if oi == ni {
                             if op != np {
-                                per_item[oi as usize].push((d.tid, np));
+                                moves.push((oi, d.tid, np));
                             }
                             old_units.next();
                             new_units.next();
                         } else if oi < ni {
-                            per_item[oi as usize].push((d.tid, 0.0));
+                            moves.push((oi, d.tid, 0.0));
                             old_units.next();
                         } else {
-                            per_item[ni as usize].push((d.tid, np));
+                            moves.push((ni, d.tid, np));
                             new_units.next();
                         }
                     }
                     (Some((oi, _)), None) => {
-                        per_item[oi as usize].push((d.tid, 0.0));
+                        moves.push((oi, d.tid, 0.0));
                         old_units.next();
                     }
                     (None, Some((ni, np))) => {
-                        per_item[ni as usize].push((d.tid, np));
+                        moves.push((ni, d.tid, np));
                         new_units.next();
                     }
                 }
             }
         }
-        for (item, updates) in per_item.iter().enumerate() {
-            if !updates.is_empty() {
-                self.postings[item].apply_tid_delta(updates);
-            }
+        moves.sort_by_key(|&(item, _, _)| item);
+        let mut updates: Vec<(u32, f64)> = Vec::new();
+        for run in moves.chunk_by(|a, b| a.0 == b.0) {
+            updates.clear();
+            updates.extend(run.iter().map(|&(_, tid, p)| (tid, p)));
+            self.postings[run[0].0 as usize].apply_tid_delta(&updates);
         }
     }
 

@@ -84,77 +84,155 @@ impl WindowStep {
     }
 }
 
-/// Precomputed per-step containment probabilities: the shared fast path
-/// for every consumer that asks, per candidate itemset, "which dirty slots
-/// changed this itemset's containment probability, and to what?".
+/// Per-step containment probabilities: the shared fast path for every
+/// consumer that asks, per candidate itemset, "which dirty slots changed
+/// this itemset's containment probability, and to what?".
 ///
-/// Touch detection through [`Transaction::itemset_prob`] walks the
-/// transaction's unit list twice per (candidate, dirty slot) pair — the
-/// dominant cost of a refresh once border reuse has collapsed the
-/// candidate workload. The probe hoists that walk out of the per-candidate
-/// loop: construction expands every dirty slot's old/new transactions into
-/// dense per-item probability rows (absent items hold `0.0`) and records,
-/// per item, a bitset of the slots where that item's probability moved.
-/// A candidate's queries then reduce to a few multiplies per *changed*
-/// slot — slots where no member item moved are skipped outright, which is
-/// sound because an unchanged factor list yields a bit-identical product.
+/// The probe holds one presence record per (item, dirty slot) pair where
+/// the item appears on the old or the new side, with the item's
+/// probability on each side (`0.0` where it is absent), grouped by item
+/// and ascending by slot. An item is *moved* when some slot holds it at
+/// different probabilities before and after the step. When the step is
+/// small next to its records — the usual few-transaction step — the probe
+/// also lays them out as two dense rows per dirty slot over the items
+/// present in the step, plus each such item's changed-slot bitset, so a
+/// query reads a member's probability by index. A larger step (a
+/// whole-window turnover) keeps the records only, and a query walks its
+/// members' runs together in slot order. Either way nothing is sized by
+/// the vocabulary: a step costs the same over 1,000 items as over
+/// 1,000,000, and [`StepProbe::load`] reuses the buffers of the previous
+/// step.
 ///
-/// Every product is folded exactly like [`Transaction::itemset_prob`]
-/// (ascending item order, from `1.0`): probabilities are non-negative, so
-/// an absent item's `0.0` factor drives the fold to exactly `+0.0` — the
-/// same bits the early-return produces. All derived quantities are
-/// therefore **bit-identical** to the naive per-transaction loops they
-/// replace, which `probe_matches_naive_loops` pins.
-#[derive(Clone, Debug)]
+/// A query visits only the slots where some member moved, and answers an
+/// itemset without a moved member at once, which is sound because an
+/// unchanged factor list yields a bit-identical product. At a visited
+/// slot every member contributes its probability, or `0.0` when absent
+/// there, folded in ascending member order from `1.0` —
+/// [`Transaction::itemset_prob`]'s fold: probabilities are non-negative,
+/// so an absent member's `0.0` factor drives the fold to exactly `+0.0`,
+/// the bits of its early return. All derived quantities are therefore
+/// **bit-identical** to the naive per-transaction loops they replace,
+/// which `probe_matches_naive_loops` pins for both layouts.
+#[derive(Clone, Debug, Default)]
 pub struct StepProbe {
-    /// Dirty tids, ascending (slot `s` of every row/bitset is `tids[s]`).
+    /// Dirty tids, ascending (slot `s` is `tids[s]`).
     tids: Vec<u32>,
-    /// Old-side containment probability rows, `num_items` per dirty slot.
-    old: Vec<f64>,
-    /// New-side containment probability rows, `num_items` per dirty slot.
-    new: Vec<f64>,
-    num_items: usize,
-    /// Per-item changed-slot bitsets, `words` u64 words per item.
-    changed: Vec<u64>,
-    /// Bitset words per item (`ceil(len / 64)`).
+    /// Presence records, ascending by `(item, slot)`.
+    units: Vec<Presence>,
+    /// The items present in some dirty slot, ascending ...
+    items: Vec<ItemId>,
+    /// ... and where each one's run of `units` starts (plus the end).
+    starts: Vec<u32>,
+    /// Moved items, ascending.
+    moved: Vec<ItemId>,
+    /// For a small step: rows `2s` and `2s + 1` hold slot `s`'s old and
+    /// new probabilities of every present item, in `items` order. Empty
+    /// for a large step.
+    rows: Vec<f64>,
+    /// Alongside `rows`: each present item's changed-slot bitset, `words`
+    /// words per item, in `items` order.
+    masks: Vec<u64>,
+    /// Bitset words per present item (`ceil(len / 64)`).
     words: usize,
 }
 
+/// The dense rows may hold this many entries per presence record (plus
+/// [`ROWS_FLOOR`]); a step that needs more keeps the records only.
+const ROWS_PER_RECORD: usize = 32;
+const ROWS_FLOOR: usize = 4096;
+
+/// One item in one dirty slot: its probability before and after the step.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Presence {
+    item: ItemId,
+    slot: u32,
+    old: f64,
+    new: f64,
+}
+
+/// One member of a queried itemset: its index in [`StepProbe::items`]
+/// ([`Member::ABSENT`] when no dirty slot holds it) and a cursor over its
+/// run of presence records.
+#[derive(Clone, Copy, Debug, Default)]
+struct Member {
+    column: u32,
+    at: u32,
+    end: u32,
+}
+
+impl Member {
+    const ABSENT: u32 = u32::MAX;
+}
+
+/// One visited slot of a query: the itemset's old and new containment
+/// products there, and the new product of all members but the last.
+#[derive(Clone, Copy, Debug)]
+struct Visit {
+    slot: usize,
+    old: f64,
+    new: f64,
+    new_prefix: f64,
+}
+
 impl StepProbe {
-    /// Expands `step` against the vocabulary `0..num_items`. Cost (and
-    /// memory) is `O(dirty × num_items)` — dense on purpose: the probe is
-    /// rebuilt per step and queried per candidate, and the candidate loop
-    /// is what must be fast.
-    pub fn new(step: &WindowStep, num_items: u32) -> Self {
-        let n = num_items as usize;
-        let len = step.dirty.len();
-        let mut old = vec![0.0f64; n * len];
-        let mut new = vec![0.0f64; n * len];
+    /// The probe of `step`.
+    pub fn new(step: &WindowStep) -> Self {
+        let mut probe = StepProbe::default();
+        probe.load(step);
+        probe
+    }
+
+    /// Replaces the probe's contents with `step`'s, reusing its buffers.
+    /// Costs one merge walk per dirty slot, a sort of the presence records
+    /// and, for a small step, filling its dense rows.
+    pub fn load(&mut self, step: &WindowStep) {
+        self.tids.clear();
+        self.units.clear();
         for (s, d) in step.dirty.iter().enumerate() {
-            for (item, p) in d.old.units() {
-                old[s * n + item as usize] = p;
+            self.tids.push(d.tid);
+            push_presence(&d.old, &d.new, s as u32, &mut self.units);
+        }
+        self.units.sort_unstable_by_key(|u| (u.item, u.slot));
+        self.items.clear();
+        self.starts.clear();
+        self.moved.clear();
+        for (i, u) in self.units.iter().enumerate() {
+            if self.items.last() != Some(&u.item) {
+                self.items.push(u.item);
+                self.starts.push(i as u32);
             }
-            for (item, p) in d.new.units() {
-                new[s * n + item as usize] = p;
+            if u.old != u.new && self.moved.last() != Some(&u.item) {
+                self.moved.push(u.item);
             }
         }
-        let words = len.div_ceil(64).max(1);
-        let mut changed = vec![0u64; n * words];
-        for s in 0..len {
-            for i in 0..n {
-                if old[s * n + i] != new[s * n + i] {
-                    changed[i * words + s / 64] |= 1u64 << (s % 64);
+        self.starts.push(self.units.len() as u32);
+
+        let (len, width) = (self.tids.len(), self.items.len());
+        self.words = len.div_ceil(64);
+        self.rows.clear();
+        self.masks.clear();
+        if 2 * len * width <= ROWS_PER_RECORD * self.units.len() + ROWS_FLOOR {
+            self.rows.resize(2 * len * width, 0.0);
+            self.masks.resize(width * self.words, 0);
+            for column in 0..width {
+                let run = self.starts[column] as usize..self.starts[column + 1] as usize;
+                for u in &self.units[run] {
+                    let s = u.slot as usize;
+                    self.rows[2 * s * width + column] = u.old;
+                    self.rows[(2 * s + 1) * width + column] = u.new;
+                    if u.old != u.new {
+                        self.masks[column * self.words + s / 64] |= 1u64 << (s % 64);
+                    }
                 }
             }
         }
-        StepProbe {
-            tids: step.dirty.iter().map(|d| d.tid).collect(),
-            old,
-            new,
-            num_items: n,
-            changed,
-            words,
-        }
+        trim(&mut self.tids);
+        trim(&mut self.units);
+        trim(&mut self.items);
+        trim(&mut self.starts);
+        trim(&mut self.moved);
+        trim(&mut self.rows);
+        trim(&mut self.masks);
     }
 
     /// Number of dirty slots.
@@ -169,73 +247,147 @@ impl StepProbe {
         self.tids.is_empty()
     }
 
-    /// The tid of dirty-slot index `slot`.
+    /// The items whose probability differs between the old and new side
+    /// of some dirty slot, ascending. An itemset with none of them has the
+    /// same containment probability in every slot before and after the
+    /// step.
     #[inline]
-    pub fn tid(&self, slot: usize) -> u32 {
-        self.tids[slot]
+    pub fn moved_items(&self) -> &[ItemId] {
+        &self.moved
     }
 
-    /// The containment product of `items` over a probability row —
-    /// [`Transaction::itemset_prob`]'s fold, bit for bit (see the type
-    /// docs for why the absent-item `0.0` factor is equivalent).
-    #[inline]
-    fn product(row: &[f64], items: &[ItemId]) -> f64 {
-        let mut p = 1.0f64;
-        for &i in items {
-            p *= row[i as usize];
+    /// `item` as a query member.
+    fn member(&self, item: ItemId) -> Member {
+        match self.items.binary_search(&item) {
+            Ok(c) => Member {
+                column: c as u32,
+                at: self.starts[c],
+                end: self.starts[c + 1],
+            },
+            Err(_) => Member {
+                column: Member::ABSENT,
+                ..Member::default()
+            },
         }
-        p
     }
 
-    /// New-side containment probability of `items` at dirty-slot `slot`.
-    #[inline]
-    pub fn new_prob(&self, slot: usize, items: &[ItemId]) -> f64 {
-        let n = self.num_items;
-        Self::product(&self.new[slot * n..(slot + 1) * n], items)
+    /// Calls `f`, ascending, at every dirty slot where some member of
+    /// `items` moved, until it returns `false`. Slots outside carry
+    /// bit-identical old/new products and are skipped.
+    fn walk(&self, items: &[ItemId], f: impl FnMut(Visit) -> bool) {
+        if !items.iter().any(|i| self.moved.binary_search(i).is_ok()) {
+            return;
+        }
+        // Itemsets are short: their members live on the stack.
+        const INLINE: usize = 8;
+        let mut inline = [Member::default(); INLINE];
+        let mut spilled = Vec::new();
+        let members: &mut [Member] = if items.len() <= INLINE {
+            &mut inline[..items.len()]
+        } else {
+            spilled.resize(items.len(), Member::default());
+            &mut spilled
+        };
+        for (m, &item) in members.iter_mut().zip(items) {
+            *m = self.member(item);
+        }
+        if self.rows.is_empty() {
+            self.walk_runs(members, f);
+        } else {
+            self.walk_rows(members, f);
+        }
     }
 
-    /// Visits, ascending, every dirty slot where some member item's
-    /// probability moved, with the itemset's old/new containment products
-    /// there. Slots outside carry bit-identical old/new products and are
-    /// skipped.
-    fn for_each_candidate_slot(&self, items: &[ItemId], mut f: impl FnMut(usize, f64, f64)) {
-        let n = self.num_items;
+    /// [`StepProbe::walk`] over the dense rows: the members' changed-slot
+    /// bitsets give the slots, the rows their probabilities.
+    fn walk_rows(&self, members: &[Member], mut f: impl FnMut(Visit) -> bool) {
+        let width = self.items.len();
+        let last = members.len() - 1;
         for w in 0..self.words {
             let mut mask = 0u64;
-            for &i in items {
-                mask |= self.changed[i as usize * self.words + w];
+            for m in members.iter().filter(|m| m.column != Member::ABSENT) {
+                mask |= self.masks[m.column as usize * self.words + w];
             }
             while mask != 0 {
-                let s = w * 64 + mask.trailing_zeros() as usize;
+                let slot = w * 64 + mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                let old_p = Self::product(&self.old[s * n..(s + 1) * n], items);
-                let new_p = Self::product(&self.new[s * n..(s + 1) * n], items);
-                f(s, old_p, new_p);
+                let old_row = &self.rows[2 * slot * width..][..width];
+                let new_row = &self.rows[(2 * slot + 1) * width..][..width];
+                let (mut old, mut new, mut new_prefix) = (1.0f64, 1.0f64, 1.0f64);
+                for (i, m) in members.iter().enumerate() {
+                    if i == last {
+                        new_prefix = new;
+                    }
+                    let (o, n) = match m.column {
+                        Member::ABSENT => (0.0, 0.0),
+                        c => (old_row[c as usize], new_row[c as usize]),
+                    };
+                    old *= o;
+                    new *= n;
+                }
+                if !f(Visit {
+                    slot,
+                    old,
+                    new,
+                    new_prefix,
+                }) {
+                    return;
+                }
             }
         }
     }
 
-    /// Dirty-slot indices where some member item's probability moved,
-    /// ascending — the superset of slots whose membership in any structure
-    /// keyed on `items` (or on a subset of `items`) can have changed.
-    pub fn candidate_slots(&self, items: &[ItemId]) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut mask_words = vec![0u64; self.words];
-        for &i in items {
-            for (m, &c) in mask_words
-                .iter_mut()
-                .zip(&self.changed[i as usize * self.words..(i as usize + 1) * self.words])
+    /// [`StepProbe::walk`] over the presence records: the members' runs
+    /// advance together, slot by slot.
+    fn walk_runs(&self, members: &mut [Member], mut f: impl FnMut(Visit) -> bool) {
+        let units = &self.units;
+        let last = members.len() - 1;
+        while let Some(slot) = members
+            .iter()
+            .filter(|m| m.at < m.end)
+            .map(|m| units[m.at as usize].slot)
+            .min()
+        {
+            let (mut old, mut new, mut new_prefix) = (1.0f64, 1.0f64, 1.0f64);
+            let mut moved = false;
+            for (i, m) in members.iter_mut().enumerate() {
+                if i == last {
+                    new_prefix = new;
+                }
+                let (o, n) = match units.get(m.at as usize) {
+                    Some(u) if m.at < m.end && u.slot == slot => {
+                        m.at += 1;
+                        moved |= u.old != u.new;
+                        (u.old, u.new)
+                    }
+                    _ => (0.0, 0.0),
+                };
+                old *= o;
+                new *= n;
+            }
+            if moved
+                && !f(Visit {
+                    slot: slot as usize,
+                    old,
+                    new,
+                    new_prefix,
+                })
             {
-                *m |= c;
+                return;
             }
         }
-        for (w, &mut mut mask) in mask_words.iter_mut().enumerate() {
-            while mask != 0 {
-                out.push(w * 64 + mask.trailing_zeros() as usize);
-                mask &= mask - 1;
-            }
-        }
-        out
+    }
+
+    /// Whether any dirty slot moved the itemset's containment probability:
+    /// the first component of [`StepProbe::growth`], found without walking
+    /// past the first such slot.
+    pub fn touches(&self, items: &[ItemId]) -> bool {
+        let mut touched = false;
+        self.walk(items, |v| {
+            touched = v.old != v.new;
+            !touched
+        });
+        touched
     }
 
     /// Border-tracker deltas for one itemset: whether any dirty slot moved
@@ -247,16 +399,17 @@ impl StepProbe {
         let mut touched = false;
         let mut added_mass = 0.0f64;
         let mut added_count = 0u64;
-        self.for_each_candidate_slot(items, |_, old_p, new_p| {
-            if old_p != new_p {
+        self.walk(items, |v| {
+            if v.old != v.new {
                 touched = true;
             }
-            if new_p > old_p {
-                added_mass += new_p - old_p;
+            if v.new > v.old {
+                added_mass += v.new - v.old;
             }
-            if old_p == 0.0 && new_p > 0.0 {
+            if v.old == 0.0 && v.new > 0.0 {
                 added_count += 1;
             }
+            true
         });
         (touched, added_mass, added_count)
     }
@@ -268,12 +421,65 @@ impl StepProbe {
     /// [`ProbVector::apply_tid_delta`]: crate::vertical::ProbVector::apply_tid_delta
     pub fn updates(&self, items: &[ItemId]) -> Vec<(u32, f64)> {
         let mut out = Vec::new();
-        self.for_each_candidate_slot(items, |s, old_p, new_p| {
-            if old_p != new_p {
-                out.push((self.tids[s], new_p));
+        self.walk(items, |v| {
+            if v.old != v.new {
+                out.push((self.tids[v.slot], v.new));
             }
+            true
         });
         out
+    }
+
+    /// For every dirty slot where some member of `items` moved, ascending
+    /// — the slots where membership in any structure keyed on `items` or
+    /// on its prefix can have changed — the tid, the new-side containment
+    /// probability of `items` without its last member, and that of `items`.
+    pub fn new_products(&self, items: &[ItemId]) -> Vec<(u32, f64, f64)> {
+        let mut out = Vec::new();
+        self.walk(items, |v| {
+            out.push((self.tids[v.slot], v.new_prefix, v.new));
+            true
+        });
+        out
+    }
+}
+
+/// Gives back most of a buffer that an earlier, much larger step grew —
+/// a whole-window turnover, say — so the probe keeps about what the recent
+/// steps need. Steps of similar size neither shrink nor regrow it.
+fn trim<T>(v: &mut Vec<T>) {
+    const SLACK: usize = 1024;
+    if v.capacity() > 4 * v.len() + SLACK {
+        v.shrink_to(2 * v.len() + SLACK);
+    }
+}
+
+/// Appends a presence record for every item of `old` or `new`: one merge
+/// walk of the two sorted unit lists.
+fn push_presence(old: &Transaction, new: &Transaction, slot: u32, out: &mut Vec<Presence>) {
+    let (old_items, new_items) = (old.items(), new.items());
+    let (mut a, mut b) = (0, 0);
+    while a < old_items.len() || b < new_items.len() {
+        // Past its end a list reads `ItemId::MAX`, above every valid id.
+        let x = old_items.get(a).copied().unwrap_or(ItemId::MAX);
+        let y = new_items.get(b).copied().unwrap_or(ItemId::MAX);
+        let (item, old_p, new_p) = if x == y {
+            a += 1;
+            b += 1;
+            (x, old.probs()[a - 1], new.probs()[b - 1])
+        } else if x < y {
+            a += 1;
+            (x, old.probs()[a - 1], 0.0)
+        } else {
+            b += 1;
+            (y, 0.0, new.probs()[b - 1])
+        };
+        out.push(Presence {
+            item,
+            slot,
+            old: old_p,
+            new: new_p,
+        });
     }
 }
 
@@ -547,13 +753,10 @@ mod tests {
         let _ = WindowedDatabase::new(0, 4);
     }
 
-    /// The probe's products, growth deltas and update lists must be
-    /// bit-identical to the naive per-transaction loops they replace.
-    #[test]
-    fn probe_matches_naive_loops() {
-        const NUM_ITEMS: u32 = 7;
-        // A deterministic pseudo-random step: slots cycle through
-        // empty→tx, tx→tx and tx→empty shapes with varied units.
+    /// A deterministic pseudo-random step over items `0..num_items`: slots
+    /// cycle through empty→tx, tx→empty, tx→tx and tx→(the same tx with
+    /// one probability changed) shapes, with gaps between dirty tids.
+    fn random_step(num_items: u32, tids: u32) -> WindowStep {
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -562,7 +765,7 @@ mod tests {
             state
         };
         let mut rand_tx = |seed_bias: u64| {
-            let units: Vec<(u32, f64)> = (0..NUM_ITEMS)
+            let units: Vec<(u32, f64)> = (0..num_items)
                 .filter_map(|i| {
                     let r = next().wrapping_add(seed_bias);
                     (r % 3 != 0).then(|| (i, ((r % 97) as f64 + 1.0) / 98.0))
@@ -572,20 +775,114 @@ mod tests {
         };
         let empty = Transaction::certain([]);
         let mut dirty = Vec::new();
-        for tid in 0..70u32 {
-            let (old, new) = match tid % 4 {
+        for tid in 0..tids {
+            let (old, new) = match tid % 5 {
                 0 => (empty.clone(), rand_tx(1)),
                 1 => (rand_tx(2), empty.clone()),
                 2 => (rand_tx(3), rand_tx(4)),
+                3 => {
+                    let old = rand_tx(5);
+                    let mut units: Vec<(u32, f64)> = old.units().collect();
+                    if let Some(u) = units.first_mut() {
+                        u.1 = if u.1 == 0.5 { 0.25 } else { 0.5 };
+                    }
+                    (old, tx(&units))
+                }
                 _ => continue, // gaps: dirty tids need not be contiguous
             };
             dirty.push(DirtySlot { tid, old, new });
         }
-        let step = WindowStep { dirty };
-        let probe = StepProbe::new(&step, NUM_ITEMS);
-        assert_eq!(probe.len(), step.len());
-        assert!(!probe.is_empty());
+        WindowStep { dirty }
+    }
 
+    /// Every query of `probe` against the naive per-transaction loops it
+    /// replaces, bit for bit.
+    fn assert_probe_matches_naive(step: &WindowStep, probe: &StepProbe, items: &[ItemId]) {
+        // growth == the classifier's naive all-slots accumulation.
+        let (mut touched, mut mass, mut count) = (false, 0.0f64, 0u64);
+        for d in &step.dirty {
+            let old_p = d.old.itemset_prob(items);
+            let new_p = d.new.itemset_prob(items);
+            if old_p != new_p {
+                touched = true;
+            }
+            if new_p > old_p {
+                mass += new_p - old_p;
+            }
+            if old_p == 0.0 && new_p > 0.0 {
+                count += 1;
+            }
+        }
+        let (t, m, c) = probe.growth(items);
+        assert_eq!(t, touched, "{items:?}");
+        assert_eq!(probe.touches(items), touched, "{items:?}");
+        assert_eq!(m.to_bits(), mass.to_bits(), "{items:?}");
+        assert_eq!(c, count, "{items:?}");
+
+        // updates == the naive changed-slot filter, values bit for bit.
+        let naive: Vec<(u32, u64)> = step
+            .dirty
+            .iter()
+            .filter_map(|d| {
+                let old_p = d.old.itemset_prob(items);
+                let new_p = d.new.itemset_prob(items);
+                (old_p != new_p).then_some((d.tid, new_p.to_bits()))
+            })
+            .collect();
+        let got: Vec<(u32, u64)> = probe
+            .updates(items)
+            .into_iter()
+            .map(|(t, p)| (t, p.to_bits()))
+            .collect();
+        assert_eq!(got, naive, "{items:?}");
+
+        // new_products == the new-side products of the itemset and of its
+        // prefix, exactly at the slots where a member moved.
+        let naive: Vec<(u32, u64, u64)> = step
+            .dirty
+            .iter()
+            .filter(|d| items.iter().any(|&i| d.old.prob_of(i) != d.new.prob_of(i)))
+            .map(|d| {
+                let prefix = &items[..items.len().saturating_sub(1)];
+                (
+                    d.tid,
+                    d.new.itemset_prob(prefix).to_bits(),
+                    d.new.itemset_prob(items).to_bits(),
+                )
+            })
+            .collect();
+        let got: Vec<(u32, u64, u64)> = probe
+            .new_products(items)
+            .into_iter()
+            .map(|(t, prefix_p, p)| (t, prefix_p.to_bits(), p.to_bits()))
+            .collect();
+        assert_eq!(got, naive, "{items:?}");
+    }
+
+    /// A step of `slots` dirty slots that each hold a few items of their
+    /// own, so the step's items far outnumber its records per slot: the
+    /// probe keeps the records only.
+    fn scattered_step(slots: u32) -> WindowStep {
+        let dirty = (0..slots)
+            .map(|tid| {
+                let own = 10 + 3 * tid;
+                let p = f64::from(tid % 7 + 1) / 8.0;
+                DirtySlot {
+                    tid: 2 * tid,
+                    old: tx(&[(0, p), (own, 0.5)]),
+                    new: tx(&[(0, 1.0 - p / 2.0), (1, p), (own + 1, 0.75)]),
+                }
+            })
+            .collect();
+        WindowStep { dirty }
+    }
+
+    /// The probe's products, growth deltas and update lists must be
+    /// bit-identical to the naive per-transaction loops they replace,
+    /// including itemsets with a member no dirty slot holds and itemsets
+    /// whose members never meet (zero products on both sides).
+    #[test]
+    fn probe_matches_naive_loops() {
         let sets: Vec<Vec<ItemId>> = vec![
             vec![0],
             vec![3],
@@ -594,64 +891,136 @@ mod tests {
             vec![0, 3, 6],
             vec![1, 2, 4, 5],
             vec![0, 1, 2, 3, 4, 5, 6],
+            vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13],
+            // Item 9 is in no slot of the first step: every product is zero.
+            vec![9],
+            vec![2, 9],
+            vec![0, 4, 9],
+            vec![0, 13, 14],
         ];
-        for items in &sets {
-            // growth == the classifier's naive all-slots accumulation.
-            let (mut touched, mut mass, mut count) = (false, 0.0f64, 0u64);
-            for d in &step.dirty {
-                let old_p = d.old.itemset_prob(items);
-                let new_p = d.new.itemset_prob(items);
-                if old_p != new_p {
-                    touched = true;
-                }
-                if new_p > old_p {
-                    mass += new_p - old_p;
-                }
-                if old_p == 0.0 && new_p > 0.0 {
-                    count += 1;
-                }
+        for (step, dense) in [(random_step(7, 300), true), (scattered_step(300), false)] {
+            let probe = StepProbe::new(&step);
+            assert_eq!(probe.len(), step.len());
+            assert!(probe.len() > 128, "hundreds of dirty slots");
+            assert!(!probe.is_empty());
+            assert_eq!(!probe.rows.is_empty(), dense, "layout");
+            for items in &sets {
+                assert_probe_matches_naive(&step, &probe, items);
             }
-            let (t, m, c) = probe.growth(items);
-            assert_eq!(t, touched, "{items:?}");
-            assert_eq!(m.to_bits(), mass.to_bits(), "{items:?}");
-            assert_eq!(c, count, "{items:?}");
+            // Empty itemset: containment is the empty product everywhere.
+            assert_eq!(probe.growth(&[]), (false, 0.0, 0));
+            assert!(probe.updates(&[]).is_empty());
+            assert!(probe.new_products(&[]).is_empty());
+        }
+        // Items 0 and 1 never meet: zero products on both sides, while
+        // each one's moves still mark the pair's slots.
+        let apart = WindowStep {
+            dirty: vec![
+                DirtySlot {
+                    tid: 3,
+                    old: tx(&[(0, 0.5)]),
+                    new: tx(&[(1, 0.5)]),
+                },
+                DirtySlot {
+                    tid: 8,
+                    old: tx(&[(1, 0.25), (2, 1.0)]),
+                    new: tx(&[(0, 0.75), (2, 1.0)]),
+                },
+            ],
+        };
+        let probe = StepProbe::new(&apart);
+        for items in [&[0, 1][..], &[0, 2], &[1, 2], &[0, 1, 2], &[2]] {
+            assert_probe_matches_naive(&apart, &probe, items);
+        }
+        assert_eq!(probe.growth(&[0, 1]), (false, 0.0, 0));
+        assert_eq!(
+            probe.new_products(&[0, 1]),
+            vec![(3, 0.0, 0.0), (8, 0.75, 0.0)]
+        );
+        assert!(probe.new_products(&[2]).is_empty());
+    }
 
-            // updates == the naive changed-slot filter, values bit for bit.
-            let naive: Vec<(u32, u64)> = step
-                .dirty
-                .iter()
-                .filter_map(|d| {
-                    let old_p = d.old.itemset_prob(items);
-                    let new_p = d.new.itemset_prob(items);
-                    (old_p != new_p).then_some((d.tid, new_p.to_bits()))
+    /// The moved items are exactly the items whose probability differs
+    /// between the old and new side of some dirty slot.
+    #[test]
+    fn probe_moved_items_are_the_items_that_changed() {
+        for (step, num_items) in [
+            (random_step(7, 300), 7),
+            (random_step(40, 24), 40),
+            (random_step(3, 5), 3),
+            (scattered_step(50), 200),
+        ] {
+            let want: Vec<ItemId> = (0..num_items)
+                .filter(|&i| {
+                    step.dirty
+                        .iter()
+                        .any(|d| d.old.prob_of(i) != d.new.prob_of(i))
                 })
                 .collect();
-            let got: Vec<(u32, u64)> = probe
-                .updates(items)
-                .into_iter()
-                .map(|(t, p)| (t, p.to_bits()))
-                .collect();
-            assert_eq!(got, naive, "{items:?}");
-
-            // new_prob at every slot == itemset_prob of the new side, and
-            // candidate_slots covers every slot whose product moved.
-            let slots = probe.candidate_slots(items);
-            assert!(slots.windows(2).all(|w| w[0] < w[1]));
-            for (s, d) in step.dirty.iter().enumerate() {
-                assert_eq!(
-                    probe.new_prob(s, items).to_bits(),
-                    d.new.itemset_prob(items).to_bits(),
-                    "{items:?} slot {s}"
-                );
-                let moved = d.old.itemset_prob(items) != d.new.itemset_prob(items);
-                assert!(!moved || slots.contains(&s), "{items:?} slot {s}");
-            }
+            assert!(!want.is_empty());
+            assert_eq!(StepProbe::new(&step).moved_items(), want.as_slice());
         }
-        // Empty itemset: containment is the empty product everywhere.
-        let (t, m, c) = probe.growth(&[]);
-        assert!(!t);
-        assert_eq!(m, 0.0);
-        assert_eq!(c, 0);
-        assert!(probe.updates(&[]).is_empty());
+        // A slot rewritten with its own contents moves nothing.
+        let same = WindowStep {
+            dirty: vec![DirtySlot {
+                tid: 0,
+                old: tx(&[(1, 0.5), (4, 0.25)]),
+                new: tx(&[(1, 0.5), (4, 0.25)]),
+            }],
+        };
+        let probe = StepProbe::new(&same);
+        assert!(probe.moved_items().is_empty());
+        assert!(!probe.touches(&[1]));
+        assert!(probe.new_products(&[1, 4]).is_empty());
+    }
+
+    /// Over a 2^20-item vocabulary — every unit near its top — the probe
+    /// holds only what the step's units need: no buffer is sized by the
+    /// vocabulary, and reloading a smaller step reuses the buffers.
+    #[test]
+    fn probe_over_a_huge_vocabulary_is_sized_by_the_step() {
+        const TOP: u32 = (1 << 20) - 1;
+        let shifted =
+            |t: &Transaction| tx(&t.units().map(|(i, p)| (TOP - 3 * i, p)).collect::<Vec<_>>());
+        let base = random_step(12, 40);
+        let step = WindowStep {
+            dirty: base
+                .dirty
+                .iter()
+                .map(|d| DirtySlot {
+                    tid: d.tid,
+                    old: shifted(&d.old),
+                    new: shifted(&d.new),
+                })
+                .collect(),
+        };
+        let units: usize = step.dirty.iter().map(|d| d.old.len() + d.new.len()).sum();
+        let mut probe = StepProbe::new(&step);
+        let bound = 4 * units + 1024;
+        for (name, capacity) in [
+            ("tids", probe.tids.capacity()),
+            ("units", probe.units.capacity()),
+            ("items", probe.items.capacity()),
+            ("starts", probe.starts.capacity()),
+            ("moved", probe.moved.capacity()),
+            ("rows", probe.rows.capacity()),
+            ("masks", probe.masks.capacity()),
+        ] {
+            assert!(capacity <= bound, "{name}: {capacity} > {bound}");
+        }
+        for items in [
+            vec![TOP],
+            vec![TOP - 6, TOP],
+            vec![TOP - 33, TOP - 9, TOP - 3],
+        ] {
+            assert_probe_matches_naive(&step, &probe, &items);
+        }
+        let small = WindowStep {
+            dirty: step.dirty[..4].to_vec(),
+        };
+        let units_ptr = probe.units.as_ptr();
+        probe.load(&small);
+        assert_eq!(probe.units.as_ptr(), units_ptr, "the buffers are reused");
+        assert_probe_matches_naive(&small, &probe, &[TOP - 6, TOP]);
     }
 }

@@ -181,26 +181,41 @@ fn every_pair_clears(counts: &[u32], n: usize, floor: u64) -> bool {
 /// (k−1)-prefix, then prune candidates with any infrequent k-subset
 /// (downward closure, which holds for both frequency definitions).
 pub fn generate_candidates(frequent: &[FrequentItemset], stats: &mut MinerStats) -> Vec<Itemset> {
-    let mut sorted: Vec<&Itemset> = frequent.iter().map(|f| &f.itemset).collect();
-    sorted.sort();
-    // Keyed by item slices so the subset probes below can test membership
-    // from a reused buffer without building an `Itemset` per probe (slice
-    // and itemset hashing agree — `Itemset` hashes its item array).
-    let frequent_set: FxHashSet<&[ItemId]> = sorted.iter().map(|s| s.items()).collect();
-
+    let mut sorted: Vec<&[ItemId]> = frequent.iter().map(|f| f.itemset.items()).collect();
+    sorted.sort_unstable();
     let mut out = Vec::new();
-    // One scratch buffer serves every subset probe of every candidate:
-    // candidate generation runs once per level on the hot path.
+    join_candidates(&sorted, stats, |items| {
+        out.push(Itemset::from_sorted_vec(items.to_vec()));
+    });
+    out
+}
+
+/// The prefix join behind [`generate_candidates`], over the item slices of
+/// the frequent k-itemsets in ascending order: calls `emit` with the items
+/// of every (k+1)-candidate that passes the subset prune, in ascending
+/// order, from one reused buffer, and charges the others to
+/// [`MinerStats::candidates_pruned_structural`]. A caller that already
+/// holds some candidates can keep them and allocate only the new ones.
+pub(crate) fn join_candidates(
+    sorted: &[&[ItemId]],
+    stats: &mut MinerStats,
+    mut emit: impl FnMut(&[ItemId]),
+) {
+    // Keyed by item slices so the subset probes below can test membership
+    // from a reused buffer without building an `Itemset` per probe.
+    let frequent_set: FxHashSet<&[ItemId]> = sorted.iter().copied().collect();
+    // One scratch buffer serves every subset probe of every candidate,
+    // and one more every emitted candidate: candidate generation runs once
+    // per level on the hot path.
     let mut probe: Vec<ItemId> = Vec::new();
-    for (i, left) in sorted.iter().enumerate() {
-        let a = left.items();
+    let mut candidate: Vec<ItemId> = Vec::new();
+    for (i, &a) in sorted.iter().enumerate() {
         let Some((&a_last, prefix)) = a.split_last() else {
             continue;
         };
-        for right in &sorted[i + 1..] {
+        for &b in &sorted[i + 1..] {
             // Sorted order groups equal prefixes together: once the prefix
-            // differs, no later itemset can join with `left`.
-            let b = right.items();
+            // differs, no later itemset can join with `a`.
             let Some((&last, b_prefix)) = b.split_last() else {
                 break;
             };
@@ -219,16 +234,15 @@ pub fn generate_candidates(frequent: &[FrequentItemset], stats: &mut MinerStats)
                 frequent_set.contains(probe.as_slice())
             });
             if ok {
-                let mut items = Vec::with_capacity(a.len() + 1);
-                items.extend_from_slice(a);
-                items.push(last);
-                out.push(Itemset::from_sorted_vec(items));
+                candidate.clear();
+                candidate.extend_from_slice(a);
+                candidate.push(last);
+                emit(&candidate);
             } else {
                 stats.candidates_pruned_structural += 1;
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

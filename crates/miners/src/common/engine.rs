@@ -234,8 +234,8 @@ pub trait SupportEngine: Sync {
     /// for prefixes absent from its memo. After a `true` return,
     /// evaluations are bit-identical to a rebuilt engine's.
     ///
-    /// `probe` must be [`StepProbe::new`] over the same `step` (the caller
-    /// builds it once per step and shares it with the border tracker); the
+    /// `probe` must hold the same `step` ([`StepProbe::load`]; the caller
+    /// loads it once per step and shares it with the border tracker); the
     /// patch walks use it to detect touched nodes and read new containment
     /// probabilities without re-walking transactions. `stats` receives
     /// [`MinerStats::memo_patched`] / [`MinerStats::memo_rebuilt`] counts
@@ -1313,13 +1313,9 @@ fn patch_diff_nodes(
             }
             NodeRepr::Diff(d) => {
                 let membership: Vec<(u32, bool)> = probe
-                    .candidate_slots(&items)
-                    .iter()
-                    .map(|&s| {
-                        let drop = probe.new_prob(s, prefix_items) > 0.0
-                            && probe.new_prob(s, &items) == 0.0;
-                        (probe.tid(s), drop)
-                    })
+                    .new_products(&items)
+                    .into_iter()
+                    .map(|(tid, prefix_p, p)| (tid, prefix_p > 0.0 && p == 0.0))
                     .collect();
                 d.apply_tid_delta(&membership);
                 if !updates.is_empty() {

@@ -4,19 +4,19 @@
 //! [`IncrementalMiner`] owns a [`WindowedDatabase`] and keeps its mining
 //! result *fresh* across window steps without re-mining from scratch. Each
 //! [`IncrementalMiner::refresh`] drains the window's pending mutations into
-//! one [`WindowStep`], forwards it to the support engine
-//! ([`SupportEngine::apply_window_step`] — postings append/tombstone on the
-//! columnar backends, a snapshot rebuild on the horizontal fall-back), and
-//! then replays the level-wise candidate stream, re-judging **only** the
-//! itemsets the step could actually move across the frequent/infrequent
-//! border.
+//! one [`WindowStep`], loads it into the miner's [`StepProbe`], forwards it
+//! to the support engine ([`SupportEngine::apply_window_step`] — postings
+//! append/tombstone on the columnar backends, a snapshot rebuild on the
+//! horizontal fall-back), and then replays the level-wise candidate
+//! stream, re-judging **only** the itemsets the step could actually move
+//! across the frequent/infrequent border.
 //!
 //! # The border argument
 //!
 //! [`BorderTracker`] caches, for every itemset of the last refresh's
 //! candidate stream, which side of the border it landed on:
 //!
-//! * **Frequent** entries keep the exact [`FrequentItemset`] record they
+//! * **Frequent** entries keep the exact statistics of the record they
 //!   reported. An entry is *touched* by a step iff some dirty slot changes
 //!   the itemset's containment probability (`old.itemset_prob(X) !=
 //!   new.itemset_prob(X)`). An untouched itemset's per-transaction
@@ -49,26 +49,48 @@
 //! border traffic, with [`MinerStats::border_skipped`] and
 //! [`MinerStats::border_rejudged`] accounting for the rest.
 //!
+//! # Work per step
+//!
+//! Only an itemset holding a *moved* item ([`StepProbe::moved_items`]) can
+//! be touched, so a refresh never looks at the others. The tracker keeps
+//! one candidate list per level, in the stream's lexicographic order:
+//!
+//! * level 1 is indexed by item id, and a refresh visits only the moved
+//!   items;
+//! * level k ≥ 2 is reused as it stands while level k − 1's frequent *set*
+//!   is unchanged (a record whose statistics moved but that stayed frequent
+//!   changes nothing), because the prefix join would regenerate exactly
+//!   the stored list; a refresh then visits only the candidates that hold
+//!   a moved item and charges the list's recorded structural prunes again.
+//!   When the set did change, the join is merge-walked against the stored
+//!   list: carried candidates keep their entries, new ones start unjudged,
+//!   and those that left the stream are dropped.
+//!
+//! A level that ends the stream (no frequent itemset) drops every level
+//! above it, so the tracker never holds more than one candidate stream.
+//!
 //! One deliberate deviation from the batch evaluator: the incremental
 //! [`StatRequest`] carries **no pushdown thresholds**. The tracker caches
 //! each evaluated candidate's exact moments as its upper bounds, and
 //! thresholds only decide which vectors an engine keeps for the level, so
 //! kept records are bit-identical either way.
 
-use super::apriori::generate_candidates;
+use super::apriori::join_candidates;
 use super::engine::{DiffsetEngine, HorizontalScan, StatRequest, SupportEngine, VerticalEngine};
-use super::measure::{judge_level, FrequentnessMeasure, ShardPlan};
+use super::measure::{judge_level, FrequentnessMeasure, Judgment, ShardPlan};
 use ufim_core::{
-    CoreError, EngineKind, FrequentItemset, FxHashMap, ItemId, Itemset, MinerStats, MiningResult,
-    StepProbe, Transaction, UncertainDatabase, WindowStep, WindowedDatabase,
+    CoreError, EngineKind, FrequentItemset, ItemId, Itemset, MinerStats, MiningResult, StepProbe,
+    Transaction, UncertainDatabase, WindowStep, WindowedDatabase,
 };
 
-/// Cached verdict of one tracked itemset (see [`BorderTracker`]).
-#[derive(Clone, Debug)]
-enum Tracked {
-    /// Judged frequent at the last refresh that evaluated it; the exact
+/// Cached verdict of one tracked candidate (see [`BorderTracker`]).
+#[derive(Clone, Copy, Debug)]
+enum Verdict {
+    /// New to the candidate stream: not judged yet.
+    New,
+    /// Judged frequent at the last refresh that evaluated it: the exact
     /// record it reported, reused verbatim while untouched.
-    Frequent(FrequentItemset),
+    Frequent(Judgment),
     /// Judged (or bound-proven) infrequent, with maintained **upper
     /// bounds** on the statistics that could promote it across the border.
     Infrequent {
@@ -80,142 +102,225 @@ enum Tracked {
     },
 }
 
-/// One tracked itemset: its cached verdict plus the refresh stamp of the
-/// last candidate stream that contained it.
+/// One tracked candidate: its itemset and cached verdict.
 #[derive(Clone, Debug)]
 struct Entry {
-    verdict: Tracked,
-    stamp: u64,
+    itemset: Itemset,
+    verdict: Verdict,
 }
 
-/// How one candidate of an incremental level is dispatched.
-enum Action {
-    /// Untouched frequent entry: the cached record is exact — reuse it.
-    ReuseFrequent(FrequentItemset),
-    /// Provably still infrequent (untouched, or touched with bounds that
-    /// cannot cross the border): skip without evaluation.
-    ReuseInfrequent,
-    /// Must go through the engine. `rejudge` marks invalidated tracked
-    /// entries, as opposed to brand-new candidates.
-    Evaluate {
-        /// True when a tracked entry was invalidated by the step.
-        rejudge: bool,
-    },
-}
-
-/// Per-candidate disposition of one incremental level, in candidate order.
-enum Slot {
-    /// Reused from the tracker: `Some` = cached frequent record, `None` =
-    /// provably still infrequent.
-    Reuse(Option<FrequentItemset>),
-    /// Index into the freshly evaluated candidate list.
-    Fresh(u32),
-}
-
-/// The frequent/infrequent border of the last refresh, per measure.
-///
-/// One entry per itemset of the last candidate stream: frequent itemsets
-/// carry their exact cached record, infrequent ones maintained upper
-/// bounds (see the [module docs](self) for the reuse argument). Entries
-/// that fall out of the candidate stream — descendants of an itemset that
-/// went infrequent — are garbage-collected at the end of each refresh, so
-/// the tracker's footprint is bounded by one candidate stream.
-#[derive(Debug, Default)]
-pub struct BorderTracker {
-    entries: FxHashMap<Vec<ItemId>, Entry>,
-    stamp: u64,
-}
-
-impl BorderTracker {
-    /// Number of tracked itemsets (the last candidate stream's length).
-    pub fn len(&self) -> usize {
-        self.entries.len()
+impl Entry {
+    fn new(itemset: Itemset) -> Self {
+        Entry {
+            itemset,
+            verdict: Verdict::New,
+        }
     }
 
-    /// True before the first refresh evaluates anything.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    fn is_frequent(&self) -> bool {
+        matches!(self.verdict, Verdict::Frequent(_))
     }
 
-    /// Opens a refresh: entries the new candidate stream fails to touch
-    /// keep the old stamp and are collected by [`BorderTracker::retire`].
-    fn begin_refresh(&mut self) {
-        self.stamp += 1;
+    /// The cached record of a frequent entry.
+    fn record(&self) -> Option<FrequentItemset> {
+        match self.verdict {
+            Verdict::Frequent(j) => Some(FrequentItemset {
+                itemset: self.itemset.clone(),
+                expected_support: j.expected_support,
+                variance: j.variance,
+                frequent_prob: j.frequent_prob,
+            }),
+            _ => None,
+        }
     }
 
-    /// Dispatches one candidate against the cached border and the step
-    /// (read through its [`StepProbe`] — bit-identical to walking the
-    /// dirty transactions, at a fraction of the cost).
+    /// Dispatches the entry against the step (read through its
+    /// [`StepProbe`]): `None` when its cached verdict provably still holds,
+    /// else `Some(rejudge)`, where `rejudge` marks an invalidated judged
+    /// entry as opposed to a new one.
     fn classify(
         &mut self,
-        items: &[ItemId],
         probe: &StepProbe,
         min_esup: Option<f64>,
         min_count: Option<u64>,
-    ) -> Action {
-        let stamp = self.stamp;
-        let Some(entry) = self.entries.get_mut(items) else {
-            return Action::Evaluate { rejudge: false };
-        };
-        entry.stamp = stamp;
-
-        let (touched, added_mass, added_count) = probe.growth(items);
-        if !touched {
-            // Identical containment probability in every dirty slot: the
-            // itemset's vector — hence every derived statistic and the
-            // measure's verdict — is unchanged.
-            return match &entry.verdict {
-                Tracked::Frequent(rec) => Action::ReuseFrequent(rec.clone()),
-                Tracked::Infrequent { .. } => Action::ReuseInfrequent,
-            };
-        }
-        match &mut entry.verdict {
+    ) -> Option<bool> {
+        let items = self.itemset.items();
+        match &mut self.verdict {
+            Verdict::New => Some(false),
             // A touched frequent itemset's record (its exact esup at the
             // least) changed, so it must be re-evaluated regardless of
-            // whether it stays frequent.
-            Tracked::Frequent(_) => Action::Evaluate { rejudge: true },
-            Tracked::Infrequent { esup_ub, count_ub } => {
+            // whether it stays frequent. An untouched one has identical
+            // containment probability in every dirty slot: its vector —
+            // hence every derived statistic and the measure's verdict — is
+            // unchanged.
+            Verdict::Frequent(_) => probe.touches(items).then_some(true),
+            Verdict::Infrequent { esup_ub, count_ub } => {
+                let (touched, added_mass, added_count) = probe.growth(items);
+                if !touched {
+                    return None;
+                }
                 *esup_ub += added_mass;
                 if let Some(c) = count_ub.as_mut() {
                     *c += added_count;
                 }
                 let below_esup = min_esup.is_some_and(|b| *esup_ub < b);
                 let below_count = matches!((min_count, *count_ub), (Some(b), Some(c)) if c < b);
-                if below_esup || below_count {
-                    Action::ReuseInfrequent
-                } else {
-                    Action::Evaluate { rejudge: true }
-                }
+                (!(below_esup || below_count)).then_some(true)
             }
         }
     }
+}
 
-    /// Records the fresh verdict of an evaluated candidate.
-    fn record(&mut self, items: &[ItemId], verdict: Tracked) {
-        let stamp = self.stamp;
-        self.entries
-            .insert(items.to_vec(), Entry { verdict, stamp });
-    }
+/// One level of the tracked candidate stream.
+#[derive(Debug, Default)]
+struct Level {
+    /// The level's candidates in ascending order (level 1: every item of
+    /// the vocabulary, indexed by id).
+    entries: Vec<Entry>,
+    /// Positions of the frequent entries, ascending.
+    frequent: Vec<u32>,
+    /// Structural prunes the join charged when it generated `entries`;
+    /// charged again at every refresh that reuses them.
+    pruned_structural: u64,
+}
 
-    /// Closes a refresh: drops every entry the candidate stream no longer
-    /// contains.
-    fn retire(&mut self) {
-        let stamp = self.stamp;
-        self.entries.retain(|_, e| e.stamp == stamp);
+impl Level {
+    /// The frequent records, in candidate order.
+    fn records(&self) -> Vec<FrequentItemset> {
+        self.frequent
+            .iter()
+            .filter_map(|&p| self.entries[p as usize].record())
+            .collect()
     }
 }
 
-/// One incremental level: classify every candidate against the border,
-/// evaluate the fresh ones exactly like the batch evaluator, and assemble
-/// the level's survivors in candidate order.
+/// The frequent/infrequent border of the last refresh, per measure.
+///
+/// One entry per itemset of the last candidate stream, kept as one
+/// ascending candidate list per level: frequent itemsets carry their exact
+/// cached record, infrequent ones maintained upper bounds (see the
+/// [module docs](self) for the reuse argument and for which entries a
+/// refresh visits). Candidates that fall out of the stream — descendants
+/// of an itemset that went infrequent — are dropped when their level is
+/// regenerated or cut off, so the tracker's footprint is bounded by one
+/// candidate stream.
+#[derive(Debug, Default)]
+pub struct BorderTracker {
+    levels: Vec<Level>,
+    /// Per item id: whether the step being refreshed moved it. Sized once
+    /// to the vocabulary; a refresh sets and clears only the moved items.
+    moved: Vec<bool>,
+}
+
+impl BorderTracker {
+    /// Number of tracked itemsets (the last candidate stream's length).
+    pub fn len(&self) -> usize {
+        self.levels.iter().map(|l| l.entries.len()).sum()
+    }
+
+    /// True before the first refresh evaluates anything.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Level 1 for this refresh: every item on the first one, afterwards
+    /// only the moved items (positions are item ids).
+    fn visit_singletons(&mut self, probe: &StepProbe, num_items: u32) -> Vec<u32> {
+        if self.levels.is_empty() {
+            self.levels.push(Level::default());
+        }
+        let level = &mut self.levels[0];
+        if level.entries.len() != num_items as usize {
+            level.entries = (0..num_items)
+                .map(|i| Entry::new(Itemset::singleton(i)))
+                .collect();
+            level.frequent.clear();
+            return (0..num_items).collect();
+        }
+        probe.moved_items().to_vec()
+    }
+
+    /// Level `k` (0-based, `k ≥ 1`) while level `k − 1`'s frequent set is
+    /// unchanged: the stored list, and the positions that hold a moved item.
+    fn visit_reused(&self, k: usize, stats: &mut MinerStats) -> Vec<u32> {
+        let level = &self.levels[k];
+        stats.candidates_pruned_structural += level.pruned_structural;
+        (0..level.entries.len() as u32)
+            .filter(|&p| holds_moved(&self.moved, level.entries[p as usize].itemset.items()))
+            .collect()
+    }
+
+    /// Regenerates level `k` (0-based, `k ≥ 1`) from level `k − 1`'s
+    /// frequent itemsets: the prefix join, merge-walked against the stored
+    /// list. Returns the positions to visit — new candidates and carried
+    /// ones that hold a moved item — and whether a frequent entry dropped
+    /// out of the stream.
+    fn visit_regenerated(&mut self, k: usize, stats: &mut MinerStats) -> (Vec<u32>, bool) {
+        if self.levels.len() == k {
+            self.levels.push(Level::default());
+        }
+        let (below, above) = self.levels.split_at_mut(k);
+        let parent = &below[k - 1];
+        let level = &mut above[0];
+        let moved = &self.moved;
+        let sorted: Vec<&[ItemId]> = parent
+            .frequent
+            .iter()
+            .map(|&p| parent.entries[p as usize].itemset.items())
+            .collect();
+        let mut old = std::mem::take(&mut level.entries).into_iter().peekable();
+        level.frequent.clear();
+        let (entries, frequent) = (&mut level.entries, &mut level.frequent);
+        let mut visit = Vec::new();
+        let mut dropped_frequent = false;
+        let pruned_before = stats.candidates_pruned_structural;
+        join_candidates(&sorted, stats, |items| {
+            while let Some(e) = old.next_if(|e| e.itemset.items() < items) {
+                dropped_frequent |= e.is_frequent();
+            }
+            let p = entries.len() as u32;
+            let entry = match old.next_if(|e| e.itemset.items() == items) {
+                Some(e) => {
+                    if e.is_frequent() {
+                        frequent.push(p);
+                    }
+                    if holds_moved(moved, items) {
+                        visit.push(p);
+                    }
+                    e
+                }
+                None => {
+                    visit.push(p);
+                    Entry::new(Itemset::from_sorted_vec(items.to_vec()))
+                }
+            };
+            entries.push(entry);
+        });
+        dropped_frequent |= old.any(|e| e.is_frequent());
+        level.pruned_structural = stats.candidates_pruned_structural - pruned_before;
+        (visit, dropped_frequent)
+    }
+}
+
+/// Whether `items` holds an item the step moved (`moved` is indexed by
+/// item id).
+fn holds_moved(moved: &[bool], items: &[ItemId]) -> bool {
+    items.iter().any(|&i| moved[i as usize])
+}
+
+/// One incremental level: classify the visited candidates against the
+/// border, evaluate the ones that need it exactly like the batch evaluator,
+/// and hand the level's frequent records, in candidate order, to the
+/// engine and to `out`. Returns whether the level's frequent set changed.
 fn evaluate_level<M: FrequentnessMeasure>(
     engine: &mut dyn SupportEngine,
     measure: &M,
-    tracker: &mut BorderTracker,
+    level: &mut Level,
+    visit: &[u32],
     probe: &StepProbe,
-    candidates: &[Itemset],
     stats: &mut MinerStats,
-) -> Vec<FrequentItemset> {
+    out: &mut Vec<FrequentItemset>,
+) -> bool {
     let needs = measure.needs();
     // Exact moments only — no pushdown thresholds (see the module docs):
     // the cached infrequent bounds below must be sound upper bounds.
@@ -227,71 +332,62 @@ fn evaluate_level<M: FrequentnessMeasure>(
     };
     let (min_esup, min_count) = (measure.min_esup_bound(), measure.min_count_bound());
 
-    let mut plan: Vec<Slot> = Vec::with_capacity(candidates.len());
-    let mut fresh: Vec<Itemset> = Vec::new();
-    for c in candidates {
-        match tracker.classify(c.items(), probe, min_esup, min_count) {
-            Action::ReuseFrequent(rec) => {
-                stats.border_skipped += 1;
-                plan.push(Slot::Reuse(Some(rec)));
-            }
-            Action::ReuseInfrequent => {
-                stats.border_skipped += 1;
-                plan.push(Slot::Reuse(None));
-            }
-            Action::Evaluate { rejudge } => {
-                stats.border_rejudged += u64::from(rejudge);
-                plan.push(Slot::Fresh(fresh.len() as u32));
-                fresh.push(c.clone());
-            }
+    let mut fresh_at: Vec<u32> = Vec::new();
+    for &p in visit {
+        if let Some(rejudge) = level.entries[p as usize].classify(probe, min_esup, min_count) {
+            stats.border_rejudged += u64::from(rejudge);
+            fresh_at.push(p);
         }
     }
+    stats.border_skipped += (level.entries.len() - fresh_at.len()) as u64;
 
-    // The fresh subset runs through `judge_level`, the batch evaluator's
-    // judge, exactly as a batch mine would run the whole level.
-    // Reused prefixes may be absent from the engine's memo; every backend
-    // falls back to a bit-identical from-scratch fold for cold prefixes.
-    let mut fresh_records: Vec<Option<FrequentItemset>> = vec![None; fresh.len()];
-    if !fresh.is_empty() {
+    let mut changed = false;
+    if !fresh_at.is_empty() {
+        // The fresh subset runs through `judge_level`, the batch evaluator's
+        // judge, exactly as a batch mine would run the whole level. Its
+        // itemsets are lent to the engine and put back afterwards. Reused
+        // prefixes may be absent from the engine's memo; every backend
+        // falls back to a bit-identical from-scratch fold for cold prefixes.
+        let fresh: Vec<Itemset> = fresh_at
+            .iter()
+            .map(|&p| std::mem::take(&mut level.entries[p as usize].itemset))
+            .collect();
         stats.candidates_evaluated += fresh.len() as u64;
         let sup = engine.evaluate(&fresh, want, stats);
+        let mut judged: Vec<Option<Judgment>> = vec![None; fresh.len()];
         judge_level(measure, engine, &fresh, &sup, false, stats, |i, j, _| {
-            fresh_records[i] = Some(FrequentItemset {
-                itemset: fresh[i].clone(),
-                expected_support: j.expected_support,
-                variance: j.variance,
-                frequent_prob: j.frequent_prob,
-            });
+            judged[i] = Some(j);
         });
-
-        for (i, set) in fresh.iter().enumerate() {
-            let verdict = match &fresh_records[i] {
-                Some(rec) => Tracked::Frequent(rec.clone()),
+        for (i, ((itemset, j), &p)) in fresh.into_iter().zip(judged).zip(&fresh_at).enumerate() {
+            let entry = &mut level.entries[p as usize];
+            let was_frequent = entry.is_frequent();
+            entry.itemset = itemset;
+            entry.verdict = match j {
+                Some(j) => Verdict::Frequent(j),
                 // Exact statistics (no pushdown above), so these are sound
                 // upper bounds to grow across future steps.
-                None => Tracked::Infrequent {
+                None => Verdict::Infrequent {
                     esup_ub: sup.esup[i],
                     count_ub: sup.count.as_ref().map(|c| c[i]),
                 },
             };
-            tracker.record(set.items(), verdict);
+            changed |= was_frequent != entry.is_frequent();
+        }
+        if changed {
+            let entries = &level.entries;
+            level.frequent.extend_from_slice(&fresh_at);
+            level.frequent.sort_unstable();
+            level.frequent.dedup();
+            level
+                .frequent
+                .retain(|&p| entries[p as usize].is_frequent());
         }
     }
 
-    let mut out = Vec::new();
-    for slot in plan {
-        match slot {
-            Slot::Reuse(Some(rec)) => out.push(rec),
-            Slot::Reuse(None) => {}
-            Slot::Fresh(i) => {
-                if let Some(rec) = fresh_records[i as usize].take() {
-                    out.push(rec);
-                }
-            }
-        }
-    }
-    engine.finish_level(&out);
-    out
+    let records = level.records();
+    engine.finish_level(&records);
+    out.extend(records);
+    changed
 }
 
 /// Replays the level-wise candidate stream through the border tracker —
@@ -304,21 +400,43 @@ fn refresh_levels<M: FrequentnessMeasure>(
     num_items: u32,
 ) -> MiningResult {
     let mut result = MiningResult::default();
-    let mut candidates: Vec<Itemset> = (0..num_items).map(Itemset::singleton).collect();
-    while !candidates.is_empty() {
-        let frequent = evaluate_level(
-            engine,
-            measure,
-            tracker,
-            probe,
-            &candidates,
-            &mut result.stats,
-        );
-        if frequent.is_empty() {
+    tracker.moved.resize(num_items as usize, false);
+    for &i in probe.moved_items() {
+        tracker.moved[i as usize] = true;
+    }
+    let mut visit = tracker.visit_singletons(probe, num_items);
+    // Whether regenerating level `k` dropped a frequent entry, which
+    // changes its frequent set as much as a flipped verdict does.
+    let mut dropped_frequent = false;
+    let mut k = 0;
+    loop {
+        let level = &mut tracker.levels[k];
+        if level.entries.is_empty() {
             break;
         }
-        candidates = generate_candidates(&frequent, &mut result.stats);
-        result.itemsets.extend(frequent);
+        let flipped = evaluate_level(
+            engine,
+            measure,
+            level,
+            &visit,
+            probe,
+            &mut result.stats,
+            &mut result.itemsets,
+        );
+        if level.frequent.is_empty() {
+            break;
+        }
+        k += 1;
+        if !flipped && !dropped_frequent && k < tracker.levels.len() {
+            visit = tracker.visit_reused(k, &mut result.stats);
+            dropped_frequent = false;
+        } else {
+            (visit, dropped_frequent) = tracker.visit_regenerated(k, &mut result.stats);
+        }
+    }
+    tracker.levels.truncate(k + 1);
+    for &i in probe.moved_items() {
+        tracker.moved[i as usize] = false;
     }
     result
 }
@@ -367,6 +485,8 @@ pub struct IncrementalMiner<M: FrequentnessMeasure> {
     /// horizontal fall-back, rebuilt over the snapshot inside `refresh`.
     engine: Option<Box<dyn SupportEngine>>,
     tracker: BorderTracker,
+    /// The step being refreshed; its buffers are kept across steps.
+    probe: StepProbe,
     result: MiningResult,
     /// True once the first refresh has run (before that, `result` is the
     /// empty placeholder, not a mined result).
@@ -390,6 +510,7 @@ impl<M: FrequentnessMeasure> IncrementalMiner<M> {
             kind,
             engine,
             tracker: BorderTracker::default(),
+            probe: StepProbe::default(),
             result: MiningResult::default(),
             primed: false,
         }
@@ -458,26 +579,27 @@ impl<M: FrequentnessMeasure> IncrementalMiner<M> {
             self.result.stats = MinerStats::default();
             return &self.result;
         }
-        self.tracker.begin_refresh();
         let num_items = self.window.num_items();
         // One probe per step, shared by the engine's patch walk and every
-        // border classification below: dense old/new probability rows plus
-        // per-item changed-slot bitsets, so touch detection costs a few
-        // multiplies per changed slot instead of transaction walks. The
-        // unprimed first refresh provably never reads it — the tracker has
-        // no entries to classify against and the engine holds no stamped
-        // memo to patch — so the (large, whole-window) initial-fill step
-        // gets a trivial probe instead of a dense-matrix build.
-        let probe = if self.primed {
-            StepProbe::new(&step, num_items)
+        // border classification below: the dirty slots' unit lists plus
+        // changed-slot bitsets of the moved items, so touch detection costs
+        // a few multiplies per changed slot instead of transaction walks.
+        // The unprimed first refresh provably never reads it — the tracker
+        // has no entries to classify against and the engine holds no
+        // stamped memo to patch — so the (large, whole-window) initial-fill
+        // step loads as an empty probe.
+        let probe = &mut self.probe;
+        if self.primed {
+            probe.load(&step);
         } else {
-            StepProbe::new(&WindowStep::default(), num_items)
-        };
+            probe.load(&WindowStep::default());
+        }
+        let probe = &*probe;
         // Counters of the step application itself (memo_patched /
         // memo_rebuilt), merged into the refresh's stats below.
         let mut step_stats = MinerStats::default();
         if let Some(engine) = self.engine.as_mut() {
-            if !engine.apply_window_step(&step, &probe, &mut step_stats) {
+            if !engine.apply_window_step(&step, probe, &mut step_stats) {
                 // The backend declined delta maintenance: rebuild it over
                 // the stepped snapshot (still cheaper than re-mining — the
                 // tracker's reuse survives a rebuild).
@@ -490,7 +612,7 @@ impl<M: FrequentnessMeasure> IncrementalMiner<M> {
                 engine.as_mut(),
                 &self.measure,
                 &mut self.tracker,
-                &probe,
+                probe,
                 num_items,
             ),
             None => {
@@ -503,13 +625,15 @@ impl<M: FrequentnessMeasure> IncrementalMiner<M> {
                     &mut engine,
                     &self.measure,
                     &mut self.tracker,
-                    &probe,
+                    probe,
                     num_items,
                 )
             }
         };
-        self.tracker.retire();
         result.stats.absorb(&step_stats);
+        // Empty the probe between refreshes: this keeps its small buffers
+        // and gives back what a large step (a whole-window turnover) grew.
+        self.probe.load(&WindowStep::default());
         self.result = result;
         self.primed = true;
         &self.result
