@@ -508,14 +508,14 @@ impl SupportEngine for VerticalEngine {
         let mean_units = self.index.mean_posting_units();
         let (index, prev) = (&self.index, &self.prev);
 
-        // In streaming mode (whose refreshes carry no pushdown thresholds),
-        // candidates the patch walk kept current in the retained memo are
-        // answered straight from their per-block partials — the payoff of
-        // memo-preserving delta evaluation: the fold combines the
-        // already-maintained block sums, bit-identical to the cold re-fold
-        // a fresh intersection would feed the same accumulator shape. Every
-        // other candidate is walked once by `evaluate_pushdown`, and only
-        // those walks are charged an intersection.
+        // In streaming mode, candidates the patch walk kept current in the
+        // retained memo are answered straight from their per-block
+        // partials — the payoff of memo-preserving delta evaluation: the
+        // fold combines the already-maintained block sums, bit-identical to
+        // the cold re-fold a fresh intersection would feed the same
+        // accumulator shape. Every other candidate is walked once by
+        // `evaluate_pushdown`, and only those walks are charged an
+        // intersection.
         let streaming = self.streaming;
         let mut moments: Vec<Option<(f64, f64, usize)>> = candidates
             .iter()

@@ -69,11 +69,12 @@
 //! A level that ends the stream (no frequent itemset) drops every level
 //! above it, so the tracker never holds more than one candidate stream.
 //!
-//! One deliberate deviation from the batch evaluator: the incremental
-//! [`StatRequest`] carries **no pushdown thresholds**. The tracker caches
-//! each evaluated candidate's exact moments as its upper bounds, and
-//! thresholds only decide which vectors an engine keeps for the level, so
-//! kept records are bit-identical either way.
+//! Fresh candidates are evaluated with the batch evaluator's
+//! [`StatRequest`], the measure's cuts included. The cuts only decide
+//! which candidates' vectors an engine exports for the level: every
+//! engine returns exact moments whatever the thresholds, so the tracker
+//! caches an infrequent candidate's evaluated moments as sound upper
+//! bounds, and a candidate below the cut costs no vector.
 
 use super::apriori::join_candidates;
 use super::engine::{DiffsetEngine, HorizontalScan, StatRequest, SupportEngine, VerticalEngine};
@@ -322,15 +323,14 @@ fn evaluate_level<M: FrequentnessMeasure>(
     out: &mut Vec<FrequentItemset>,
 ) -> bool {
     let needs = measure.needs();
-    // Exact moments only — no pushdown thresholds (see the module docs):
-    // the cached infrequent bounds below must be sound upper bounds.
+    let (min_esup, min_count) = (measure.min_esup_bound(), measure.min_count_bound());
+    // The batch evaluator's request, cuts included (see the module docs).
     let want = StatRequest {
         variance: needs.variance,
         count: needs.count,
-        min_esup: None,
-        min_count: None,
+        min_esup,
+        min_count,
     };
-    let (min_esup, min_count) = (measure.min_esup_bound(), measure.min_count_bound());
 
     let mut fresh_at: Vec<u32> = Vec::new();
     for &p in visit {
@@ -364,8 +364,8 @@ fn evaluate_level<M: FrequentnessMeasure>(
             entry.itemset = itemset;
             entry.verdict = match j {
                 Some(j) => Verdict::Frequent(j),
-                // Exact statistics (no pushdown above), so these are sound
-                // upper bounds to grow across future steps.
+                // Exact statistics, so these are sound upper bounds to
+                // grow across future steps.
                 None => Verdict::Infrequent {
                     esup_ub: sup.esup[i],
                     count_ub: sup.count.as_ref().map(|c| c[i]),
@@ -644,7 +644,8 @@ impl<M: FrequentnessMeasure> IncrementalMiner<M> {
 mod tests {
     use super::*;
     use crate::common::measure::{
-        mine_level_wise, ExactKernel, ExactMeasure, ExpectedSupport, NormalApprox,
+        mine_level_wise, CandidateStats, ExactKernel, ExactMeasure, ExpectedSupport, NormalApprox,
+        Screen, StatNeeds,
     };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -907,6 +908,59 @@ mod tests {
     #[test]
     fn out_of_vocabulary_append_is_rejected_diffset() {
         assert_rejected_append_is_invisible(EngineKind::Diffset);
+    }
+
+    /// A measure with its cuts hidden from the engines and the tracker.
+    struct WithoutCuts<M>(M);
+
+    impl<M: FrequentnessMeasure> FrequentnessMeasure for WithoutCuts<M> {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn needs(&self) -> StatNeeds {
+            self.0.needs()
+        }
+        fn screen(&self, esup: f64, count: u64) -> Screen {
+            self.0.screen(esup, count)
+        }
+        fn judge(&self, c: &CandidateStats<'_>, stats: &mut MinerStats) -> Option<Judgment> {
+            self.0.judge(c, stats)
+        }
+    }
+
+    #[test]
+    fn fresh_candidates_below_the_cut_export_no_vector() {
+        // Ten items, two of them common: most pairs are fresh candidates
+        // far below the esup cut.
+        let measure = ExpectedSupport::new(12.0);
+        for kind in [EngineKind::Vertical, EngineKind::Diffset] {
+            let mut rng = StdRng::seed_from_u64(31);
+            let mut with = IncrementalMiner::new(WindowedDatabase::new(96, 10), measure, kind);
+            let mut without =
+                IncrementalMiner::new(WindowedDatabase::new(96, 10), WithoutCuts(measure), kind);
+            for round in 0..6 {
+                for _ in 0..if round == 0 { 96 } else { 8 } {
+                    let t = tx(&mut rng, 10, 0.3);
+                    with.append(t.clone()).unwrap();
+                    without.append(t).unwrap();
+                }
+                let (a, b) = (with.refresh().clone(), without.refresh().clone());
+                assert_eq!(a.itemsets, b.itemsets, "{kind} round {round}");
+                if round == 0 {
+                    // Nothing is tracked yet: both evaluate every candidate,
+                    // and only the cut keeps the hopeless ones' vectors out.
+                    assert!(!a.is_empty(), "{kind}");
+                    assert_eq!(a.stats.candidates_evaluated, b.stats.candidates_evaluated);
+                    assert!(
+                        a.stats.peak_memo_bytes < b.stats.peak_memo_bytes,
+                        "{kind}: {} vs {}",
+                        a.stats.peak_memo_bytes,
+                        b.stats.peak_memo_bytes
+                    );
+                    assert!(a.stats.intersections <= b.stats.intersections, "{kind}");
+                }
+            }
+        }
     }
 
     #[test]
