@@ -1916,11 +1916,10 @@ impl VerticalIndex {
     /// window's ring-buffer tids guarantee this; checked in debug builds).
     pub fn apply_step(&mut self, step: &crate::window::WindowStep) {
         // Transpose the step: `(item, tid, new_prob)` for every unit that
-        // moved, sorted by item. A lockstep walk of each slot's sorted unit
-        // lists emits only probabilities that actually moved — unchanged
-        // units are no-ops for a rebuild and are skipped. `step.dirty` is
-        // tid-sorted and the sort is stable, so each item's run stays
-        // ascending by tid. Nothing here is sized by the vocabulary.
+        // moved, sorted by item, then tid. A lockstep walk of each slot's
+        // sorted unit lists emits only probabilities that actually moved —
+        // unchanged units are no-ops for a rebuild and are skipped. Nothing
+        // here is sized by the vocabulary.
         let mut moves: Vec<(ItemId, u32, f64)> = Vec::new();
         for d in &step.dirty {
             debug_assert!(
@@ -1958,7 +1957,7 @@ impl VerticalIndex {
                 }
             }
         }
-        moves.sort_by_key(|&(item, _, _)| item);
+        moves.sort_unstable_by_key(|&(item, tid, _)| (item, tid));
         let mut updates: Vec<(u32, f64)> = Vec::new();
         for run in moves.chunk_by(|a, b| a.0 == b.0) {
             updates.clear();

@@ -228,14 +228,12 @@ impl BorderTracker {
     /// only the moved items (positions are item ids).
     fn visit_singletons(&mut self, probe: &StepProbe, num_items: u32) -> Vec<u32> {
         if self.levels.is_empty() {
-            self.levels.push(Level::default());
-        }
-        let level = &mut self.levels[0];
-        if level.entries.len() != num_items as usize {
-            level.entries = (0..num_items)
-                .map(|i| Entry::new(Itemset::singleton(i)))
-                .collect();
-            level.frequent.clear();
+            self.levels.push(Level {
+                entries: (0..num_items)
+                    .map(|i| Entry::new(Itemset::singleton(i)))
+                    .collect(),
+                ..Level::default()
+            });
             return (0..num_items).collect();
         }
         probe.moved_items().to_vec()
