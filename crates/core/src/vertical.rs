@@ -97,6 +97,7 @@
 
 use crate::database::UncertainDatabase;
 use crate::itemset::ItemId;
+use crate::window::{StepProbe, WindowStep};
 
 /// A chunk whose nonzero count is at least [`CHUNK_LANES`]` /
 /// DENSE_CUTOFF_DIVISOR` (16 of its 64 tids) stores all 64 lanes
@@ -1895,75 +1896,37 @@ impl VerticalIndex {
             .unwrap_or(0)
     }
 
-    /// Applies a window-step delta in place: per dirty slot, the old
-    /// transaction's units leave the postings and the new one's enter. The
-    /// step is first transposed into one ascending `(tid, new_prob)`
-    /// update list per touched item (removals as probability 0), and each
-    /// touched posting absorbs its whole list in a single
-    /// [`ProbVector::apply_tid_delta`] merge — one pass per item instead
-    /// of a point update per dirty unit, the difference on bursty steps
-    /// (hundreds of slots) and the initial whole-window fill.
+    /// Applies a window step in place, read through its [`StepProbe`]:
+    /// each moved item's posting absorbs the item's net updates
+    /// ([`StepProbe::updates`] of the singleton: ascending `(tid,
+    /// new_prob)`, removals as probability 0) in a single
+    /// [`ProbVector::apply_tid_delta`] merge — one pass per moved item,
+    /// never `O(window)` or `O(vocabulary)`.
     ///
     /// Because [`ProbVector::apply_tid_delta`] commits the canonical chunk
     /// layout, the maintained index is **byte-identical** to
     /// [`VerticalIndex::build`] over the stepped window's snapshot, so
     /// everything downstream (kernels, memo pushdown) behaves as if the
-    /// index had been rebuilt. Cost is proportional to the delta: one
-    /// touched-chunk merge per dirty item, never `O(window)` or
-    /// `O(vocabulary)`.
+    /// index had been rebuilt.
     ///
     /// Every dirty tid must lie within the indexed transaction range (the
     /// window's ring-buffer tids guarantee this; checked in debug builds).
-    pub fn apply_step(&mut self, step: &crate::window::WindowStep) {
-        // Transpose the step: `(item, tid, new_prob)` for every unit that
-        // moved, sorted by item, then tid. A lockstep walk of each slot's
-        // sorted unit lists emits only probabilities that actually moved —
-        // unchanged units are no-ops for a rebuild and are skipped. Nothing
-        // here is sized by the vocabulary.
-        let mut moves: Vec<(ItemId, u32, f64)> = Vec::new();
-        for d in &step.dirty {
+    pub fn apply_probe(&mut self, probe: &StepProbe) {
+        for &item in probe.moved_items() {
+            let updates = probe.updates(&[item]);
             debug_assert!(
-                (d.tid as usize) < self.num_transactions,
+                updates
+                    .iter()
+                    .all(|&(tid, _)| (tid as usize) < self.num_transactions),
                 "dirty tid outside the indexed range"
             );
-            let mut old_units = d.old.units().peekable();
-            let mut new_units = d.new.units().peekable();
-            loop {
-                match (old_units.peek().copied(), new_units.peek().copied()) {
-                    (None, None) => break,
-                    (Some((oi, op)), Some((ni, np))) => {
-                        if oi == ni {
-                            if op != np {
-                                moves.push((oi, d.tid, np));
-                            }
-                            old_units.next();
-                            new_units.next();
-                        } else if oi < ni {
-                            moves.push((oi, d.tid, 0.0));
-                            old_units.next();
-                        } else {
-                            moves.push((ni, d.tid, np));
-                            new_units.next();
-                        }
-                    }
-                    (Some((oi, _)), None) => {
-                        moves.push((oi, d.tid, 0.0));
-                        old_units.next();
-                    }
-                    (None, Some((ni, np))) => {
-                        moves.push((ni, d.tid, np));
-                        new_units.next();
-                    }
-                }
-            }
+            self.postings[item as usize].apply_tid_delta(&updates);
         }
-        moves.sort_unstable_by_key(|&(item, tid, _)| (item, tid));
-        let mut updates: Vec<(u32, f64)> = Vec::new();
-        for run in moves.chunk_by(|a, b| a.0 == b.0) {
-            updates.clear();
-            updates.extend(run.iter().map(|&(_, tid, p)| (tid, p)));
-            self.postings[run[0].0 as usize].apply_tid_delta(&updates);
-        }
+    }
+
+    /// [`VerticalIndex::apply_probe`] over a freshly loaded probe of `step`.
+    pub fn apply_step(&mut self, step: &WindowStep) {
+        self.apply_probe(&StepProbe::new(step));
     }
 
     /// Computes an arbitrary itemset's prob-vector from scratch by folding
@@ -2592,46 +2555,76 @@ mod tests {
 
     /// `apply_step` maintains the index byte-identically to a rebuild:
     /// every posting matches a from-scratch `build` over the stepped
-    /// window's snapshot — including steps that wrap the ring and steps
-    /// that empty a slot entirely.
+    /// window's snapshot — including steps that wrap the ring, steps that
+    /// empty a slot entirely, and a slot re-filled with its own contents.
+    /// Both probe layouts feed the index: six items, each in half the
+    /// transactions, keep every step's dense rows; four of 3,000 items
+    /// per transaction make the step's items outnumber its records per
+    /// slot, so the probe keeps the records only.
     #[test]
     fn apply_step_matches_fresh_build() {
-        use crate::window::WindowedDatabase;
+        use crate::window::{DirtySlot, WindowedDatabase};
         let capacity = 200;
-        let mut w = WindowedDatabase::new(capacity, 6);
-        let mut idx = VerticalIndex::build(&w.snapshot());
-        // A deterministic ingest mixing appends (wrapping past capacity,
-        // so slots are reused) with expiries.
-        let mut x = 12345u64;
-        let mut rng = move || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            x >> 33
-        };
-        for round in 0..8 {
-            for _ in 0..60 {
-                let mut units: Vec<(u32, f64)> = Vec::new();
-                for i in 0..6u32 {
-                    if rng() % 2 == 0 {
-                        units.push((i, (rng() % 99 + 1) as f64 / 100.0));
-                    }
+        for (num_items, dense) in [(6u32, true), (3_000, false)] {
+            let mut w = WindowedDatabase::new(capacity, num_items);
+            let mut idx = VerticalIndex::build(&w.snapshot());
+            // A deterministic ingest mixing appends (wrapping past
+            // capacity, so slots are reused) with expiries.
+            let mut x = 12345u64;
+            let mut rng = move || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x >> 33
+            };
+            let assert_matches = |idx: &VerticalIndex, w: &WindowedDatabase, label: &str| {
+                let fresh = VerticalIndex::build(&w.snapshot());
+                for item in 0..num_items {
+                    let label = format!("{label}: {num_items} items, postings[{item}]");
+                    assert_same_layout(idx.postings(item), fresh.postings(item), &label);
                 }
-                w.append(Transaction::new(units).unwrap()).unwrap();
+            };
+            for round in 0..8 {
+                for _ in 0..60 {
+                    let mut units: Vec<(u32, f64)> = Vec::new();
+                    if dense {
+                        for i in 0..num_items {
+                            if rng() % 2 == 0 {
+                                units.push((i, (rng() % 99 + 1) as f64 / 100.0));
+                            }
+                        }
+                    } else {
+                        for _ in 0..4 {
+                            let i = (rng() % u64::from(num_items)) as u32;
+                            if units.iter().all(|&(j, _)| j != i) {
+                                units.push((i, (rng() % 99 + 1) as f64 / 100.0));
+                            }
+                        }
+                    }
+                    w.append(Transaction::new(units).unwrap()).unwrap();
+                }
+                if round % 2 == 1 {
+                    w.expire_oldest(90);
+                }
+                let step = w.take_step();
+                assert_eq!(StepProbe::new(&step).has_rows(), dense, "layout");
+                idx.apply_step(&step);
+                assert_matches(&idx, &w, &format!("round {round}"));
             }
-            if round % 2 == 1 {
-                w.expire_oldest(90);
-            }
-            let step = w.take_step();
-            idx.apply_step(&step);
-            let fresh = VerticalIndex::build(&w.snapshot());
-            for item in 0..6u32 {
-                assert_same_layout(
-                    idx.postings(item),
-                    fresh.postings(item),
-                    &format!("postings[{item}] round {round}"),
-                );
-            }
+            // A slot re-filled with its own contents: its items are present
+            // in the step but none moved, so no posting changes.
+            let t = w.slot(7).clone();
+            assert!(!t.is_empty());
+            let refill = WindowStep {
+                dirty: vec![DirtySlot {
+                    tid: 7,
+                    old: t.clone(),
+                    new: t,
+                }],
+            };
+            assert!(StepProbe::new(&refill).moved_items().is_empty());
+            idx.apply_step(&refill);
+            assert_matches(&idx, &w, "re-filled slot");
         }
     }
 

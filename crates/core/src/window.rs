@@ -35,10 +35,14 @@
 //! held when the step began (`old`) and the one it holds now (`new`). Deltas
 //! therefore **compose**: appending then expiring the same transaction
 //! within one step cancels to nothing, and any sequence of mutations between
-//! two `take_step` calls collapses to one old→new pair per slot. Consumers
-//! ([`VerticalIndex::apply_step`](crate::vertical::VerticalIndex::apply_step),
-//! the engines' memo invalidation, the miners' border re-judgment) see only
-//! the net change.
+//! two `take_step` calls collapses to one old→new pair per slot.
+//!
+//! A step is transposed once, into a [`StepProbe`] (per-item presence
+//! records of the dirty slots), and every consumer reads the net change
+//! from it: [`VerticalIndex::apply_probe`](crate::vertical::VerticalIndex::apply_probe)
+//! (each moved item's postings), the engines' memo patch walks (each
+//! retained node's updates and new products) and the miners' border
+//! re-judgment (touch and growth per candidate).
 
 use crate::database::UncertainDatabase;
 use crate::error::CoreError;
@@ -239,6 +243,12 @@ impl StepProbe {
     #[inline]
     pub fn len(&self) -> usize {
         self.tids.len()
+    }
+
+    /// Whether the probe lays the step out as dense rows (a small step).
+    #[cfg(test)]
+    pub(crate) fn has_rows(&self) -> bool {
+        !self.rows.is_empty()
     }
 
     /// True when the underlying step changes nothing.
@@ -903,7 +913,7 @@ mod tests {
             assert_eq!(probe.len(), step.len());
             assert!(probe.len() > 128, "hundreds of dirty slots");
             assert!(!probe.is_empty());
-            assert_eq!(!probe.rows.is_empty(), dense, "layout");
+            assert_eq!(probe.has_rows(), dense, "layout");
             for items in &sets {
                 assert_probe_matches_naive(&step, &probe, items);
             }

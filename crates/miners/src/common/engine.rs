@@ -70,7 +70,7 @@ use super::scan::LevelScan;
 use ufim_core::parallel::par_map_min_len_with;
 use ufim_core::{
     BlockMoments, DiffVector, EngineKind, FrequentItemset, FxHashMap, ItemId, Itemset, MinerStats,
-    ProbVector, ScratchSpace, StepProbe, UncertainDatabase, VerticalIndex, WindowStep,
+    ProbVector, ScratchSpace, StepProbe, UncertainDatabase, VerticalIndex,
 };
 
 /// Which optional statistics [`SupportEngine::evaluate`] must produce, plus
@@ -220,39 +220,27 @@ pub trait SupportEngine: Sync {
         0
     }
 
-    /// Applies one sliding-window step to the backend's own copy of the
-    /// data (postings point updates) and brings any
-    /// retained memo state along: the columnar backends switch into
-    /// *streaming* mode on the first step and thereafter keep their
-    /// prefix memos across refreshes, point-patching each retained node
-    /// — touched vector chunks rewritten in place, cached `(esup, var,
-    /// count)` moments re-folded from retained per-4096-tid-block partial
-    /// sums — to exactly the state a freshly built engine would
+    /// Applies one sliding-window step, read through its [`StepProbe`], to
+    /// the backend's own copy of the data and brings any retained memo
+    /// state along. The columnar backends update their postings
+    /// ([`VerticalIndex::apply_probe`]), switch into *streaming* mode on
+    /// the first step and thereafter keep their prefix memos across
+    /// refreshes, point-patching each retained node that holds a moved
+    /// item — touched vector chunks rewritten in place, cached `(esup,
+    /// var, count)` moments re-folded from retained per-4096-tid-block
+    /// partial sums — to exactly the state a freshly built engine would
     /// recompute. Nodes the step moved too much (or that fell out of the
     /// last refresh's frequent stream) are evicted instead; evictions are
     /// safe because every backend falls back to a bit-identical cold fold
-    /// for prefixes absent from its memo. After a `true` return,
-    /// evaluations are bit-identical to a rebuilt engine's.
+    /// for prefixes absent from its memo. Afterwards, evaluations are
+    /// bit-identical to a rebuilt engine's.
     ///
-    /// `probe` must hold the same `step` ([`StepProbe::load`]; the caller
-    /// loads it once per step and shares it with the border tracker); the
-    /// patch walks use it to detect touched nodes and read new containment
-    /// probabilities without re-walking transactions. `stats` receives
+    /// The probe is the only form in which a step reaches an engine: the
+    /// caller loads it once per step ([`StepProbe::load`]) and shares it
+    /// with the border tracker. `stats` receives
     /// [`MinerStats::memo_patched`] / [`MinerStats::memo_rebuilt`] counts
     /// for the patch walk.
-    ///
-    /// Returns `false` when the backend holds no mutable copy of the data
-    /// (the horizontal scan borrows the caller's database) — the caller
-    /// must then rebuild the engine over the new window snapshot.
-    fn apply_window_step(
-        &mut self,
-        step: &WindowStep,
-        probe: &StepProbe,
-        stats: &mut MinerStats,
-    ) -> bool {
-        let _ = (step, probe, stats);
-        false
-    }
+    fn apply_window_step(&mut self, probe: &StepProbe, stats: &mut MinerStats);
 }
 
 /// Builds the backend selected by `kind` over `db`.
@@ -349,22 +337,20 @@ impl SupportEngine for HorizontalScan<'_> {
         self.current = None;
         self.gathered = Vec::new();
     }
+
+    /// The scan borrows its database and holds no copy to step: a window
+    /// reaches it as a new scan over each snapshot.
+    ///
+    /// # Panics
+    /// Always.
+    fn apply_window_step(&mut self, _probe: &StepProbe, _stats: &mut MinerStats) {
+        panic!("the horizontal scan borrows its database: scan the stepped snapshot instead");
+    }
 }
 
 /// Work-size threshold (candidates × mean tid-list length) below which the
 /// vertical backend stays sequential (shared with the horizontal scans).
 const PAR_MIN_WORK: usize = ufim_core::parallel::DEFAULT_MIN_WORK;
-
-/// The point updates one window step implies for a retained node of
-/// `items`: `(tid, new containment probability)` for every dirty slot
-/// whose probability actually changed, ascending by tid. The memoized
-/// vector's value at a tid equals the probe's old-row product bit for bit
-/// (both are the same ascending left-fold), so the bitwise filter detects
-/// untouched nodes exactly like the border tracker does — an empty return
-/// means the node is already byte-identical to a rebuild.
-fn itemset_updates(probe: &StepProbe, items: &[ItemId]) -> Vec<(u32, f64)> {
-    probe.updates(items)
-}
 
 /// The ascending, deduplicated summation-block keys a batch of point
 /// updates touches — the blocks [`BlockMoments::refresh`] must recompute.
@@ -647,54 +633,47 @@ impl SupportEngine for VerticalEngine {
         self.peak_memo_bytes
     }
 
-    fn apply_window_step(
-        &mut self,
-        step: &WindowStep,
-        probe: &StepProbe,
-        stats: &mut MinerStats,
-    ) -> bool {
+    fn apply_window_step(&mut self, probe: &StepProbe, stats: &mut MinerStats) {
         // The index maintains itself byte-identically to a rebuild over
         // the stepped window. The retained prefix memo is *patched*, not
         // dropped: each live node whose itemset probability changed at a
         // dirty tid gets its touched chunks rewritten in place and its
         // cached block partials re-folded — bit-identical to the cold
-        // fold the next refresh would otherwise pay. Peak memory counters
-        // deliberately survive: they track the engine lifetime.
-        self.index.apply_step(step);
+        // fold the next refresh would otherwise pay. A node's value at a
+        // tid equals the probe's old-side product bit for bit (the same
+        // ascending left-fold), so empty updates mean the node already
+        // matches a rebuild. Peak memory counters deliberately survive:
+        // they track the engine lifetime.
+        debug_assert!(
+            self.streaming || (self.prev.is_empty() && self.current.is_empty()),
+            "the first window step reaches an engine before any evaluate"
+        );
+        self.index.apply_probe(probe);
         let keep = self.stamp;
         self.stamp += 1;
-        let first = !self.streaming;
         self.streaming = true;
-        if first {
-            // Batch-era memo: nodes carry no block partials (and stamp 0)
-            // — drop them without charging the patch counters.
-            self.prev = FxHashMap::default();
-            self.current = FxHashMap::default();
-        } else {
-            self.prev.retain(|items, node| {
-                if node.stamp != keep {
-                    // Fell out of the last refresh's frequent stream.
-                    return false;
-                }
-                let updates = itemset_updates(probe, items);
-                if updates.is_empty() {
-                    return true;
-                }
-                let Some(moments) = node.moments.as_mut() else {
-                    stats.memo_rebuilt += 1;
-                    return false;
-                };
-                if !patch_beats_rebuild(updates.len(), node.vector.len()) {
-                    stats.memo_rebuilt += 1;
-                    return false;
-                }
-                node.vector.apply_tid_delta(&updates);
-                moments.refresh(&node.vector, &touched_block_keys(&updates));
-                stats.memo_patched += 1;
-                true
-            });
-        }
-        true
+        self.prev.retain(|items, node| {
+            if node.stamp != keep {
+                // Fell out of the last refresh's frequent stream.
+                return false;
+            }
+            let updates = probe.updates(items);
+            if updates.is_empty() {
+                return true;
+            }
+            let Some(moments) = node.moments.as_mut() else {
+                stats.memo_rebuilt += 1;
+                return false;
+            };
+            if !patch_beats_rebuild(updates.len(), node.vector.len()) {
+                stats.memo_rebuilt += 1;
+                return false;
+            }
+            node.vector.apply_tid_delta(&updates);
+            moments.refresh(&node.vector, &touched_block_keys(&updates));
+            stats.memo_patched += 1;
+            true
+        });
     }
 }
 
@@ -1179,12 +1158,7 @@ impl SupportEngine for DiffsetEngine {
         self.peak_memo_bytes
     }
 
-    fn apply_window_step(
-        &mut self,
-        step: &WindowStep,
-        probe: &StepProbe,
-        stats: &mut MinerStats,
-    ) -> bool {
+    fn apply_window_step(&mut self, probe: &StepProbe, stats: &mut MinerStats) {
         // Same contract as the vertical engine: the index self-maintains
         // byte-identically to a rebuild, and the retained delta-chain
         // memo is *patched* — each live node re-decides the dirty tids'
@@ -1192,20 +1166,15 @@ impl SupportEngine for DiffsetEngine {
         // tidset) and re-folds only the touched summation blocks, so the
         // cached `(esup, var, count)` stay bit-identical to a cold
         // re-fold over the stepped window.
-        self.index.apply_step(step);
+        debug_assert!(
+            self.streaming || (self.memo.is_empty() && self.current.is_empty()),
+            "the first window step reaches an engine before any evaluate"
+        );
+        self.index.apply_probe(probe);
         let keep = self.stamp;
         self.stamp += 1;
-        let first = !self.streaming;
         self.streaming = true;
-        if first {
-            // Batch-era memo: nodes carry no block partials (and stamp 0)
-            // — drop them without charging the patch counters.
-            self.memo = FxHashMap::default();
-            self.current = FxHashMap::default();
-        } else {
-            patch_diff_nodes(&self.index, &mut self.memo, probe, keep, stats);
-        }
-        true
+        patch_diff_nodes(&self.index, &mut self.memo, probe, keep, stats);
     }
 }
 
@@ -1255,20 +1224,24 @@ fn resolve_restricted(
     }
 }
 
-/// The diffset backend's patch walk. Keys are visited parents
-/// before children (ascending length, then lexicographic), each node
-/// temporarily removed so its delta can re-resolve through its
-/// *already-patched* ancestors, then reinserted. A `Diff` node first
-/// re-decides its delta membership at every dirty tid where a member
-/// item's probability moved — `t` is dropped iff the new prefix keeps it
-/// while the new child zeroes it; membership can flip even when the child
-/// value does not move, but never at a tid whose member probabilities all
-/// held still — and then, only when some child value actually changed,
-/// re-materializes the touched blocks' fragment through
-/// [`resolve_restricted`] and re-folds exactly those blocks of its
-/// retained partials; a `Tidset` node rewrites the dirty chunks in place.
-/// Either way the cached `(esup, var, count)` come out of
-/// [`BlockMoments::fold`], bit-identical to a cold re-fold.
+/// The diffset backend's patch walk. One `retain` drops the nodes that
+/// fell out of the last refresh's frequent stream and lists those holding
+/// a moved item; a node without one has the same containment probability
+/// at every dirty tid, so it already matches a rebuild. The listed nodes
+/// are visited parents before children (ascending length, then
+/// lexicographic), so a delta re-resolves through its *already-patched*
+/// ancestors. A `Diff` node first re-decides its delta membership at
+/// every dirty tid where a member item's probability moved — `t` is
+/// dropped iff the new prefix keeps it while the new child zeroes it;
+/// membership can flip even when the child value does not move — and
+/// then, only when some child value actually changed, re-materializes the
+/// touched blocks' fragment through [`resolve_restricted`] and re-folds
+/// exactly those blocks of its retained partials; a `Tidset` node
+/// rewrites the dirty chunks in place. Either way the cached `(esup, var,
+/// count)` come out of [`BlockMoments::fold`], bit-identical to a cold
+/// re-fold. Each node is patched in place: the prefix fragment is read
+/// under a shared borrow of the memo, then the node is written through
+/// `get_mut`.
 fn patch_diff_nodes(
     index: &VerticalIndex,
     memo: &mut FxHashMap<Vec<ItemId>, MemoNode>,
@@ -1276,40 +1249,42 @@ fn patch_diff_nodes(
     keep: u64,
     stats: &mut MinerStats,
 ) {
-    let mut keys: Vec<Vec<ItemId>> = memo.keys().cloned().collect();
-    keys.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-    for items in keys {
-        let Some(mut node) = memo.remove(&items) else {
-            continue;
-        };
+    let moved = probe.moved_items();
+    let mut touched: Vec<Vec<ItemId>> = Vec::new();
+    memo.retain(|items, node| {
         if node.stamp != keep {
-            // Fell out of the last refresh's frequent stream.
-            continue;
+            return false;
         }
-        let updates = itemset_updates(probe, &items);
+        if items.iter().any(|i| moved.binary_search(i).is_ok()) {
+            touched.push(items.clone());
+        }
+        true
+    });
+    touched.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    for items in touched {
+        let node = &memo[&items];
+        let updates = probe.updates(&items);
         let is_diff = matches!(node.repr, NodeRepr::Diff(_));
         if updates.is_empty() && !is_diff {
-            memo.insert(items, node);
             continue;
         }
-        if !updates.is_empty() {
-            let hopeless =
-                node.moments.is_none() || !patch_beats_rebuild(updates.len(), node.count);
-            if hopeless {
-                stats.memo_rebuilt += 1;
-                continue;
-            }
+        if !updates.is_empty()
+            && (node.moments.is_none() || !patch_beats_rebuild(updates.len(), node.count))
+        {
+            memo.remove(&items);
+            stats.memo_rebuilt += 1;
+            continue;
         }
         let k = items.len();
-        let (prefix_items, last) = (&items[..k - 1], items[k - 1]);
+        let blocks = touched_block_keys(&updates);
+        let parent = (is_diff && !updates.is_empty())
+            .then(|| resolve_restricted(index, memo, &items[..k - 1], &blocks));
+        let node = memo.get_mut(&items).expect("a listed node is retained");
+        let moments = node.moments.as_mut();
         match &mut node.repr {
             NodeRepr::Tidset(v) => {
                 v.apply_tid_delta(&updates);
-                let blocks = touched_block_keys(&updates);
-                let moments = node.moments.as_mut().expect("checked above");
-                moments.refresh(v, &blocks);
-                (node.esup, node.var, node.count) = moments.fold();
-                stats.memo_patched += 1;
+                moments.expect("checked above").refresh(v, &blocks);
             }
             NodeRepr::Diff(d) => {
                 let membership: Vec<(u32, bool)> = probe
@@ -1318,24 +1293,22 @@ fn patch_diff_nodes(
                     .map(|(tid, prefix_p, p)| (tid, prefix_p > 0.0 && p == 0.0))
                     .collect();
                 d.apply_tid_delta(&membership);
-                if !updates.is_empty() {
-                    let blocks = touched_block_keys(&updates);
-                    let parent = resolve_restricted(index, memo, prefix_items, &blocks);
-                    let dropped: Vec<u32> = d
-                        .dropped()
-                        .iter()
-                        .copied()
-                        .filter(|&t| blocks.binary_search(&BlockMoments::block_of_tid(t)).is_ok())
-                        .collect();
-                    let frag = parent.apply_dropped(&dropped, index.postings(last));
-                    let moments = node.moments.as_mut().expect("checked above");
-                    moments.refresh(&frag, &blocks);
-                    (node.esup, node.var, node.count) = moments.fold();
-                    stats.memo_patched += 1;
-                }
+                let Some(parent) = parent else {
+                    continue;
+                };
+                let dropped: Vec<u32> = d
+                    .dropped()
+                    .iter()
+                    .copied()
+                    .filter(|&t| blocks.binary_search(&BlockMoments::block_of_tid(t)).is_ok())
+                    .collect();
+                let frag = parent.apply_dropped(&dropped, index.postings(items[k - 1]));
+                moments.expect("checked above").refresh(&frag, &blocks);
             }
         }
-        memo.insert(items, node);
+        let moments = node.moments.as_ref().expect("checked above");
+        (node.esup, node.var, node.count) = moments.fold();
+        stats.memo_patched += 1;
     }
 }
 

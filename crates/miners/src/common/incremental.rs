@@ -4,12 +4,13 @@
 //! [`IncrementalMiner`] owns a [`WindowedDatabase`] and keeps its mining
 //! result *fresh* across window steps without re-mining from scratch. Each
 //! [`IncrementalMiner::refresh`] drains the window's pending mutations into
-//! one [`WindowStep`], loads it into the miner's [`StepProbe`], forwards it
-//! to the support engine ([`SupportEngine::apply_window_step`] — postings
-//! append/tombstone on the columnar backends, a snapshot rebuild on the
-//! horizontal fall-back), and then replays the level-wise candidate
-//! stream, re-judging **only** the itemsets the step could actually move
-//! across the frequent/infrequent border.
+//! one [`WindowStep`] and loads it into the miner's [`StepProbe`], the only
+//! form in which the step reaches the support engine
+//! ([`SupportEngine::apply_window_step`] — postings point updates and memo
+//! patches on the columnar backends; the horizontal fall-back scans a new
+//! snapshot instead). It then replays the level-wise candidate stream,
+//! re-judging **only** the itemsets the step could actually move across
+//! the frequent/infrequent border.
 //!
 //! # The border argument
 //!
@@ -578,41 +579,29 @@ impl<M: FrequentnessMeasure> IncrementalMiner<M> {
             return &self.result;
         }
         let num_items = self.window.num_items();
-        // One probe per step, shared by the engine's patch walk and every
-        // border classification below: the dirty slots' unit lists plus
-        // changed-slot bitsets of the moved items, so touch detection costs
-        // a few multiplies per changed slot instead of transaction walks.
-        // The unprimed first refresh provably never reads it — the tracker
-        // has no entries to classify against and the engine holds no
-        // stamped memo to patch — so the (large, whole-window) initial-fill
-        // step loads as an empty probe.
-        let probe = &mut self.probe;
-        if self.primed {
-            probe.load(&step);
-        } else {
-            probe.load(&WindowStep::default());
-        }
-        let probe = &*probe;
+        // One probe per step, the only form in which the step reaches the
+        // engine (index update and memo patch walk) and every border
+        // classification below: per-item presence records of the dirty
+        // slots, so touch detection costs a few multiplies per changed
+        // slot instead of transaction walks. On the first refresh only
+        // the index reads it: the engine's memo is still empty and the
+        // tracker holds only new entries.
+        self.probe.load(&step);
+        let probe = &self.probe;
         // Counters of the step application itself (memo_patched /
         // memo_rebuilt), merged into the refresh's stats below.
         let mut step_stats = MinerStats::default();
-        if let Some(engine) = self.engine.as_mut() {
-            if !engine.apply_window_step(&step, probe, &mut step_stats) {
-                // The backend declined delta maintenance: rebuild it over
-                // the stepped snapshot (still cheaper than re-mining — the
-                // tracker's reuse survives a rebuild).
-                *engine = owned_engine(self.kind, &self.window.snapshot())
-                    .expect("owned backends accept window steps");
-            }
-        }
         let mut result = match self.engine.as_mut() {
-            Some(engine) => refresh_levels(
-                engine.as_mut(),
-                &self.measure,
-                &mut self.tracker,
-                probe,
-                num_items,
-            ),
+            Some(engine) => {
+                engine.apply_window_step(probe, &mut step_stats);
+                refresh_levels(
+                    engine.as_mut(),
+                    &self.measure,
+                    &mut self.tracker,
+                    probe,
+                    num_items,
+                )
+            }
             None => {
                 // Borrowing backend (horizontal): a per-refresh engine over
                 // the snapshot — the honest re-scan fall-back. Border reuse
